@@ -8,47 +8,38 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .closure import ClosureSystem, eigen_closure_system, entity_ortho_space, ortho_closure_system
-from .entity import Entity
+from .entity import Entity, RelationKind, first_equivalent_pair, first_pair, relation_views, view_implies
 from .errors import ConsistencyError
-from .statprop import is_distinguishable
+from .statprop import indistinguishable_pair
 
 
-def _first_pair(pairs):
-    return min(pairs) if pairs else None
+def _determined(entity: Entity, kind: RelationKind, items):
+    """No two distinct items have equal views. Returns (flag, least equal pair)."""
+    view, _ = relation_views(entity, kind)
+    pair = first_equivalent_pair(items, view)
+    return (pair is None, pair)
+
+
+def _atomic(entity: Entity, kind: RelationKind, items):
+    """No item implies a distinct one. Returns (flag, least implying pair)."""
+    view, _ = relation_views(entity, kind)
+    pair = first_pair(items, view, view_implies)
+    return (pair is None, pair)
 
 
 def is_outcome_determined(entity: Entity):
     """Distinct couples have distinct outcome sets. Returns (flag, witness)."""
-    seen = {}
-    violations = []
-    for couple, cell in entity.cells():
-        if cell in seen:
-            violations.append((seen[cell], couple))
-        else:
-            seen[cell] = couple
-    return (not violations, _first_pair(violations))
+    return _determined(entity, RelationKind.central(), entity.couples())
 
 
 def is_state_determined(entity: Entity):
     """Distinct states differ under some experiment."""
-    states = sorted(entity.states)
-    violations = []
-    for i, p in enumerate(states):
-        for q in states[i + 1:]:
-            if all(entity.outcome_set(e, p) == entity.outcome_set(e, q) for e in entity.experiments):
-                violations.append((p, q))
-    return (not violations, _first_pair(violations))
+    return _determined(entity, RelationKind.state_global(), sorted(entity.states))
 
 
 def is_experiment_determined(entity: Entity):
     """Distinct experiments differ in some state."""
-    experiments = sorted(entity.experiments)
-    violations = []
-    for i, e in enumerate(experiments):
-        for f in experiments[i + 1:]:
-            if all(entity.outcome_set(e, p) == entity.outcome_set(f, p) for p in entity.states):
-                violations.append((e, f))
-    return (not violations, _first_pair(violations))
+    return _determined(entity, RelationKind.experiment_global(), sorted(entity.experiments))
 
 
 def satisfies_T0(system: ClosureSystem):
@@ -61,7 +52,7 @@ def satisfies_T0(system: ClosureSystem):
         for w in points[i + 1:]
         if closures[v] == closures[w]
     ]
-    return (not violations, _first_pair(violations))
+    return (not violations, min(violations, default=None))
 
 
 def satisfies_T1(system: ClosureSystem):
@@ -72,38 +63,15 @@ def satisfies_T1(system: ClosureSystem):
 
 def is_central_atomic(entity: Entity):
     """No couple strictly implies another."""
-    couples = entity.couples()
-    violations = [
-        (a, b)
-        for a in couples
-        for b in couples
-        if a != b and entity.outcome_set(*a) <= entity.outcome_set(*b)
-    ]
-    return (not violations, _first_pair(violations))
+    return _atomic(entity, RelationKind.central(), entity.couples())
 
 
 def is_state_atomic(entity: Entity):
-    states = sorted(entity.states)
-    violations = [
-        (p, q)
-        for p in states
-        for q in states
-        if p != q
-        and all(entity.outcome_set(e, p) <= entity.outcome_set(e, q) for e in entity.experiments)
-    ]
-    return (not violations, _first_pair(violations))
+    return _atomic(entity, RelationKind.state_global(), sorted(entity.states))
 
 
 def is_experiment_atomic(entity: Entity):
-    experiments = sorted(entity.experiments)
-    violations = [
-        (e, f)
-        for e in experiments
-        for f in experiments
-        if e != f
-        and all(entity.outcome_set(e, p) <= entity.outcome_set(f, p) for p in entity.states)
-    ]
-    return (not violations, _first_pair(violations))
+    return _atomic(entity, RelationKind.experiment_global(), sorted(entity.experiments))
 
 
 def is_d_classical(entity: Entity) -> bool:
@@ -115,15 +83,6 @@ def _d_classical_witness(entity: Entity):
     for couple, cell in entity.cells():
         if len(cell) != 1:
             return couple
-    return None
-
-
-def _distinguishable_witness(entity: Entity):
-    experiments = sorted(entity.experiments)
-    for i, e in enumerate(experiments):
-        for f in experiments[i + 1:]:
-            if entity.experiment_outcomes(e) & entity.experiment_outcomes(f):
-                return (e, f)
     return None
 
 
@@ -196,30 +155,15 @@ def classify(entity: Entity) -> ClassificationReport:
     _cross_check("experiment atomic entities are experiment determined", (not e_atomic) or ex_det)
 
     if d_cls:
-        for kind, pool in (("states", sorted(entity.states)), ("experiments", sorted(entity.experiments))):
-            for i, a in enumerate(pool):
-                for b in pool[i + 1:]:
-                    if kind == "states":
-                        equiv = all(
-                            entity.outcome_set(e, a) == entity.outcome_set(e, b)
-                            for e in entity.experiments
-                        )
-                        orth = any(
-                            not (entity.outcome_set(e, a) & entity.outcome_set(e, b))
-                            for e in entity.experiments
-                        )
-                    else:
-                        equiv = all(
-                            entity.outcome_set(a, p) == entity.outcome_set(b, p)
-                            for p in entity.states
-                        )
-                        orth = any(
-                            not (entity.outcome_set(a, p) & entity.outcome_set(b, p))
-                            for p in entity.states
-                        )
-                    _cross_check(
-                        f"deterministic {kind} are equivalent or orthogonal", equiv or orth
-                    )
+        for name, kind, pool in (
+            ("states", RelationKind.state_global(), sorted(entity.states)),
+            ("experiments", RelationKind.experiment_global(), sorted(entity.experiments)),
+        ):
+            view, orthogonal = relation_views(entity, kind)
+            _cross_check(
+                f"deterministic {name} are equivalent or orthogonal",
+                first_pair(pool, view, lambda u, v: u != v and not orthogonal(u, v), ordered=False) is None,
+            )
         _cross_check(
             "deterministic entities have matching eigen and ortho central closures",
             central.members == ortho_closure_system(entity_ortho_space(entity, "central")).members,
@@ -230,7 +174,8 @@ def classify(entity: Entity) -> ClassificationReport:
             "deterministic determination forces experiment atomicity", (not ex_det) or e_atomic
         )
 
-    distinguishable = is_distinguishable(entity)
+    overlapping = indistinguishable_pair(entity)
+    distinguishable = overlapping is None
     witnesses = {}
     for name, flag, witness in (
         ("outcome_determined", out_det, w_out),
@@ -240,7 +185,7 @@ def classify(entity: Entity) -> ClassificationReport:
         ("state_atomic", s_atomic, w_sa),
         ("experiment_atomic", e_atomic, w_ea),
         ("d_classical", d_cls, _d_classical_witness(entity)),
-        ("distinguishable", distinguishable, _distinguishable_witness(entity)),
+        ("distinguishable", distinguishable, overlapping),
     ):
         if not flag:
             witnesses[name] = witness

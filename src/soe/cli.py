@@ -4,7 +4,8 @@ Commands: analyze, closures, classify, subentity, qmachine, verify. Reports
 are deterministic (byte-identical across runs for identical inputs and seeds);
 `--structured` switches to a flat `key = value` form with dotted paths, one
 datum per line, documented in the README. Exit codes: 0 success, 1 a
-verification failed, 2 usage or input errors. The environment variable
+verification failed, 2 usage or input errors, 3 the kernel contradicted one
+of its own theorem cross-checks (a kernel bug). The environment variable
 SOE_SEED (default 42) seeds every sampled verification.
 """
 
@@ -29,8 +30,8 @@ from .closure import (
 )
 from .diagnostics import Diagnostics
 from .entity import Entity, RelationKind, eigen_outcome, implies, orthogonal, relation_report
-from .errors import SoeError
-from .formats import parse_entity
+from .errors import ConsistencyError, SoeError
+from .formats import parse_entity, parse_witness
 from .morphism import ProbabilityCorrespondence, preimage_continuity, verify_probabilistic_sub_entity, verify_sub_entity
 from .probability import ProbabilisticEntity, validate_measure
 from .quantum import (
@@ -92,6 +93,8 @@ def _emit_diagnostics(report: Report, prefix: str, diag: Diagnostics) -> None:
         report.row(f"{prefix}.{name}", "pass" if ok else "fail", f"  {'pass' if ok else 'FAIL'} {name}")
     for i, failure in enumerate(diag.failures):
         report.row(f"{prefix}.failure.{i}", failure, f"    {failure}")
+    if diag._overflow:
+        report.row(f"{prefix}.suppressed", diag._overflow, f"    ... {diag._overflow} further failure(s) suppressed")
     for key in sorted(diag.details):
         value = diag.details[key]
         rendered = _fmt(value) if isinstance(value, float) else str(value)
@@ -183,8 +186,7 @@ def cmd_subentity(args) -> int:
     small_doc = _load(args.small)
     big_doc = _load(args.big)
     with open(args.witness, "r", encoding="utf-8") as handle:
-        witness_doc_text = handle.read()
-    witness = _parse_witness_file(witness_doc_text)
+        witness = parse_witness(handle.read())
     report = Report(args.structured)
     diag = verify_sub_entity(small_doc.entity, big_doc.entity, witness)
     report.heading("sub-entity witness")
@@ -220,33 +222,6 @@ def cmd_subentity(args) -> int:
     report.row("subentity.verdict", "pass" if ok else "fail", f"verdict: {'pass' if ok else 'FAIL'}")
     report.emit()
     return 0 if ok else 1
-
-
-def _parse_witness_file(text: str):
-    from .errors import ParseError
-    from .morphism import SubEntityWitness
-
-    m, n, l = {}, {}, {}
-    section = None
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            section = line.strip("[] \t")
-            if section != "witness":
-                raise ParseError(f"witness files contain only a [witness] section, got [{section}]", line=line_no)
-            continue
-        if section != "witness":
-            raise ParseError("content before the [witness] header", line=line_no)
-        if "=" not in line:
-            raise ParseError("expected 'm|n|l <from> = <to>'", line=line_no)
-        lhs, rhs = (part.strip() for part in line.split("=", 1))
-        parts = lhs.split()
-        if len(parts) != 2 or parts[0] not in ("m", "n", "l"):
-            raise ParseError("expected 'm|n|l <from> = <to>'", line=line_no)
-        {"m": m, "n": n, "l": l}[parts[0]][parts[1]] = rhs
-    return SubEntityWitness(m=m, n=n, l=l)
 
 
 # -- qmachine ------------------------------------------------------------------
@@ -289,9 +264,7 @@ def _relation_axiom_checks(entity: Entity, diag: Diagnostics, rng: random.Random
     pool = couples if len(couples) <= 12 else rng.sample(couples, 12)
     for a in pool:
         for b in pool:
-            if cells[a] & cells[b]:
-                pass
-            elif a != b:
+            if a != b and cells[a].isdisjoint(cells[b]):
                 diag.record(
                     "relations.symmetric",
                     orthogonal(entity, central, b, a),
@@ -340,7 +313,6 @@ def _closure_checks(entity: Entity, diag: Diagnostics, rng: random.Random) -> No
     for name, system in systems.items():
         axioms = validate_closure_axioms(SetFamily(system.ground, system.members))
         diag.record(f"closures.axioms.{name}", axioms.passed, "; ".join(axioms.failures))
-        members = system.sorted_members()
         for _ in range(5):
             K = frozenset(rng.sample(sorted(system.ground, key=str), rng.randint(0, len(system.ground))))
             closed = system.closure_of(K)
@@ -349,7 +321,6 @@ def _closure_checks(entity: Entity, diag: Diagnostics, rng: random.Random) -> No
                 system.closure_of(closed) == closed,
                 _fmt_member(K),
             )
-        del members
     outcomes = sorted(entity.outcomes)
     for _ in range(10):
         A = frozenset(rng.sample(outcomes, rng.randint(0, len(outcomes))))
@@ -461,6 +432,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ConsistencyError as err:
+        sys.stderr.write(f"error: {err}\n")
+        return 3
     except SoeError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .diagnostics import Diagnostics
-from .entity import Entity, RelationKind, orthogonal
+from .entity import Entity, RelationKind, relation_views
 from .errors import CapacityError, ContractError
 
 GROUND_CAP = 24  # full-family materialization refuses larger ground sets
@@ -231,16 +231,6 @@ class OrthoSpace:
     def __setattr__(self, name, value):
         raise AttributeError("OrthoSpace is immutable")
 
-    @classmethod
-    def from_relation(cls, ground, relation) -> "OrthoSpace":
-        ground = frozenset(ground)
-        pairs = set()
-        for a in ground:
-            for b in ground:
-                if a != b and relation(a, b):
-                    pairs.add((a, b))
-        return cls(ground, pairs)
-
     def orthogonal(self, a, b) -> bool:
         return (a, b) in self._pairs
 
@@ -286,7 +276,9 @@ def entity_ortho_space(entity: Entity, on: str, scoped_to=None) -> OrthoSpace:
         ground = entity.outcomes
     else:
         raise ContractError(f"unknown orthogonality scope {on!r}")
-    return OrthoSpace.from_relation(ground, lambda a, b: orthogonal(entity, kind, a, b))
+    view, orthogonal = relation_views(entity, kind)
+    views = [(a, view(a)) for a in ground]
+    return OrthoSpace(ground, [(a, b) for a, u in views for b, v in views if a != b and orthogonal(u, v)])
 
 
 # -- trace of a couple system on the states -----------------------------------

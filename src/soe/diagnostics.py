@@ -52,12 +52,3 @@ class Diagnostics:
                 self._overflow += 1
         self._overflow += other._overflow
         self.details.update(other.details)
-
-    def summary_lines(self) -> list:
-        lines = []
-        for name in sorted(self.checks):
-            lines.append(f"{'pass' if self.checks[name] else 'FAIL'} {name}")
-        lines.extend(self.failures)
-        if self._overflow:
-            lines.append(f"... {self._overflow} further failure(s) suppressed")
-        return lines

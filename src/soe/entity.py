@@ -7,6 +7,7 @@ Everything else in this package is computed from that table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -233,64 +234,102 @@ def _validate_kind(entity: Entity, kind: RelationKind) -> None:
         raise ContractError("scoped outcome relations need both an experiment and a state")
 
 
-def _couple_cell(entity: Entity, couple) -> frozenset:
-    if not (isinstance(couple, tuple) and len(couple) == 2):
-        raise ContractError(f"central relations compare (experiment, state) couples, got {couple!r}")
-    return entity.outcome_set(couple[0], couple[1])
+def _require_item(entity: Entity, kind: RelationKind, item) -> None:
+    if kind.on == "state":
+        entity.require_state(item)
+    elif kind.on == "experiment":
+        entity.require_experiment(item)
+    elif kind.on == "outcome":
+        entity.require_outcome(item)
+    elif isinstance(item, tuple) and len(item) == 2:
+        entity.outcome_set(*item)
+    else:
+        raise ContractError(f"central relations compare (experiment, state) couples, got {item!r}")
+
+
+# -- the relation engine: every relation compares views -------------------------
+
+
+def view_implies(u: tuple, v: tuple) -> bool:
+    """Implication of views: each member of u inside the matching member of v."""
+    return all(map(frozenset.issubset, u, v))
+
+
+def _some_member_disjoint(u: tuple, v: tuple) -> bool:
+    return any(map(frozenset.isdisjoint, u, v))
+
+
+def relation_views(entity: Entity, kind: RelationKind):
+    """`(view, orthogonal)` for one relation kind.
+
+    `view(item)` reads a plain item's view from the table without checking
+    it: a state's cells over the experiments in scope, an experiment's cells
+    over the states in scope, the one cell of a couple, or the one-outcome
+    event of an outcome. Views imply by `view_implies`; `orthogonal(u, v)`
+    holds when some member of u is disjoint from the matching member of v,
+    and for events when both also lie inside one cell in scope.
+    """
+    _validate_kind(entity, kind)
+    table = entity._table
+    if kind.on == "state":
+        scope = (kind.experiment,) if kind.experiment is not None else tuple(entity.experiments)
+        return (lambda p: tuple([table[(e, p)] for e in scope])), _some_member_disjoint
+    if kind.on == "experiment":
+        scope = (kind.state,) if kind.state is not None else tuple(entity.states)
+        return (lambda e: tuple([table[(e, p)] for p in scope])), _some_member_disjoint
+    if kind.on == "central":
+        return (lambda couple: (table[couple],)), _some_member_disjoint
+    cells = [table[(kind.experiment, kind.state)]] if kind.experiment is not None else set(table.values())
+
+    def events_orthogonal(u, v):
+        (a,), (b,) = u, v
+        return a.isdisjoint(b) and any(a <= cell and b <= cell for cell in cells)
+
+    return (lambda x: (frozenset((x,)),)), events_orthogonal
+
+
+def first_pair(items, view, test, ordered: bool = True):
+    """The first pair (a, b) of distinct `items` in scan order with
+    test(view(a), view(b)), or None; over sorted items, the least such pair.
+    Unless `ordered`, only pairs with a before b are tried."""
+    view = functools.cache(view)
+    for i, a in enumerate(items):
+        u = view(a)
+        for b in items if ordered else items[i + 1:]:
+            if b is not a and test(u, view(b)):
+                return a, b
+    return None
+
+
+def first_equivalent_pair(items, view):
+    """The first pair (a, b) of `items`, a before b, with equal views, or
+    None; over sorted items, the least such pair. O(n)."""
+    first = {}
+    best = None
+    for j, u in enumerate(map(view, items)):
+        i = first.setdefault(u, j)
+        if i != j and (best is None or i < best[0]):
+            best = (i, j)
+    return None if best is None else (items[best[0]], items[best[1]])
+
+
+def _views_of(entity: Entity, kind: RelationKind, a, b):
+    view, orthogonal_views = relation_views(entity, kind)
+    _require_item(entity, kind, a)
+    _require_item(entity, kind, b)
+    return view(a), view(b), orthogonal_views
 
 
 def implies(entity: Entity, kind: RelationKind, a, b) -> bool:
     """Implication a < b for the given relation kind (outcome-set inclusion)."""
-    _validate_kind(entity, kind)
-    if kind.on == "state":
-        entity.require_state(a)
-        entity.require_state(b)
-        if kind.experiment is not None:
-            return entity.outcome_set(kind.experiment, a) <= entity.outcome_set(kind.experiment, b)
-        return all(
-            entity.outcome_set(e, a) <= entity.outcome_set(e, b) for e in entity.experiments
-        )
-    if kind.on == "experiment":
-        entity.require_experiment(a)
-        entity.require_experiment(b)
-        if kind.state is not None:
-            return entity.outcome_set(a, kind.state) <= entity.outcome_set(b, kind.state)
-        return all(entity.outcome_set(a, p) <= entity.outcome_set(b, p) for p in entity.states)
-    if kind.on == "central":
-        return _couple_cell(entity, a) <= _couple_cell(entity, b)
-    # outcomes: the event pre-order restricted to singletons collapses to equality
-    entity.require_outcome(a)
-    entity.require_outcome(b)
-    return a == b
+    u, v, _ = _views_of(entity, kind, a, b)
+    return view_implies(u, v)
 
 
 def orthogonal(entity: Entity, kind: RelationKind, a, b) -> bool:
     """Orthogonality a | b for the given relation kind (outcome-set disjointness)."""
-    _validate_kind(entity, kind)
-    if kind.on == "state":
-        entity.require_state(a)
-        entity.require_state(b)
-        if kind.experiment is not None:
-            return not (entity.outcome_set(kind.experiment, a) & entity.outcome_set(kind.experiment, b))
-        return any(
-            not (entity.outcome_set(e, a) & entity.outcome_set(e, b)) for e in entity.experiments
-        )
-    if kind.on == "experiment":
-        entity.require_experiment(a)
-        entity.require_experiment(b)
-        if kind.state is not None:
-            return not (entity.outcome_set(a, kind.state) & entity.outcome_set(b, kind.state))
-        return any(not (entity.outcome_set(a, p) & entity.outcome_set(b, p)) for p in entity.states)
-    if kind.on == "central":
-        return not (_couple_cell(entity, a) & _couple_cell(entity, b))
-    entity.require_outcome(a)
-    entity.require_outcome(b)
-    if a == b:
-        return False
-    if kind.experiment is not None:
-        cell = entity.outcome_set(kind.experiment, kind.state)
-        return a in cell and b in cell
-    return any(a in cell and b in cell for _, cell in entity.cells())
+    u, v, orthogonal_views = _views_of(entity, kind, a, b)
+    return orthogonal_views(u, v)
 
 
 def equivalent(entity: Entity, kind: RelationKind, a, b) -> bool:
@@ -335,14 +374,10 @@ def _fmt(item) -> str:
 
 
 def _scan(entity: Entity, kind: RelationKind, universe) -> ReportSection:
-    imp = []
-    orth = []
-    for a in universe:
-        for b in universe:
-            if implies(entity, kind, a, b):
-                imp.append((a, b))
-            if a != b and orthogonal(entity, kind, a, b):
-                orth.append((a, b))
+    view, orthogonal_views = relation_views(entity, kind)
+    views = [(a, view(a)) for a in universe]
+    imp = [(a, b) for a, u in views for b, v in views if view_implies(u, v)]
+    orth = [(a, b) for a, u in views for b, v in views if a != b and orthogonal_views(u, v)]
     return ReportSection(kind.describe(), tuple(imp), tuple(orth))
 
 
@@ -368,6 +403,5 @@ def relation_report(entity: Entity) -> RelationReport:
     for p in states:
         sections.append(_scan(entity, RelationKind.experiment_for(p), experiments))
     for e, p in couples:
-        cell = sorted(entity.outcome_set(e, p))
-        sections.append(_scan(entity, RelationKind.outcome_for(e, p), cell))
+        sections.append(_scan(entity, RelationKind.outcome_for(e, p), sorted(entity._table[(e, p)])))
     return RelationReport(tuple(sections))

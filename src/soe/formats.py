@@ -20,6 +20,7 @@ Identifiers are the entity identifiers (no whitespace, ',', '=', '#', '[',
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .entity import Entity
@@ -46,24 +47,54 @@ def _split_list(raw: str, line_no: int) -> list:
     return items
 
 
+def _identifier_set(raw: str, line_no: int) -> set:
+    """A declared identifier list; listing an identifier twice is an error."""
+    items = _split_list(raw, line_no)
+    repeated = [x for x, count in Counter(items).items() if count > 1]
+    if repeated:
+        raise ParseError(f"identifier {repeated[0]!r} is listed twice", line=line_no)
+    return set(items)
+
+
+def _content_lines(text: str):
+    """(line number, line) for each line left nonempty once its comment is cut."""
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
+def _key_value(line: str, line_no: int):
+    if "=" not in line:
+        raise ParseError("expected 'key = value'", line=line_no)
+    lhs, rhs = (part.strip() for part in line.split("=", 1))
+    return lhs, rhs
+
+
+def _witness_entry(lhs: str, rhs: str, line_no: int, parts: dict) -> None:
+    """Record the witness line '<which> <from> = <to>' in parts[which]; the
+    keys of `parts` are the kinds of line allowed."""
+    words = lhs.split()
+    if len(words) != 2 or words[0] not in parts:
+        raise ParseError(f"witness lines read '{'|'.join(parts)} <from> = <to>'", line=line_no)
+    which, source = words
+    if source in parts[which]:
+        raise ParseError(f"duplicate witness entry {which} {source}", line=line_no)
+    parts[which][source] = rhs
+
+
 def parse_entity(text: str) -> EntityDocument:
     """Parse a document; raises ParseError carrying the offending line."""
-    states: list = []
-    experiments: list = []
-    declared_outcomes: list | None = None
+    declared: dict = {}  # "states" | "experiments" | "outcomes" -> set of identifiers
     cells: dict = {}
-    cell_lines: dict = {}
     measures: dict = {}
     measure_order: list = []
-    witness_parts: dict = {"m": {}, "n": {}, "l": {}}
     measure_map: dict = {}
+    witness_parts: dict = {"m": {}, "n": {}, "l": {}, "k": measure_map}
     section = None
     current_measure = None
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _content_lines(text):
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ParseError("unterminated section header", line=line_no)
@@ -82,36 +113,30 @@ def parse_entity(text: str) -> EntityDocument:
             continue
         if section is None:
             raise ParseError("content before the first section header", line=line_no)
-        if "=" not in line:
-            raise ParseError("expected 'key = value'", line=line_no)
-        lhs, rhs = (part.strip() for part in line.split("=", 1))
+        lhs, rhs = _key_value(line, line_no)
         if section == "entity":
-            if lhs == "states":
-                states = _split_list(rhs, line_no)
-            elif lhs == "experiments":
-                experiments = _split_list(rhs, line_no)
-            elif lhs == "outcomes":
-                declared_outcomes = _split_list(rhs, line_no)
-            else:
+            if lhs not in ("states", "experiments", "outcomes"):
                 raise ParseError(f"unknown entity key {lhs!r}", line=line_no)
+            if lhs in declared:
+                raise ParseError(f"{lhs} declared a second time", line=line_no)
+            declared[lhs] = _identifier_set(rhs, line_no)
         elif section == "outcomes":
             parts = lhs.split()
             if len(parts) != 2:
                 raise ParseError("cell lines read '<experiment> <state> = outcomes'", line=line_no)
             e, p = parts
-            if e not in experiments:
+            if e not in declared.get("experiments", ()):
                 raise ParseError(f"undeclared experiment {e!r}", line=line_no)
-            if p not in states:
+            if p not in declared.get("states", ()):
                 raise ParseError(f"undeclared state {p!r}", line=line_no)
             if (e, p) in cells:
                 raise ParseError(f"duplicate cell ({e}, {p})", line=line_no)
             outs = _split_list(rhs, line_no)
-            if declared_outcomes is not None:
-                stray = [x for x in outs if x not in declared_outcomes]
+            if "outcomes" in declared:
+                stray = [x for x in outs if x not in declared["outcomes"]]
                 if stray:
                     raise ParseError(f"outcomes {stray} are not in the declared outcome set", line=line_no)
             cells[(e, p)] = outs
-            cell_lines[(e, p)] = line_no
         elif section == "probability":
             parts = lhs.split()
             if len(parts) != 3:
@@ -126,17 +151,9 @@ def parse_entity(text: str) -> EntityDocument:
                 raise ParseError(f"probability {value} outside [0, 1]", line=line_no)
             measures[current_measure][tuple(parts)] = value
         elif section == "witness":
-            parts = lhs.split()
-            if len(parts) != 2 or parts[0] not in ("m", "n", "l", "k"):
-                raise ParseError("witness lines read 'm|n|l|k <from> = <to>'", line=line_no)
-            which, source = parts
-            if which == "k":
-                measure_map[source] = rhs
-            else:
-                if source in witness_parts[which]:
-                    raise ParseError(f"duplicate witness entry {which} {source}", line=line_no)
-                witness_parts[which][source] = rhs
+            _witness_entry(lhs, rhs, line_no, witness_parts)
 
+    states, experiments = declared.get("states"), declared.get("experiments")
     if not states or not experiments:
         raise ParseError("the [entity] section must declare states and experiments")
     missing = [
@@ -147,18 +164,34 @@ def parse_entity(text: str) -> EntityDocument:
             f" and {len(missing) - 1} more" if len(missing) > 1 else ""
         ))
     try:
-        entity = Entity(states, experiments, cells, outcomes=declared_outcomes)
+        entity = Entity(states, experiments, cells, outcomes=declared.get("outcomes"))
     except EntityValidationError as err:
         raise ParseError(str(err)) from err
 
     document = EntityDocument(entity=entity, measure_map=measure_map)
     for name in measure_order:
         document.measures[name] = ProbabilityTable(measures[name])
-    if any(witness_parts.values()):
+    if any(witness_parts[which] for which in "mnl"):
         document.witness = SubEntityWitness(
             m=witness_parts["m"], n=witness_parts["n"], l=witness_parts["l"]
         )
     return document
+
+
+def parse_witness(text: str) -> SubEntityWitness:
+    """Parse a witness file: one [witness] section of m/n/l lines only."""
+    parts = {"m": {}, "n": {}, "l": {}}
+    section = None
+    for line_no, line in _content_lines(text):
+        if line.startswith("["):
+            section = line.strip("[] \t")
+            if section != "witness":
+                raise ParseError(f"witness files contain only a [witness] section, got [{section}]", line=line_no)
+        elif section is None:
+            raise ParseError("content before the [witness] header", line=line_no)
+        else:
+            _witness_entry(*_key_value(line, line_no), line_no, parts)
+    return SubEntityWitness(**parts)
 
 
 def emit_entity(entity: Entity, measures: dict | None = None) -> str:

@@ -8,13 +8,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .entity import Entity, RelationKind
+from .entity import Entity, RelationKind, relation_views, view_implies
 from .errors import CapacityError, ContractError
 
 FULL_MIXED_BUDGET = 2**16  # cap on 2^|states| * 2^|experiments|
 
 
-def _as_base(entity_set, sub, what) -> frozenset:
+def _as_base(entity_set, sub, what, mixture_type) -> frozenset:
+    if isinstance(sub, mixture_type):
+        sub = sub.base
+    elif isinstance(sub, str):
+        sub = {sub}
     base = frozenset(sub)
     if not base:
         raise ContractError(f"a mixed {what} needs a nonempty base set")
@@ -55,27 +59,20 @@ class Event:
 
 
 def _coerce_states(entity: Entity, value) -> frozenset:
-    if isinstance(value, MixedState):
-        value = value.base
-    elif isinstance(value, str):
-        value = {value}
-    return _as_base(entity.states, value, "state")
+    return _as_base(entity.states, value, "state", MixedState)
 
 
 def _coerce_experiments(entity: Entity, value) -> frozenset:
-    if isinstance(value, MixedExperiment):
-        value = value.base
-    elif isinstance(value, str):
-        value = {value}
-    return _as_base(entity.experiments, value, "experiment")
+    return _as_base(entity.experiments, value, "experiment", MixedExperiment)
 
 
 def _coerce_event(entity: Entity, value) -> frozenset:
-    if isinstance(value, Event):
-        value = value.base
-    elif isinstance(value, str):
-        value = {value}
-    return _as_base(entity.outcomes, value, "event")
+    return _as_base(entity.outcomes, value, "event", Event)
+
+
+def _grid(entity: Entity, experiments, states) -> list:
+    E, P = _coerce_experiments(entity, experiments), _coerce_states(entity, states)
+    return [(e, p) for e in E for p in P]
 
 
 def mixed_outcome_set(entity: Entity, experiments, states) -> frozenset:
@@ -91,36 +88,45 @@ def _mixed_couple(value):
     return value
 
 
+def _plain(entity: Entity, kind: RelationKind):
+    """The plain kind a mixed relation reduces to, and the map from a mixture
+    to its plain parts. A scoped state or experiment relation is the central
+    relation between the couples of the scope and of the mixture."""
+    if kind.on == "state" and kind.experiment is None:
+        return RelationKind.state_global(), lambda a: _coerce_states(entity, a)
+    if kind.on == "experiment" and kind.state is None:
+        return RelationKind.experiment_global(), lambda a: _coerce_experiments(entity, a)
+    if kind.on == "outcome":
+        return kind, lambda a: _coerce_event(entity, a)
+    if kind.on == "state":
+        return RelationKind.central(), lambda a: _grid(entity, kind.experiment, a)
+    if kind.on == "experiment":
+        return RelationKind.central(), lambda a: _grid(entity, a, kind.state)
+    if kind.on == "central":
+        return RelationKind.central(), lambda a: _grid(entity, *_mixed_couple(a))
+    raise ContractError(f"unknown relation kind {kind.on!r}")
+
+
+def mixed_views(entity: Entity, kind: RelationKind):
+    """`(view, orthogonal)` of `soe.entity.relation_views` for mixtures: the
+    view of a mixture is the member-wise union of the views of its parts."""
+    plain, parts = _plain(entity, kind)
+    view, orthogonal = relation_views(entity, plain)
+
+    def mixture_view(value):
+        return tuple(frozenset().union(*members) for members in zip(*map(view, parts(value))))
+
+    return mixture_view, orthogonal
+
+
 def mixed_implies(entity: Entity, kind: RelationKind, a, b) -> bool:
     """Implication between mixtures of the kind's type.
 
     States/experiments/couples compare mixed outcome sets; events compare
     their base sets by inclusion.
     """
-    if kind.on == "state":
-        A, B = _coerce_states(entity, a), _coerce_states(entity, b)
-        if kind.experiment is not None:
-            E = _coerce_experiments(entity, kind.experiment)
-            return mixed_outcome_set(entity, E, A) <= mixed_outcome_set(entity, E, B)
-        return all(
-            mixed_outcome_set(entity, {e}, A) <= mixed_outcome_set(entity, {e}, B)
-            for e in entity.experiments
-        )
-    if kind.on == "experiment":
-        A, B = _coerce_experiments(entity, a), _coerce_experiments(entity, b)
-        if kind.state is not None:
-            P = _coerce_states(entity, kind.state)
-            return mixed_outcome_set(entity, A, P) <= mixed_outcome_set(entity, B, P)
-        return all(
-            mixed_outcome_set(entity, A, {p}) <= mixed_outcome_set(entity, B, {p})
-            for p in entity.states
-        )
-    if kind.on == "central":
-        (Ea, Pa), (Eb, Pb) = _mixed_couple(a), _mixed_couple(b)
-        return mixed_outcome_set(entity, Ea, Pa) <= mixed_outcome_set(entity, Eb, Pb)
-    if kind.on == "outcome":
-        return _coerce_event(entity, a) <= _coerce_event(entity, b)
-    raise ContractError(f"unknown relation kind {kind.on!r}")
+    view, _ = mixed_views(entity, kind)
+    return view_implies(view(a), view(b))
 
 
 def mixed_orthogonal(entity: Entity, kind: RelationKind, a, b) -> bool:
@@ -129,36 +135,8 @@ def mixed_orthogonal(entity: Entity, kind: RelationKind, a, b) -> bool:
     Events are (e,p)-orthogonal when both lie inside O(e,p) and are disjoint;
     the other kinds use disjointness of mixed outcome sets.
     """
-    if kind.on == "state":
-        A, B = _coerce_states(entity, a), _coerce_states(entity, b)
-        if kind.experiment is not None:
-            E = _coerce_experiments(entity, kind.experiment)
-            return not (mixed_outcome_set(entity, E, A) & mixed_outcome_set(entity, E, B))
-        return any(
-            not (mixed_outcome_set(entity, {e}, A) & mixed_outcome_set(entity, {e}, B))
-            for e in entity.experiments
-        )
-    if kind.on == "experiment":
-        A, B = _coerce_experiments(entity, a), _coerce_experiments(entity, b)
-        if kind.state is not None:
-            P = _coerce_states(entity, kind.state)
-            return not (mixed_outcome_set(entity, A, P) & mixed_outcome_set(entity, B, P))
-        return any(
-            not (mixed_outcome_set(entity, A, {p}) & mixed_outcome_set(entity, B, {p}))
-            for p in entity.states
-        )
-    if kind.on == "central":
-        (Ea, Pa), (Eb, Pb) = _mixed_couple(a), _mixed_couple(b)
-        return not (mixed_outcome_set(entity, Ea, Pa) & mixed_outcome_set(entity, Eb, Pb))
-    if kind.on == "outcome":
-        A, B = _coerce_event(entity, a), _coerce_event(entity, b)
-        if A & B:
-            return False
-        if kind.experiment is not None:
-            cell = entity.outcome_set(kind.experiment, kind.state)
-            return A <= cell and B <= cell
-        return any(A <= cell and B <= cell for _, cell in entity.cells())
-    raise ContractError(f"unknown relation kind {kind.on!r}")
+    view, orthogonal = mixed_views(entity, kind)
+    return orthogonal(view(a), view(b))
 
 
 def _nonempty_subsets(items):
@@ -185,30 +163,23 @@ def is_supremum(entity: Entity, candidate, family, budget: int = FULL_MIXED_BUDG
     if isinstance(candidate, Event):
         if 2 ** len(entity.outcomes) > budget:
             raise CapacityError(f"event space 2^{len(entity.outcomes)} exceeds budget {budget}")
-        family_sets = [_coerce_event(entity, f) for f in family]
-        cand = _coerce_event(entity, candidate)
-        universe = _nonempty_subsets(entity.outcomes)
-        leq = lambda u, v: u <= v  # noqa: E731 - the event pre-order is plain inclusion
+        kind, ground = RelationKind.outcome_global(), entity.outcomes
     elif isinstance(candidate, MixedState):
         _guard_budget(entity, budget)
-        family_sets = [_coerce_states(entity, f) for f in family]
-        cand = _coerce_states(entity, candidate)
-        universe = _nonempty_subsets(entity.states)
-        kind = RelationKind.state_global()
-        leq = lambda u, v: mixed_implies(entity, kind, u, v)  # noqa: E731
+        kind, ground = RelationKind.state_global(), entity.states
     elif isinstance(candidate, MixedExperiment):
         _guard_budget(entity, budget)
-        family_sets = [_coerce_experiments(entity, f) for f in family]
-        cand = _coerce_experiments(entity, candidate)
-        universe = _nonempty_subsets(entity.experiments)
-        kind = RelationKind.experiment_global()
-        leq = lambda u, v: mixed_implies(entity, kind, u, v)  # noqa: E731
+        kind, ground = RelationKind.experiment_global(), entity.experiments
     else:
         raise ContractError("candidate must be a MixedState, MixedExperiment, or Event")
-    if not family_sets:
+    view, _ = mixed_views(entity, kind)
+    family_views = [view(f) for f in family]
+    if not family_views:
         raise ContractError("the supremum predicate needs a nonempty family")
-    for b in universe:
-        if all(leq(a, b) for a in family_sets) != leq(cand, b):
+    upper = view(candidate)
+    for b in _nonempty_subsets(ground):
+        u = view(b)
+        if all(view_implies(a, u) for a in family_views) != view_implies(upper, u):
             return False
     return True
 

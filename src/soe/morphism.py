@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .closure import eig_states, eigen_closure_system
 from .diagnostics import Diagnostics
-from .entity import Entity, RelationKind, implies, orthogonal
+from .entity import Entity, RelationKind, relation_views, view_implies
 from .errors import ConsistencyError, ContractError
 from .probability import ProbabilisticEntity
 from .statprop import StatePropertySystem
@@ -109,37 +109,38 @@ def verify_sub_entity(small: Entity, big: Entity, w: SubEntityWitness) -> Diagno
 
 
 def _assert_transports(small: Entity, big: Entity, w: SubEntityWitness) -> None:
-    outcome = RelationKind.outcome_global()
+    # the core checks passed, so the maps only send identifiers to declared ones
+    kind = RelationKind.outcome_global()
+    (small_view, small_orth), (big_view, big_orth) = relation_views(small, kind), relation_views(big, kind)
     for x in sorted(small.outcomes):
         for y in sorted(small.outcomes):
-            if orthogonal(small, outcome, x, y) and not orthogonal(big, outcome, w.l[x], w.l[y]):
+            if small_orth(small_view(x), small_view(y)) and not big_orth(big_view(w.l[x]), big_view(w.l[y])):
                 raise ConsistencyError(f"outcome orthogonality not transported at ({x}, {y})")
-    state = RelationKind.state_global()
+    kind = RelationKind.state_global()
+    (small_view, _), (big_view, _) = relation_views(small, kind), relation_views(big, kind)
     for p in sorted(big.states):
         for q in sorted(big.states):
-            if implies(big, state, p, q) and not implies(small, state, w.m[p], w.m[q]):
+            if view_implies(big_view(p), big_view(q)) and not view_implies(small_view(w.m[p]), small_view(w.m[q])):
                 raise ConsistencyError(f"state implication not transported at ({p}, {q})")
-    experiment = RelationKind.experiment_global()
+    kind = RelationKind.experiment_global()
+    (small_view, small_orth), (big_view, big_orth) = relation_views(small, kind), relation_views(big, kind)
     for e in sorted(small.experiments):
         for f in sorted(small.experiments):
-            if orthogonal(small, experiment, e, f) and not orthogonal(
-                big, experiment, w.n[e], w.n[f]
-            ):
+            if small_orth(small_view(e), small_view(f)) and not big_orth(big_view(w.n[e]), big_view(w.n[f])):
                 raise ConsistencyError(f"experiment orthogonality not transported at ({e}, {f})")
-    central = RelationKind.central()
+    kind = RelationKind.central()
+    (small_view, small_orth), (big_view, big_orth) = relation_views(small, kind), relation_views(big, kind)
     for p in sorted(big.states):
         for q in sorted(big.states):
             for e in sorted(small.experiments):
                 for f in sorted(small.experiments):
-                    below = implies(small, central, (e, w.m[p]), (f, w.m[q]))
-                    below_big = implies(big, central, (w.n[e], p), (w.n[f], q))
-                    if below != below_big:
+                    u, v = small_view((e, w.m[p])), small_view((f, w.m[q]))
+                    u_big, v_big = big_view((w.n[e], p)), big_view((w.n[f], q))
+                    if view_implies(u, v) != view_implies(u_big, v_big):
                         raise ConsistencyError(
                             f"couple implication not equivalent at (({e},{p}), ({f},{q}))"
                         )
-                    orth = orthogonal(small, central, (e, w.m[p]), (f, w.m[q]))
-                    orth_big = orthogonal(big, central, (w.n[e], p), (w.n[f], q))
-                    if orth != orth_big:
+                    if small_orth(u, v) != big_orth(u_big, v_big):
                         raise ConsistencyError(
                             f"couple orthogonality not equivalent at (({e},{p}), ({f},{q}))"
                         )

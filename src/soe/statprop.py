@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from .closure import ClosureSystem, eig_states, intersection_closure
 from .diagnostics import Diagnostics
-from .entity import Entity
+from .entity import Entity, RelationKind, first_equivalent_pair, first_pair
 from .errors import ContractError, UnknownIdentifierError
-from .mixture import full_mixed_entity, mixture_id
+from .mixture import MixedState, full_mixed_entity, mixed_views, mixture_id
 
 
 def _prop_key(a):
@@ -194,15 +194,16 @@ def closure_to_sps(ground, system: ClosureSystem) -> StatePropertySystem:
     return StatePropertySystem(ground, system.members, actual)
 
 
+def indistinguishable_pair(entity: Entity):
+    """The least pair of distinct experiments that share an outcome, or None:
+    experiments that are not orthogonal in the total mixed state."""
+    view, orthogonal = mixed_views(entity, RelationKind.experiment_for(MixedState(entity.states)))
+    return first_pair(sorted(entity.experiments), view, lambda u, v: not orthogonal(u, v), ordered=False)
+
+
 def is_distinguishable(entity: Entity) -> bool:
     """Whether all distinct experiments have disjoint total outcome sets."""
-    experiments = sorted(entity.experiments)
-    for i, e in enumerate(experiments):
-        oe = entity.experiment_outcomes(e)
-        for f in experiments[i + 1:]:
-            if oe & entity.experiment_outcomes(f):
-                return False
-    return True
+    return indistinguishable_pair(entity) is None
 
 
 def global_testable_sps(entity: Entity) -> StatePropertySystem:
@@ -268,16 +269,9 @@ def validate_sps(sps: StatePropertySystem) -> Diagnostics:
     diag.checks.setdefault("lattice.binary_meets", True)
     diag.checks.setdefault("xi.meet_stability", True)
 
-    identified = True
-    for i, a in enumerate(props):
-        for b in props[i + 1:]:
-            if sps.property_leq(a, b) and sps.property_leq(b, a):
-                diag.record(
-                    "lattice.identified", False, f"{a!r} and {b!r} are equivalent but distinct"
-                )
-                identified = False
-                break
-        if not identified:
-            break
+    equivalent = first_equivalent_pair(props, sps.cartan)
+    if equivalent is not None:
+        a, b = equivalent
+        diag.record("lattice.identified", False, f"{a!r} and {b!r} are equivalent but distinct")
     diag.checks.setdefault("lattice.identified", True)
     return diag

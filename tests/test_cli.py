@@ -173,7 +173,35 @@ class TestSubentityCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out
+        assert "suppressed" not in out  # one failure, under the cap
         capsys.readouterr()
+
+
+class TestSuppressedFailures:
+    def test_failures_past_the_cap_are_counted(self, tmp_path, capsys):
+        # l rotates the outcomes, so every one of the 36 cells fails the
+        # bijection check; 10 are listed and the other 26 counted
+        from soe.entity import Entity
+
+        n = 6
+        entity = Entity(
+            [f"s{j}" for j in range(n)],
+            [f"h{i}" for i in range(n)],
+            {(f"h{i}", f"s{j}"): {f"x{(i + j) % n}"} for i in range(n) for j in range(n)},
+        )
+        path = tmp_path / "entity.soe"
+        path.write_text(emit_entity(entity), encoding="utf-8")
+        witness = tmp_path / "witness.soe"
+        witness.write_text(
+            "[witness]\n"
+            + "".join(f"m s{j} = s{j}\nn h{j} = h{j}\nl x{j} = x{(j + 1) % n}\n" for j in range(n)),
+            encoding="utf-8",
+        )
+        code = main(["subentity", str(path), str(path), "--witness", str(witness), "--structured"])
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert sum(row.startswith("subentity.witness.failure.") for row in rows) == 10
+        assert "subentity.witness.suppressed = 26" in rows
 
 
 class TestProbabilisticSubentity:
@@ -242,6 +270,28 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert code == 2
         assert "error:" in err
+
+    def test_duplicate_witness_entry_exits_2(self, pair_files, tmp_path, capsys):
+        small, big, _ = pair_files
+        witness = tmp_path / "witness.soe"
+        witness.write_text("[witness]\nm S = s\nm S = t\n", encoding="utf-8")
+        code = main(["subentity", small, big, "--witness", str(witness)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "duplicate witness entry m S (line 3)" in err
+
+    def test_consistency_error_exits_3(self, worked_file, capsys, monkeypatch):
+        from soe.errors import ConsistencyError
+
+        def contradicted(entity):
+            raise ConsistencyError("classification cross-check failed: test (kernel bug)")
+
+        monkeypatch.setattr("soe.cli.classify", contradicted)
+        for command in ("classify", "verify"):
+            code = main([command, worked_file])
+            err = capsys.readouterr().err
+            assert code == 3
+            assert "error: classification cross-check failed" in err
 
     def test_missing_file_exits_2(self, capsys):
         code = main(["classify", "/nonexistent/entity.soe"])

@@ -4,7 +4,7 @@ import pytest
 
 from soe.errors import ParseError
 from soe.examples import three_by_three
-from soe.formats import emit_entity, parse_entity
+from soe.formats import emit_entity, parse_entity, parse_witness
 from soe.probability import ProbabilityTable
 
 from conftest import random_entity
@@ -75,6 +75,28 @@ class TestParsing:
         with pytest.raises(ParseError, match="before the first section"):
             parse_entity("states = s\n")
 
+    @pytest.mark.parametrize(
+        "line, repeated, line_no",
+        [
+            ("states = p, q, p, r", "p", 4),
+            ("experiments = e, f, g, f", "f", 5),
+            ("outcomes = x1, x2, x3, y1, y2, x3", "x3", 6),
+        ],
+    )
+    def test_repeated_identifier_rejected_with_line(self, line, repeated, line_no):
+        original = WORKED_DOC.splitlines()[line_no - 1]
+        assert original.split(" =")[0] == line.split(" =")[0]
+        with pytest.raises(ParseError, match=rf"'{repeated}' is listed twice \(line {line_no}\)"):
+            parse_entity(WORKED_DOC.replace(original, line))
+
+    @pytest.mark.parametrize("key", ["states", "experiments", "outcomes"])
+    def test_second_declaration_rejected_with_line(self, key):
+        original = next(row for row in WORKED_DOC.splitlines() if row.startswith(key + " ="))
+        text = WORKED_DOC.replace(original, original + "\n" + original)
+        line_no = text.splitlines().index(original) + 2
+        with pytest.raises(ParseError, match=rf"{key} declared a second time \(line {line_no}\)"):
+            parse_entity(text)
+
 
 class TestProbabilitySections:
     def test_named_table(self):
@@ -109,6 +131,27 @@ class TestWitnessSection:
     def test_bad_witness_line(self):
         with pytest.raises(ParseError, match="witness lines"):
             parse_entity(WORKED_DOC + "\n[witness]\nzz P = p\n")
+
+    def test_duplicate_entry_rejected_with_line(self):
+        with pytest.raises(ParseError, match=r"duplicate witness entry k mu \(line 3\)"):
+            parse_entity("[witness]\nk mu = nu\nk mu = rho\n")
+
+    def test_witness_file(self):
+        witness = parse_witness("# map\n[witness]\nm P = p\nn e = E\nl x1 = X1\n")
+        assert (witness.m, witness.n, witness.l) == ({"P": "p"}, {"e": "E"}, {"x1": "X1"})
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[witness]\nm P = p\nm P = q\n", r"duplicate witness entry m P \(line 3\)"),
+            ("[witness]\nk mu = nu\n", r"witness lines read 'm\|n\|l <from> = <to>' \(line 2\)"),
+            ("[entity]\nstates = p\n", r"only a \[witness\] section, got \[entity\] \(line 1\)"),
+            ("m P = p\n", r"content before the \[witness\] header \(line 1\)"),
+        ],
+    )
+    def test_witness_file_rejects(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_witness(text)
 
 
 class TestRoundTrip:
