@@ -43,22 +43,16 @@ def is_experiment_determined(entity: Entity):
 
 
 def satisfies_T0(system: ClosureSystem):
-    """Distinct points have distinct singleton closures."""
-    points = sorted(system.ground, key=str)
-    closures = {w: system.closure_of({w}) for w in points}
-    violations = [
-        (v, w)
-        for i, v in enumerate(points)
-        for w in points[i + 1:]
-        if closures[v] == closures[w]
-    ]
-    return (not violations, min(violations, default=None))
+    """Distinct points have distinct singleton closures. Returns (flag, least
+    pair of points with equal closures)."""
+    pair = first_equivalent_pair(sorted(system.ground), lambda w: system.closure_of({w}))
+    return (pair is None, pair)
 
 
 def satisfies_T1(system: ClosureSystem):
     """Every singleton is closed."""
-    violations = [w for w in sorted(system.ground, key=str) if system.closure_of({w}) != {w}]
-    return (not violations, violations[0] if violations else None)
+    witness = next((w for w in sorted(system.ground, key=str) if system.closure_of({w}) != {w}), None)
+    return (witness is None, witness)
 
 
 def is_central_atomic(entity: Entity):
@@ -166,7 +160,7 @@ def classify(entity: Entity) -> ClassificationReport:
             )
         _cross_check(
             "deterministic entities have matching eigen and ortho central closures",
-            central.members == ortho_closure_system(entity_ortho_space(entity, "central")).members,
+            central == ortho_closure_system(entity_ortho_space(entity, "central")),
         )
         _cross_check("deterministic determination forces central atomicity", (not out_det) or c_atomic)
         _cross_check("deterministic determination forces state atomicity", (not st_det) or s_atomic)

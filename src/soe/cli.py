@@ -141,8 +141,12 @@ def cmd_closures(args) -> int:
         else:
             system = eigen_closure_system(entity, args.on, scope)
     else:
-        space = entity_ortho_space(entity, args.on, scope)
-        system = ortho_closure_system(space)
+        target = scope
+        if args.on == "outcomes" and scope is not None:
+            target = tuple(scope.split(","))
+            if len(target) != 2:
+                raise SoeError(f"--for on outcomes takes E,P (an experiment and a state), not {scope!r}")
+        system = ortho_closure_system(entity_ortho_space(entity, args.on, target))
     report = Report(args.structured)
     report.heading(
         f"{args.kind} closure system on {args.on}" + (f" scoped to {scope}" if scope else "")
@@ -296,7 +300,7 @@ def _closure_checks(entity: Entity, diag: Diagnostics, rng: random.Random) -> No
     central_orth = ortho_closure_system(entity_ortho_space(entity, "central"))
     diag.record(
         "closures.ortho_inside_eigen",
-        central_orth.members <= central_eig.members,
+        all(map(central_eig.is_closed, central_orth.generators)),
         "a central ortho closed set is not eigen closed",
     )
     systems = {

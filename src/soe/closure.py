@@ -3,8 +3,8 @@
 Eigen closure systems are the image families of the eigen maps (which states /
 experiments / couples are certain to produce an outcome inside a given set);
 ortho closure systems arise from orthogonality relations via double
-orthocomplement. Families are generated by the co-atom generator method and
-materialized as intersection-closed member sets.
+orthocomplement. A closure system is held as its generating closed sets; its
+closure operator intersects them, and its members are listed only on request.
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ class SetFamily:
 
 class ClosureSystem:
     """A family of subsets containing the empty set and the ground set and
-    closed under intersection; carries its induced closure operator.
-    """
+    closed under intersection, held as its generators: the members are their
+    intersections, and the closure of K is the ground cut by every generator
+    containing K."""
 
-    __slots__ = ("ground", "members", "_by_size")
+    __slots__ = ("ground", "generators", "_members")
 
     def __init__(self, ground, members):
         family = SetFamily(ground, members)
@@ -65,42 +66,67 @@ class ClosureSystem:
                     raise ContractError(
                         f"family is not intersection closed: {sorted(a)} & {sorted(b)} missing"
                     )
+        self._init(ground, members, members)
+
+    @classmethod
+    def generated(cls, ground, generators) -> "ClosureSystem":
+        """The system of all intersections of `generators`, closed by
+        construction: only the empty set's membership is checked."""
+        family = SetFamily(ground, generators)
+        system = object.__new__(cls)
+        system._init(family.ground, family.members, None)
+        if system.closure_of(frozenset()):
+            raise ContractError("a closure system must contain the empty set")
+        return system
+
+    def _init(self, ground, generators, members):
         object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_by_size", ordered)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_members", members)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClosureSystem is immutable")
 
+    @property
+    def members(self) -> frozenset:
+        """Every closed set, listed on first use; refused beyond GROUND_CAP."""
+        if self._members is None:
+            if len(self.ground) > GROUND_CAP:
+                raise CapacityError(f"ground set of size {len(self.ground)} exceeds the cap of {GROUND_CAP}")
+            object.__setattr__(self, "_members", intersection_closure(self.ground, self.generators))
+        return self._members
+
     def __eq__(self, other):
         if not isinstance(other, ClosureSystem):
             return NotImplemented
-        return self.ground == other.ground and self.members == other.members
+        return (
+            self.ground == other.ground
+            and all(map(other.is_closed, self.generators))
+            and all(map(self.is_closed, other.generators))
+        )
 
     def __hash__(self):
-        return hash((self.ground, self.members))
+        return hash(self.ground)
 
     def __len__(self):
         return len(self.members)
 
     def __repr__(self):
-        return f"ClosureSystem(|ground|={len(self.ground)}, |members|={len(self.members)})"
+        return f"ClosureSystem(|ground|={len(self.ground)}, |generators|={len(self.generators)})"
 
     def sorted_members(self) -> list:
-        return list(self._by_size)
+        return sorted(self.members, key=lambda m: (len(m), tuple(sorted(m))))
 
     def closure_of(self, K) -> frozenset:
         """The smallest member containing K."""
         K = frozenset(K)
         if not K <= self.ground:
             raise ContractError(f"{sorted(K - self.ground)} lie outside the ground set")
-        for member in self._by_size:
-            if K <= member:
-                return member
-        raise ContractError("no member contains the given set")  # unreachable: ground is a member
+        return self.ground.intersection(*(g for g in self.generators if K <= g))
 
     def is_closed(self, K) -> bool:
-        return frozenset(K) in self.members
+        K = frozenset(K)
+        return K <= self.ground and self.closure_of(K) == K
 
 
 def closure_of(system: ClosureSystem, K) -> frozenset:
@@ -109,24 +135,34 @@ def closure_of(system: ClosureSystem, K) -> frozenset:
 
 def intersection_closure(ground, generators) -> frozenset:
     """All intersections of subfamilies of `generators` (the empty
-    intersection contributes the ground set). Worklist fixpoint over pairwise
-    intersections; the result is order independent.
+    intersection contributes the ground set), enumerated by Ganter's
+    NextClosure in lectic order over bit masks of the sorted ground: each
+    member costs at most |ground| closures of |generators| ANDs each.
     """
-    ground = frozenset(ground)
-    members = {ground}
-    members.update(frozenset(g) for g in generators)
-    worklist = list(members)
-    while worklist:
-        a = worklist.pop()
-        fresh = []
-        for b in members:
-            c = a & b
-            if c not in members:
-                fresh.append(c)
-        for c in set(fresh):
-            members.add(c)
-            worklist.append(c)
-    return frozenset(members)
+    items = sorted(ground, key=str)
+    bit = {x: 1 << i for i, x in enumerate(items)}
+    full = (1 << len(items)) - 1
+    masks = [sum(bit[x] for x in g) for g in generators]
+
+    def close(A):
+        out = full
+        for g in masks:
+            if A & g == A:
+                out &= g
+        return out
+
+    A = close(0)
+    found = [A]
+    while A != full:
+        for i in reversed(range(len(items))):
+            below = (1 << i) - 1
+            if not A >> i & 1:
+                B = close(A & below | 1 << i)
+                if B & below == A & below:
+                    A = B
+                    break
+        found.append(A)
+    return frozenset(frozenset(x for x in items if A & bit[x]) for A in found)
 
 
 # -- eigen maps ---------------------------------------------------------------
@@ -157,12 +193,7 @@ def eig_central(entity: Entity, A) -> frozenset:
     return frozenset(couple for couple, cell in entity.cells() if cell <= A)
 
 
-def _guard_ground(ground, cap):
-    if len(ground) > cap:
-        raise CapacityError(f"ground set of size {len(ground)} exceeds the cap of {cap}")
-
-
-def eigen_closure_system(entity: Entity, on: str, scoped_to=None, cap: int = GROUND_CAP) -> ClosureSystem:
+def eigen_closure_system(entity: Entity, on: str, scoped_to=None) -> ClosureSystem:
     """The eigen closure system of the requested scope.
 
     on='states'       scoped_to=e     image family of the state eigen map of e
@@ -171,40 +202,23 @@ def eigen_closure_system(entity: Entity, on: str, scoped_to=None, cap: int = GRO
     on='experiments'  scoped_to=None  global system on experiments
     on='central'                      image family of the central eigen map
 
-    Image families are generated from the co-atom generators (drop one outcome
-    from the scope's full outcome set), which yields exactly the image family
-    without enumerating every outcome subset.
+    The generators are the co-atoms of the image families (drop one outcome
+    from the scope's full outcome set), whose intersections are exactly the
+    image family without enumerating every outcome subset.
     """
-    if on == "states":
-        _guard_ground(entity.states, cap)
-        if scoped_to is not None:
-            experiments = [scoped_to]
-        else:
-            experiments = sorted(entity.experiments)
-        generators = []
-        for e in experiments:
-            full = entity.experiment_outcomes(e)
-            generators.extend(eig_states(entity, e, full - {x}) for x in sorted(full))
-        return ClosureSystem(entity.states, intersection_closure(entity.states, generators))
-    if on == "experiments":
-        _guard_ground(entity.experiments, cap)
-        if scoped_to is not None:
-            states = [scoped_to]
-        else:
-            states = sorted(entity.states)
-        generators = []
-        for p in states:
-            full = entity.state_outcomes(p)
-            generators.extend(eig_experiments(entity, p, full - {x}) for x in sorted(full))
-        return ClosureSystem(entity.experiments, intersection_closure(entity.experiments, generators))
     if on == "central":
         if scoped_to is not None:
             raise ContractError("the central eigen system takes no scope")
-        ground = frozenset(entity.couples())
-        _guard_ground(ground, cap)
         generators = [eig_central(entity, entity.outcomes - {x}) for x in sorted(entity.outcomes)]
-        return ClosureSystem(ground, intersection_closure(ground, generators))
-    raise ContractError(f"unknown eigen scope {on!r}")
+        return ClosureSystem.generated(entity.couples(), generators)
+    if on == "states":
+        ground, scopes, full, eig = entity.states, entity.experiments, entity.experiment_outcomes, eig_states
+    elif on == "experiments":
+        ground, scopes, full, eig = entity.experiments, entity.states, entity.state_outcomes, eig_experiments
+    else:
+        raise ContractError(f"unknown eigen scope {on!r}")
+    scopes = sorted(scopes) if scoped_to is None else [scoped_to]
+    return ClosureSystem.generated(ground, [eig(entity, s, full(s) - {x}) for s in scopes for x in sorted(full(s))])
 
 
 # -- orthogonality spaces and ortho closures ----------------------------------
@@ -248,11 +262,9 @@ def ortho_closure(space: OrthoSpace, K) -> frozenset:
     return orth_complement(space, orth_complement(space, K))
 
 
-def ortho_closure_system(space: OrthoSpace, cap: int = GROUND_CAP) -> ClosureSystem:
+def ortho_closure_system(space: OrthoSpace) -> ClosureSystem:
     """The system of ortho closed sets, generated by the singleton complements."""
-    _guard_ground(space.ground, cap)
-    generators = [orth_complement(space, {x}) for x in space.ground]
-    return ClosureSystem(space.ground, intersection_closure(space.ground, generators))
+    return ClosureSystem.generated(space.ground, [orth_complement(space, {x}) for x in space.ground])
 
 
 def entity_ortho_space(entity: Entity, on: str, scoped_to=None) -> OrthoSpace:
@@ -329,12 +341,9 @@ def is_outcome_open(entity: Entity, B) -> bool:
     return outcome_interior(entity, B) == frozenset(B)
 
 
-def outcome_closure_system(entity: Entity, cap: int = 16) -> ClosureSystem:
-    """All closed outcome sets, by enumeration (small outcome sets only)."""
-    if len(entity.outcomes) > cap:
-        raise CapacityError(f"outcome set of size {len(entity.outcomes)} exceeds the cap of {cap}")
-    members = {A for A in subsets(entity.outcomes) if outcome_closure(entity, A) == A}
-    return ClosureSystem(entity.outcomes, members)
+def outcome_closure_system(entity: Entity) -> ClosureSystem:
+    """The closed outcome sets, generated by the complements of the cells."""
+    return ClosureSystem.generated(entity.outcomes, [entity.outcomes - cell for _, cell in entity.cells()])
 
 
 # -- axiom validation ----------------------------------------------------------

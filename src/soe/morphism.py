@@ -215,7 +215,7 @@ def morphism_from_continuous_map(system_small, system_big, m: dict) -> SpsMorphi
     n = {}
     for F in system_small.members:
         preimage = frozenset(p for p in system_big.ground if m[p] in F)
-        if preimage not in system_big.members:
+        if not system_big.is_closed(preimage):
             raise ContractError(f"map is not continuous: preimage of {sorted(map(str, F))} is not closed")
         n[F] = preimage
     return SpsMorphism(m, n)
@@ -235,7 +235,7 @@ def preimage_continuity(small: Entity, big: Entity, w: SubEntityWitness) -> Diag
         preimage = frozenset(p for p in big.states if w.m[p] in F)
         diag.record(
             "continuity.m_preimages_closed",
-            preimage in big_states.members,
+            big_states.is_closed(preimage),
             f"m^-1({sorted(map(str, F))})",
         )
     diag.checks.setdefault("continuity.m_preimages_closed", True)
@@ -246,7 +246,7 @@ def preimage_continuity(small: Entity, big: Entity, w: SubEntityWitness) -> Diag
         preimage = frozenset(e for e in small.experiments if w.n[e] in G)
         diag.record(
             "continuity.n_preimages_closed",
-            preimage in small_exps.members,
+            small_exps.is_closed(preimage),
             f"n^-1({sorted(map(str, G))})",
         )
     diag.checks.setdefault("continuity.n_preimages_closed", True)

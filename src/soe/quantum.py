@@ -364,18 +364,14 @@ def qmachine_to_hilbert(state: BallState) -> np.ndarray:
 
 
 def lift_experiment(family: SpectralFamily, dim_env: int) -> SpectralFamily:
-    """Tensor each projection with the identity of the second factor."""
+    """Tensor each projection with the identity of the second factor; outcome
+    k of the family is outcome k of the lifted family."""
     if dim_env < 1:
         raise ContractError("the second factor needs dimension at least 1")
     if family.dimension * dim_env > DIMENSION_CAP:
         raise CapacityError(f"lifted dimension {family.dimension * dim_env} exceeds the cap")
     identity = np.eye(dim_env)
     return SpectralFamily([np.kron(P, identity) for P in family.projections], family.eigenvalues)
-
-
-def lift_outcome(k: int) -> int:
-    """Outcome k of a family lifts to outcome k of the lifted family."""
-    return k
 
 
 def partial_trace(W_big, dims: tuple) -> np.ndarray:
@@ -530,7 +526,7 @@ def verify_cq_sub_entity(
             for k in range(1, len(family) + 1):
                 residual = abs(
                     cq_probability(family, reduced, k)
-                    - cq_probability(lifted, W_big, lift_outcome(k))
+                    - cq_probability(lifted, W_big, k)
                 )
                 worst = max(worst, residual)
                 diag.record(
@@ -552,7 +548,7 @@ def verify_cq_sub_entity(
         m={f"s{j}": f"s{j}" for j in range(1, len(harness_states) + 1)},
         n={f"e{i}": f"e{i}" for i in range(1, len(families) + 1)},
         l={
-            f"e{i}:o{k}": f"e{i}:o{lift_outcome(k)}"
+            f"e{i}:o{k}": f"e{i}:o{k}"
             for i, family in enumerate(families, start=1)
             for k in range(1, len(family) + 1)
         },

@@ -166,12 +166,7 @@ def testable_sps(entity: Entity, e) -> StatePropertySystem:
     full = entity.experiment_outcomes(e)
     coatoms = {x: eig_states(entity, e, full - {x}) for x in full}
     members = intersection_closure(entity.states, coatoms.values())
-    labels = {}
-    for F in members:
-        if F:
-            labels[F] = frozenset().union(*(entity.outcome_set(e, p) for p in F))
-        else:
-            labels[F] = frozenset()
+    labels = {F: frozenset().union(*(entity.outcome_set(e, p) for p in F)) for F in members}
     actual = {p: frozenset(F for F in members if p in F) for p in entity.states}
     return StatePropertySystem(
         entity.states, members, actual, labels=labels, _coatoms=coatoms, _full_outcomes=full

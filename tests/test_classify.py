@@ -1,4 +1,7 @@
 import random
+from pathlib import Path
+
+import pytest
 
 from soe.classify import (
     ClassificationReport,
@@ -13,8 +16,11 @@ from soe.classify import (
     satisfies_T0,
     satisfies_T1,
 )
+from soe.cli import main
 from soe.closure import ClosureSystem, eigen_closure_system, subsets
 from soe.entity import Entity
+from soe.errors import CapacityError
+from soe.formats import parse_entity
 from soe.mixture import full_mixed_entity
 
 from conftest import random_d_classical_entity, random_entity
@@ -173,3 +179,44 @@ class TestClassify:
         rng = random.Random(54)
         for _ in range(50):
             classify(random_entity(rng, 4, 4, 6))  # must not raise ConsistencyError
+
+
+FIVE_BY_FIVE = Path(__file__).parent / "fixtures" / "five_by_five.soe"
+
+
+class TestBeyondTheGroundCap:
+    """25 couples, one more than the 24-element cap on listing members."""
+
+    @pytest.fixture
+    def five(self):
+        return parse_entity(FIVE_BY_FIVE.read_text(encoding="utf-8")).entity
+
+    def test_classify_lists_no_family(self, five):
+        S, E, C = sorted(five.states), sorted(five.experiments), five.couples()
+        cell = five.outcome_set
+        row = lambda p: tuple(cell(e, p) for e in E)  # noqa: E731
+        column = lambda e: tuple(cell(e, p) for p in S)  # noqa: E731
+        inside = lambda u, v: all(x <= y for x, y in zip(u, v))  # noqa: E731
+        total = lambda e: frozenset().union(*column(e))  # noqa: E731
+        assert classify(five).flags() == {
+            "outcome_determined": len({cell(*c) for c in C}) == len(C),
+            "state_determined": len(set(map(row, S))) == len(S),
+            "experiment_determined": len(set(map(column, E))) == len(E),
+            "central_atomic": not any(a != b and cell(*a) <= cell(*b) for a in C for b in C),
+            "state_atomic": not any(p != q and inside(row(p), row(q)) for p in S for q in S),
+            "experiment_atomic": not any(e != f and inside(column(e), column(f)) for e in E for f in E),
+            "d_classical": all(len(cell(*c)) == 1 for c in C),
+            "distinguishable": not any(e < f and total(e) & total(f) for e in E for f in E),
+        }
+
+    def test_listing_the_central_family_is_refused(self, five):
+        central = eigen_closure_system(five, "central")
+        assert satisfies_T0(central)[0] == is_outcome_determined(five)[0]
+        with pytest.raises(CapacityError):
+            central.members
+
+    def test_cli(self, capsys):
+        assert main(["classify", str(FIVE_BY_FIVE), "--structured"]) == 0
+        capsys.readouterr()
+        assert main(["closures", str(FIVE_BY_FIVE), "--kind", "eigen", "--on", "central"]) == 2
+        assert capsys.readouterr().err == "error: ground set of size 25 exceeds the cap of 24\n"

@@ -4,8 +4,11 @@ import sys
 import pytest
 
 from soe.cli import main
+from soe.entity import RelationKind, orthogonal
 from soe.examples import deterministic_pair, three_by_three
 from soe.formats import emit_entity
+
+from oracles import brute_ortho_closed_sets
 
 
 @pytest.fixture
@@ -68,6 +71,26 @@ class TestClosuresCommand:
         assert main(["closures", worked_file, "--kind", "eigen", "--on", "outcomes"]) == 0
         assert main(["closures", worked_file, "--kind", "ortho", "--on", "outcomes"]) == 0
         capsys.readouterr()
+
+    def test_ortho_outcomes_for_a_couple(self, worked_file, capsys):
+        code = main(["closures", worked_file, "--kind", "ortho", "--on", "outcomes", "--for", "e,p", "--structured"])
+        rows = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert code == 0 and rows["closures.scope"] == "e,p"
+        listed = {
+            frozenset(filter(None, value.strip("{}").split(",")))
+            for key, value in rows.items()
+            if key.startswith("closures.member.")
+        }
+        entity, kind = three_by_three(), RelationKind.outcome_for("e", "p")
+        expected = brute_ortho_closed_sets(entity.outcomes, lambda a, b: orthogonal(entity, kind, a, b))
+        assert listed == expected and rows["closures.size"] == str(len(expected))
+
+    @pytest.mark.parametrize("scope", ["e", "ep", "e,p,q", "zz,p", "e,zz"])
+    def test_ortho_outcomes_for_anything_else_exits_2(self, worked_file, capsys, scope):
+        code = main(["closures", worked_file, "--kind", "ortho", "--on", "outcomes", "--for", scope])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_deterministic_bytes(self, worked_file, capsys):
         main(["closures", worked_file, "--kind", "eigen", "--on", "central"])

@@ -24,7 +24,8 @@ from soe.closure import (
     subsets,
     validate_closure_axioms,
 )
-from soe.errors import ContractError
+from soe.entity import Entity
+from soe.errors import CapacityError, ContractError
 
 from conftest import random_distinguishable_entity, random_entity
 from oracles import (
@@ -420,6 +421,15 @@ class TestOutcomeClosure:
                 assert outcome_closure(entity, clA) == clA
             system = outcome_closure_system(entity)
             assert validate_closure_axioms(SetFamily(system.ground, system.members)).passed
+            assert system.members == {A for A in powerset(entity.outcomes) if outcome_closure(entity, A) == A}
+
+    def test_shares_the_ground_cap(self):
+        def one_cell(n):
+            return Entity({"s"}, {"h"}, {("h", "s"): {f"x{i}" for i in range(n)}})
+
+        assert len(outcome_closure_system(one_cell(24)).members) == 2  # the empty set and X
+        with pytest.raises(CapacityError):
+            outcome_closure_system(one_cell(25)).members
 
 
 class TestValidateAxioms:

@@ -1,12 +1,14 @@
 """Property tests over random small entities and mixtures.
 
 The mixed relations are checked against their definitions written out from
-`mixed_outcome_set`, and every witness of `classify` against the least
-violating pair found by enumerating all pairs.
+`mixed_outcome_set`, every witness of `classify` and of `satisfies_T0` against
+the least violating pair found by enumerating all pairs, and the closure
+engine against the brute-force oracles.
 """
 
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,10 +20,15 @@ from soe.classify import (
     is_outcome_determined,
     is_state_atomic,
     is_state_determined,
+    satisfies_T0,
 )
+from soe.closure import ClosureSystem
 from soe.entity import Entity, RelationKind
+from soe.errors import ContractError
 from soe.mixture import Event, MixedExperiment, MixedState, mixed_implies, mixed_orthogonal, mixed_outcome_set
 from soe.statprop import is_distinguishable
+
+from oracles import brute_intersection_closure, brute_smallest_member
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -128,3 +135,63 @@ def test_classify_witnesses_are_the_least_violating_pairs(entity):
     report = classify(entity)
     assert report.witnesses == {name: w for name, w in expected.items() if w is not None}
     assert all(report.flags()[name] == (w is None) for name, w in expected.items())
+
+
+NAMES = st.text(min_size=1, max_size=3)
+
+
+@st.composite
+def systems(draw, grounds=None):
+    """A ground of strings or of (experiment, state) couples with up to six
+    random generators; `grounds`, if given, fixes the ground."""
+    if grounds is None:
+        names = st.frozensets(NAMES, min_size=0, max_size=6)
+        couples = st.frozensets(st.tuples(NAMES, NAMES), min_size=0, max_size=6)
+        grounds = draw(st.one_of(names, couples))
+    pool = st.sampled_from(sorted(grounds)) if grounds else st.nothing()
+    generators = draw(st.lists(st.frozensets(pool), max_size=6))
+    return grounds, generators
+
+
+def _generated(ground, generators):
+    """The generated system, with the empty set added to generators whose
+    intersection is not empty (`generated` refuses those), and its generators."""
+    if frozenset(ground).intersection(*generators):
+        with pytest.raises(ContractError):
+            ClosureSystem.generated(ground, generators)
+        generators = generators + [frozenset()]
+    return ClosureSystem.generated(ground, generators), generators
+
+
+@SETTINGS
+@given(systems(), st.data())
+def test_generated_systems_match_the_oracles(drawn, data):
+    ground = drawn[0]
+    system, generators = _generated(*drawn)
+    members = brute_intersection_closure(ground, [generators])
+    assert system.members == members
+    assert system == ClosureSystem(ground, members)
+    for _ in range(3):
+        K = data.draw(st.frozensets(st.sampled_from(sorted(ground)))) if ground else frozenset()
+        assert system.closure_of(K) == brute_smallest_member(members, K)
+        assert system.is_closed(K) == (K in members)
+
+
+@SETTINGS
+@given(systems(), st.data())
+def test_equality_is_equality_of_members(drawn, data):
+    ground = drawn[0]
+    first, _ = _generated(*drawn)
+    second, _ = _generated(*data.draw(systems(ground)))
+    assert (first == second) == (first.members == second.members)
+    assert first == ClosureSystem(ground, first.members) == first
+
+
+@SETTINGS
+@given(systems())
+def test_T0_witness_is_the_least_pair_with_equal_closures(drawn):
+    system, _ = _generated(*drawn)
+    points = sorted(system.ground)
+    cl = lambda w: system.closure_of({w})  # noqa: E731
+    violations = [(v, w) for v in points for w in points if v < w and cl(v) == cl(w)]
+    assert satisfies_T0(system) == (not violations, min(violations, default=None))

@@ -17,7 +17,6 @@ from soe.quantum import (
     finite_standard_entity,
     is_extremal,
     lift_experiment,
-    lift_outcome,
     opnorm,
     partial_trace,
     pauli_axis_families,
@@ -300,7 +299,7 @@ class TestLifting:
             d = random_ket(rng, 3)
             product = np.kron(c, d)
             for k in range(1, len(family) + 1):
-                assert sq_probability(lifted, product, lift_outcome(k)) == pytest.approx(
+                assert sq_probability(lifted, product, k) == pytest.approx(
                     sq_probability(family, c, k), abs=1e-12
                 )
 
