@@ -13,13 +13,17 @@ from types import MappingProxyType
 
 from .errors import ContractError, EntityValidationError, UnknownIdentifierError
 
-_FORBIDDEN_IN_IDENTIFIER = set(" \t\r\n,=#[]")
+_RESERVED_PUNCTUATION = set(",=#[]")
 
 
-def _check_identifier(kind: str, token) -> None:
+def check_identifier(kind: str, token) -> None:
+    """The identifier rule: a nonempty string with no whitespace character
+    (any that str.isspace accepts, since the text format splits lines and
+    words on all of them) and none of , = # [ ]; raises EntityValidationError
+    naming the kind."""
     if not isinstance(token, str) or not token:
         raise EntityValidationError(f"{kind} identifier must be a nonempty string, got {token!r}")
-    if set(token) & _FORBIDDEN_IN_IDENTIFIER:
+    if set(token) & _RESERVED_PUNCTUATION or any(ch.isspace() for ch in token):
         raise EntityValidationError(
             f"{kind} identifier {token!r} contains whitespace or reserved punctuation"
         )
@@ -48,9 +52,9 @@ class Entity:
         if not experiments:
             raise EntityValidationError("an entity needs at least one experiment")
         for p in states:
-            _check_identifier("state", p)
+            check_identifier("state", p)
         for e in experiments:
-            _check_identifier("experiment", e)
+            check_identifier("experiment", e)
 
         cells = {}
         for e in sorted(experiments):
@@ -62,28 +66,24 @@ class Entity:
                 cell = frozenset(cell)
                 if not cell:
                     raise EntityValidationError(f"outcome set for cell ({e}, {p}) is empty")
-                for x in cell:
-                    _check_identifier("outcome", x)
                 cells[(e, p)] = cell
         extra = set(table) - set(cells)
         if extra:
             raise EntityValidationError(f"table has cells outside E x Sigma: {sorted(extra)}")
 
+        # each distinct outcome is checked once, not once per cell it is in
         union = frozenset().union(*cells.values())
-        if outcomes is None:
-            outcomes = union
-        else:
-            outcomes = frozenset(outcomes)
-            for x in outcomes:
-                _check_identifier("outcome", x)
-            if outcomes != union:
-                missing = sorted(outcomes - union)
-                stray = sorted(union - outcomes)
-                raise EntityValidationError(
-                    "declared outcome set does not equal the union of the table cells"
-                    + (f"; declared but never possible: {missing}" if missing else "")
-                    + (f"; occur but undeclared: {stray}" if stray else "")
-                )
+        outcomes = union if outcomes is None else frozenset(outcomes)
+        for x in outcomes | union:
+            check_identifier("outcome", x)
+        if outcomes != union:
+            missing = sorted(outcomes - union)
+            stray = sorted(union - outcomes)
+            raise EntityValidationError(
+                "declared outcome set does not equal the union of the table cells"
+                + (f"; declared but never possible: {missing}" if missing else "")
+                + (f"; occur but undeclared: {stray}" if stray else "")
+            )
 
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "experiments", experiments)

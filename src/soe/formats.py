@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .entity import Entity
+from .entity import Entity, check_identifier
 from .errors import EntityValidationError, ParseError
 from .morphism import SubEntityWitness
 from .probability import ProbabilityTable
@@ -47,13 +47,35 @@ def _split_list(raw: str, line_no: int) -> list:
     return items
 
 
-def _identifier_set(raw: str, line_no: int) -> set:
+def _check_identifiers(kind: str, items, line_no: int) -> None:
+    """The entity identifier rule, failing with the line number."""
+    try:
+        for x in items:
+            check_identifier(kind, x)
+    except EntityValidationError as err:
+        raise ParseError(str(err), line=line_no) from None
+
+
+def _identifier_set(kind: str, raw: str, line_no: int) -> set:
     """A declared identifier list; listing an identifier twice is an error."""
     items = _split_list(raw, line_no)
+    _check_identifiers(kind, items, line_no)
     repeated = [x for x, count in Counter(items).items() if count > 1]
     if repeated:
         raise ParseError(f"identifier {repeated[0]!r} is listed twice", line=line_no)
     return set(items)
+
+
+def _section_header(line: str, line_no: int) -> list:
+    """The words between the brackets of a '[...]' line."""
+    if "]" not in line:
+        raise ParseError("unterminated section header", line=line_no)
+    if not line.endswith("]"):
+        raise ParseError("text after a section header", line=line_no)
+    header = line[1:-1].split()
+    if not header:
+        raise ParseError("empty section header", line=line_no)
+    return header
 
 
 def _content_lines(text: str):
@@ -87,6 +109,7 @@ def parse_entity(text: str) -> EntityDocument:
     """Parse a document; raises ParseError carrying the offending line."""
     declared: dict = {}  # "states" | "experiments" | "outcomes" -> set of identifiers
     cells: dict = {}
+    seen_outcomes: set = set()  # outcomes of the cells so far, each checked once
     measures: dict = {}
     measure_order: list = []
     measure_map: dict = {}
@@ -96,11 +119,7 @@ def parse_entity(text: str) -> EntityDocument:
 
     for line_no, line in _content_lines(text):
         if line.startswith("["):
-            if not line.endswith("]"):
-                raise ParseError("unterminated section header", line=line_no)
-            header = line[1:-1].strip().split()
-            if not header:
-                raise ParseError("empty section header", line=line_no)
+            header = _section_header(line, line_no)
             section = header[0]
             if section == "probability":
                 current_measure = header[1] if len(header) > 1 else f"mu{len(measure_order) + 1}"
@@ -119,7 +138,7 @@ def parse_entity(text: str) -> EntityDocument:
                 raise ParseError(f"unknown entity key {lhs!r}", line=line_no)
             if lhs in declared:
                 raise ParseError(f"{lhs} declared a second time", line=line_no)
-            declared[lhs] = _identifier_set(rhs, line_no)
+            declared[lhs] = _identifier_set(lhs[:-1], rhs, line_no)
         elif section == "outcomes":
             parts = lhs.split()
             if len(parts) != 2:
@@ -132,10 +151,11 @@ def parse_entity(text: str) -> EntityDocument:
             if (e, p) in cells:
                 raise ParseError(f"duplicate cell ({e}, {p})", line=line_no)
             outs = _split_list(rhs, line_no)
-            if "outcomes" in declared:
-                stray = [x for x in outs if x not in declared["outcomes"]]
-                if stray:
-                    raise ParseError(f"outcomes {stray} are not in the declared outcome set", line=line_no)
+            fresh = [x for x in outs if x not in declared.get("outcomes", seen_outcomes)]
+            if fresh and "outcomes" in declared:
+                raise ParseError(f"outcomes {fresh} are not in the declared outcome set", line=line_no)
+            _check_identifiers("outcome", fresh, line_no)
+            seen_outcomes.update(fresh)
             cells[(e, p)] = outs
         elif section == "probability":
             parts = lhs.split()
@@ -184,7 +204,7 @@ def parse_witness(text: str) -> SubEntityWitness:
     section = None
     for line_no, line in _content_lines(text):
         if line.startswith("["):
-            section = line.strip("[] \t")
+            section = " ".join(_section_header(line, line_no))
             if section != "witness":
                 raise ParseError(f"witness files contain only a [witness] section, got [{section}]", line=line_no)
         elif section is None:

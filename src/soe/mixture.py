@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .entity import Entity, RelationKind, relation_views, view_implies
-from .errors import CapacityError, ContractError
+from .errors import CapacityError, ContractError, EntityValidationError
 
 FULL_MIXED_BUDGET = 2**16  # cap on 2^|states| * 2^|experiments|
 
@@ -214,7 +214,7 @@ def full_mixed_entity(entity: Entity, budget: int = FULL_MIXED_BUDGET) -> Entity
             cell = mixed_outcome_set(entity, E, P)
             previous = table.get((eid, pid))
             if previous is not None and previous != cell:
-                raise CapacityError(
+                raise EntityValidationError(
                     f"minted identifier collision with conflicting rows at ({eid}, {pid}); "
                     "rename base identifiers containing '+'"
                 )

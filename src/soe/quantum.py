@@ -1,10 +1,12 @@
 """Finite-dimensional standard and completed quantum entities.
 
 Experiments are spectral families of pairwise-orthogonal projections summing
-to the identity; standard states are rays (unit vectors up to phase),
-completed states are density operators. Includes the sphere-and-elastic
-machine whose probabilities the two-dimensional case reproduces, tensor
-lifting, the partial trace, and the sub-entity demonstration.
+to the identity; completed states are density operators, and standard states
+are rays (unit vectors up to phase), handled as their rank-one density
+operators, so one trace rule gives every probability. Includes the
+sphere-and-elastic machine whose probabilities the two-dimensional case
+reproduces, tensor lifting, the partial trace, and the sub-entity
+demonstration.
 
 Outcome indices are 1-based: outcome k names the k-th projection of a family.
 """
@@ -38,13 +40,19 @@ def _as_matrix(value) -> np.ndarray:
     return M
 
 
-def _as_ket(value, tol: float = PROBABILITY_TOL) -> np.ndarray:
-    c = np.asarray(value, dtype=complex).reshape(-1)
-    if c.size < 1:
-        raise ContractError("a state vector needs at least one amplitude")
-    if abs(np.linalg.norm(c) - 1.0) > tol:
-        raise ContractError(f"state vector norm {np.linalg.norm(c):.12g} is not 1")
-    return c
+def _rank_one(kets: np.ndarray) -> np.ndarray:
+    """|c><c| of a unit vector c, or of each row of a stack of them; one norm
+    check covers the whole stack."""
+    norms = np.linalg.norm(kets, axis=-1)
+    off = np.abs(norms - 1.0)
+    if np.any(off > PROBABILITY_TOL):
+        raise ContractError(f"state vector norm {norms.flat[np.argmax(off)]:.12g} is not 1")
+    return kets[..., :, None] * kets[..., None, :].conj()
+
+
+def _born(W: np.ndarray, P: np.ndarray):
+    """tr(W P) for one density operator W or for each of a stack of them."""
+    return np.real(np.trace(W @ P, axis1=-2, axis2=-1))
 
 
 def opnorm(M) -> float:
@@ -156,28 +164,6 @@ def spectral_family_from_hermitian(H, cluster_tol: float = CLUSTER_TOL) -> Spect
     return family
 
 
-# -- standard (ray) states ----------------------------------------------------
-
-
-def sq_outcome_set(family: SpectralFamily, c, tol: float = PROBABILITY_TOL) -> frozenset:
-    """Possible outcomes of the experiment on a ray state: the 1-based indices
-    whose projection does not annihilate the vector."""
-    c = _as_ket(c)
-    if c.size != family.dimension:
-        raise ContractError(f"state dimension {c.size} != family dimension {family.dimension}")
-    return frozenset(
-        k for k in range(1, len(family) + 1) if np.linalg.norm(family.projection(k) @ c) > tol
-    )
-
-
-def sq_probability(family: SpectralFamily, c, k: int) -> float:
-    """Probability of outcome k on a ray state: the squared projected length."""
-    c = _as_ket(c)
-    if c.size != family.dimension:
-        raise ContractError(f"state dimension {c.size} != family dimension {family.dimension}")
-    return float(np.real(np.vdot(c, family.projection(k) @ c)))
-
-
 # -- completed (density operator) states --------------------------------------
 
 
@@ -199,13 +185,13 @@ def validate_density_operator(W, tol: float = VALIDATION_TOL) -> Diagnostics:
 
 
 def cq_outcome_set(family: SpectralFamily, W, tol: float = PROBABILITY_TOL) -> frozenset:
+    """Possible outcomes of the experiment on a density operator: the 1-based
+    indices whose probability exceeds tol."""
     W = _as_matrix(W)
     if W.shape[0] != family.dimension:
         raise ContractError(f"state dimension {W.shape[0]} != family dimension {family.dimension}")
     return frozenset(
-        k
-        for k in range(1, len(family) + 1)
-        if abs(np.real(np.trace(W @ family.projection(k)))) > tol
+        k for k in range(1, len(family) + 1) if abs(_born(W, family.projection(k))) > tol
     )
 
 
@@ -213,12 +199,28 @@ def cq_probability(family: SpectralFamily, W, k: int) -> float:
     W = _as_matrix(W)
     if W.shape[0] != family.dimension:
         raise ContractError(f"state dimension {W.shape[0]} != family dimension {family.dimension}")
-    return float(np.real(np.trace(W @ family.projection(k))))
+    return float(_born(W, family.projection(k)))
 
 
 def density_from_ray(c) -> np.ndarray:
-    c = _as_ket(c)
-    return np.outer(c, c.conj())
+    """The rank-one density operator of the ray through the unit vector c."""
+    c = np.asarray(c, dtype=complex).reshape(-1)
+    if c.size < 1:
+        raise ContractError("a state vector needs at least one amplitude")
+    return _rank_one(c)
+
+
+# -- standard (ray) states: the rank-one density operators ---------------------
+
+
+def sq_outcome_set(family: SpectralFamily, c, tol: float = PROBABILITY_TOL) -> frozenset:
+    """Possible outcomes on the ray through c: those of its density operator."""
+    return cq_outcome_set(family, density_from_ray(c), tol)
+
+
+def sq_probability(family: SpectralFamily, c, k: int) -> float:
+    """Probability of outcome k on the ray through c: tr(|c><c| E_k)."""
+    return cq_probability(family, density_from_ray(c), k)
 
 
 def convex_combine(pairs) -> np.ndarray:
@@ -306,7 +308,7 @@ def qmachine_probability(state: BallState, experiment: SphereExperiment) -> tupl
 
 def ray_from_angles(theta: float, phi: float) -> np.ndarray:
     """The two-dimensional unit vector of the surface point with polar angles
-    (theta, phi).
+    (theta, phi); for an array of phi, one such vector per column.
 
     Phase convention: the outer product of this vector is the density matrix
     with upper off-diagonal sin(theta/2)cos(theta/2)e^{-i phi}. Every
@@ -320,24 +322,21 @@ def ray_from_angles(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def _angles_of(v: np.ndarray) -> tuple:
-    theta = float(np.arccos(np.clip(v[2], -1.0, 1.0)))
-    phi = float(np.arctan2(v[1], v[0]))
-    return theta, phi
+def _antipodal_projectors(v: np.ndarray) -> list:
+    """The rank-one projections onto the surface rays of the unit 3-vector v
+    and of its antipode -v."""
+    projectors = []
+    for w in (v, -v):
+        theta = float(np.arccos(np.clip(w[2], -1.0, 1.0)))
+        phi = float(np.arctan2(w[1], w[0]))
+        projectors.append(density_from_ray(ray_from_angles(theta, phi)))
+    return projectors
 
 
 def sphere_experiment_family(experiment: SphereExperiment) -> SpectralFamily:
     """The two-outcome spectral family of an elastic experiment: projections
     onto the axis ray and the antipodal ray."""
-    u = experiment.vector
-    theta, phi = _angles_of(u)
-    theta_op, phi_op = _angles_of(-u)
-    return SpectralFamily(
-        [
-            density_from_ray(ray_from_angles(theta, phi)),
-            density_from_ray(ray_from_angles(theta_op, phi_op)),
-        ]
-    )
+    return SpectralFamily(_antipodal_projectors(experiment.vector))
 
 
 def qmachine_to_hilbert(state: BallState) -> np.ndarray:
@@ -353,10 +352,7 @@ def qmachine_to_hilbert(state: BallState) -> np.ndarray:
     else:
         v = w / radius
     a = (1.0 + radius) / 2.0
-    theta, phi = _angles_of(v)
-    theta_op, phi_op = _angles_of(-v)
-    plus = density_from_ray(ray_from_angles(theta, phi))
-    minus = density_from_ray(ray_from_angles(theta_op, phi_op))
+    plus, minus = _antipodal_projectors(v)
     return convex_combine([(a, plus), (1.0 - a, minus)])
 
 
@@ -429,33 +425,10 @@ def _unit_interval(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def finite_standard_entity(kets, families, tol: float = PROBABILITY_TOL):
-    """Build a finite entity and its measure from sampled ray states and
-    experiments: states s1..sN, experiments e1..eM, outcomes 'e{i}:o{k}'."""
-    kets = [_as_ket(c) for c in kets]
-    families = list(families)
-    if not kets or not families:
-        raise ContractError("need at least one state and one experiment")
-    table = {}
-    entries = {}
-    for i, family in enumerate(families, start=1):
-        for j, c in enumerate(kets, start=1):
-            outcome_indices = sq_outcome_set(family, c, tol)
-            table[(f"e{i}", f"s{j}")] = {f"e{i}:o{k}" for k in outcome_indices}
-            for k in outcome_indices:
-                entries[(f"e{i}", f"s{j}", f"e{i}:o{k}")] = _unit_interval(
-                    sq_probability(family, c, k)
-                )
-    entity = Entity(
-        {f"s{j}" for j in range(1, len(kets) + 1)},
-        {f"e{i}" for i in range(1, len(families) + 1)},
-        table,
-    )
-    return entity, ProbabilityTable(entries)
-
-
 def finite_completed_entity(densities, families, tol: float = PROBABILITY_TOL):
-    """Same as finite_standard_entity with density-operator states."""
+    """Build a finite entity and its measure from sampled density-operator
+    states and experiments: states s1..sN, experiments e1..eM, outcomes
+    'e{i}:o{k}'."""
     densities = [_as_matrix(W) for W in densities]
     families = list(families)
     if not densities or not families:
@@ -476,6 +449,11 @@ def finite_completed_entity(densities, families, tol: float = PROBABILITY_TOL):
         table,
     )
     return entity, ProbabilityTable(entries)
+
+
+def finite_standard_entity(kets, families, tol: float = PROBABILITY_TOL):
+    """finite_completed_entity on the rank-one densities of ray states."""
+    return finite_completed_entity([density_from_ray(c) for c in kets], families, tol)
 
 
 def pauli_axis_families() -> list:
@@ -511,9 +489,9 @@ def verify_cq_sub_entity(
     rng = np.random.default_rng(seed)
     diag = Diagnostics()
 
-    families = [random_spectral_family(rng, n_sys) for _ in range(3)]
-    if n_sys == 2:
-        families.extend(pauli_axis_families())
+    probes = pauli_axis_families() if n_sys == 2 else []
+    families = [random_spectral_family(rng, n_sys) for _ in range(3)] + probes
+    lifted_families = [lift_experiment(f, n_env) for f in families]
     big_states = [random_density(rng, n_sys * n_env) for _ in range(samples)]
     if n_sys == n_env == 2:
         big_states.append(singlet_density())
@@ -521,8 +499,7 @@ def verify_cq_sub_entity(
     worst = 0.0
     for W_big in big_states:
         reduced = partial_trace(W_big, (n_sys, n_env))
-        for family in families:
-            lifted = lift_experiment(family, n_env)
+        for family, lifted in zip(families, lifted_families):
             for k in range(1, len(family) + 1):
                 residual = abs(
                     cq_probability(family, reduced, k)
@@ -541,7 +518,7 @@ def verify_cq_sub_entity(
     # the finite-entity harness: a handful of sampled states is enough to
     # exercise the morphism contract end to end
     harness_states = big_states[: min(6, len(big_states))]
-    big_entity, big_measure = finite_completed_entity(harness_states, [lift_experiment(f, n_env) for f in families])
+    big_entity, big_measure = finite_completed_entity(harness_states, lifted_families)
     reduced_states = [partial_trace(W, (n_sys, n_env)) for W in harness_states]
     small_entity, small_measure = finite_completed_entity(reduced_states, families)
     witness = SubEntityWitness(
@@ -563,23 +540,21 @@ def verify_cq_sub_entity(
     diag.record("completed.morphism_contract", contract.passed, "; ".join(contract.failures))
 
     if n_sys == n_env == 2:
+        # the probes are the last families; each (projection, target) pair
+        # is one probe outcome and the probability the singlet gives it
         target = singlet_density()
-        probes = pauli_axis_families()
-        lifted_probes = [lift_experiment(f, n_env) for f in probes]
-        targets = [
-            [cq_probability(lifted, target, k) for k in (1, 2)] for lifted in lifted_probes
+        outcomes = [
+            (P, _born(target, lifted_P))
+            for probe, lifted in zip(probes, lifted_families[-len(probes):])
+            for P, lifted_P in zip(probe.projections, lifted.projections)
         ]
         side = int(round(np.sqrt(ray_candidates)))
+        phis = np.linspace(0.0, 2 * np.pi, side, endpoint=False)
         best = np.inf
         for theta in np.linspace(0.0, np.pi, side):
-            for phi in np.linspace(0.0, 2 * np.pi, side, endpoint=False):
-                c = ray_from_angles(theta, phi)
-                residual = max(
-                    abs(sq_probability(probe, c, k) - targets[i][k - 1])
-                    for i, probe in enumerate(probes)
-                    for k in (1, 2)
-                )
-                best = min(best, residual)
+            densities = _rank_one(ray_from_angles(theta, phis).T)
+            residual = np.max([np.abs(_born(densities, P) - p) for P, p in outcomes], axis=0)
+            best = min(best, float(residual.min()))
         diag.details["standard_ray_min_residual"] = float(best)
         diag.details["ray_candidates"] = side * side
         diag.record(

@@ -45,6 +45,13 @@ class TestConstruction:
         with pytest.raises(EntityValidationError, match="empty"):
             Entity({"s"}, {"h"}, {("h", "s"): set()})
 
+    @pytest.mark.parametrize("token", ["a b", "a\x0cb", "a\u2028b", "x,y", "x]", 7, ""])
+    def test_identifier_rule(self, token):
+        # every whitespace character is refused, since the text format splits
+        # lines and words on all of them
+        with pytest.raises(EntityValidationError, match="outcome identifier"):
+            Entity({"s"}, {"h"}, {("h", "s"): {"o", token}})
+
     def test_declared_outcomes_must_match_union(self, worked):
         table = {("h", "s"): {"o"}}
         with pytest.raises(EntityValidationError, match="declared"):

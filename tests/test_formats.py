@@ -71,6 +71,22 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"unknown section"):
             parse_entity("[entity]\nstates = s\nexperiments = h\n[junk]\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[entity] junk\n", r"text after a section header \(line 1\)"),
+            ("# note\n[entity\n", r"unterminated section header \(line 2\)"),
+            ("[entity]\nstates = p]\nexperiments = e\n", r"state identifier 'p\]' .* \(line 2\)"),
+            ("[entity]\nstates = p\nexperiments = e, f g\n", r"experiment identifier 'f g' .* \(line 3\)"),
+            ("[entity]\nstates = p\nexperiments = e\noutcomes = x]\n", r"outcome identifier 'x\]' .* \(line 4\)"),
+            ("[entity]\nstates = p, q\nexperiments = e\n[outcomes]\ne p = x\ne q = x, y z\n",
+             r"outcome identifier 'y z' .* \(line 6\)"),
+        ],
+    )
+    def test_malformed_line_rejected_with_line(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_entity(text)
+
     def test_content_before_section(self):
         with pytest.raises(ParseError, match="before the first section"):
             parse_entity("states = s\n")
@@ -147,6 +163,7 @@ class TestWitnessSection:
             ("[witness]\nk mu = nu\n", r"witness lines read 'm\|n\|l <from> = <to>' \(line 2\)"),
             ("[entity]\nstates = p\n", r"only a \[witness\] section, got \[entity\] \(line 1\)"),
             ("m P = p\n", r"content before the \[witness\] header \(line 1\)"),
+            ("[witness] m\n", r"text after a section header \(line 1\)"),
         ],
     )
     def test_witness_file_rejects(self, text, message):

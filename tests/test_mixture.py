@@ -3,7 +3,7 @@ import random
 import pytest
 
 from soe.entity import Entity, RelationKind, implies, orthogonal
-from soe.errors import CapacityError, ContractError
+from soe.errors import CapacityError, ContractError, EntityValidationError
 from soe.mixture import (
     Event,
     MixedExperiment,
@@ -211,6 +211,12 @@ class TestFullMixedEntity:
     def test_budget(self, worked):
         with pytest.raises(CapacityError):
             full_mixed_entity(worked, budget=4)
+
+    def test_minted_identifier_collision_is_a_validation_error(self):
+        # the mixture of a and b is minted 'a+b', the name of a state with another row
+        entity = Entity({"a", "b", "a+b"}, {"h"}, {("h", "a"): {"x"}, ("h", "b"): {"y"}, ("h", "a+b"): {"z"}})
+        with pytest.raises(EntityValidationError, match=r"collision with conflicting rows at \(h, a\+b\)"):
+            full_mixed_entity(entity)
 
     def test_relations_roundtrip_against_random(self):
         rng = random.Random(9)

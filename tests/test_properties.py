@@ -2,8 +2,9 @@
 
 The mixed relations are checked against their definitions written out from
 `mixed_outcome_set`, every witness of `classify` and of `satisfies_T0` against
-the least violating pair found by enumerating all pairs, and the closure
-engine against the brute-force oracles.
+the least violating pair found by enumerating all pairs, the closure engine
+against the brute-force oracles, and the text format against its emitter and
+against arbitrary text.
 """
 
 from itertools import product
@@ -23,8 +24,9 @@ from soe.classify import (
     satisfies_T0,
 )
 from soe.closure import ClosureSystem
-from soe.entity import Entity, RelationKind
-from soe.errors import ContractError
+from soe.entity import Entity, RelationKind, check_identifier
+from soe.errors import ContractError, EntityValidationError, ParseError
+from soe.formats import emit_entity, parse_entity, parse_witness
 from soe.mixture import Event, MixedExperiment, MixedState, mixed_implies, mixed_orthogonal, mixed_outcome_set
 from soe.statprop import is_distinguishable
 
@@ -195,3 +197,49 @@ def test_T0_witness_is_the_least_pair_with_equal_closures(drawn):
     cl = lambda w: system.closure_of({w})  # noqa: E731
     violations = [(v, w) for v in points for w in points if v < w and cl(v) == cl(w)]
     assert satisfies_T0(system) == (not violations, min(violations, default=None))
+
+
+def _is_identifier(token) -> bool:
+    try:
+        check_identifier("any", token)
+    except EntityValidationError:
+        return False
+    return True
+
+
+IDENTIFIERS = st.text(min_size=1, max_size=3).filter(_is_identifier)
+
+
+@st.composite
+def named_entities(draw):
+    """Entities over arbitrary identifiers the identifier rule accepts."""
+    states = draw(st.lists(IDENTIFIERS, min_size=1, max_size=3, unique=True))
+    experiments = draw(st.lists(IDENTIFIERS, min_size=1, max_size=3, unique=True))
+    outcomes = draw(st.lists(IDENTIFIERS, min_size=1, max_size=4, unique=True))
+    cell = st.frozensets(st.sampled_from(outcomes), min_size=1)
+    return Entity(states, experiments, {(e, p): draw(cell) for e in experiments for p in states})
+
+
+@SETTINGS
+@given(named_entities())
+def test_parse_inverts_emit(entity):
+    assert parse_entity(emit_entity(entity)).entity == entity
+
+
+# identifiers, keys and values of every section, the reserved punctuation, and
+# section headers whole and broken
+TOKENS = st.sampled_from(
+    ["p", "q", "e", "x", "mu", "0.5", "1", "nan", "states", "experiments", "outcomes",
+     "m", "n", "l", "k", ",", "=", "#", "[", "]", " ", "\t", "\n", "[entity]", "[outcomes]",
+     "[witness]", "[probability]", "[probability mu]", "[entity] x", "[ ]"]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(TOKENS, max_size=40).map("".join))
+def test_arbitrary_text_raises_only_parse_errors(text):
+    for parse in (parse_entity, parse_witness):
+        try:
+            parse(text)
+        except ParseError:
+            pass

@@ -133,6 +133,17 @@ class TestRayStates:
             total = sum(sq_probability(family, c, k) for k in range(1, len(family) + 1))
             assert abs(total - 1.0) <= 1e-10
 
+    def test_ray_outcomes_are_those_of_its_density(self):
+        # outcome 2 has probability 1e-14, above the old amplitude threshold
+        # (norm 1e-7 > 1e-10) but below the probability tolerance 1e-10
+        c = np.array([np.sqrt(1 - 1e-14), np.sqrt(1e-14)])
+        W = density_from_ray(c)
+        assert sq_outcome_set(Z_FAMILY, c) == cq_outcome_set(Z_FAMILY, W) == {1}
+        ray_entity, ray_measure = finite_standard_entity([c], [Z_FAMILY])
+        density_entity, density_measure = finite_completed_entity([W], [Z_FAMILY])
+        assert ray_entity == density_entity
+        assert ray_measure == density_measure
+
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ContractError):
             sq_outcome_set(Z_FAMILY, np.array([1.0, 1.0]))
@@ -474,6 +485,23 @@ class TestSubEntityDemonstration:
         assert diag.passed, diag.failures
         assert diag.details["completed_max_residual"] <= 1e-9
         assert diag.details["standard_ray_min_residual"] > 0.1
+
+    def test_ray_search_matches_a_scalar_reference(self):
+        diag = verify_cq_sub_entity(2, 2, samples=5, seed=3, ray_candidates=400)
+        probes = pauli_axis_families()
+        singlet = singlet_density()
+        targets = [[cq_probability(lift_experiment(f, 2), singlet, k) for k in (1, 2)] for f in probes]
+        best = min(
+            max(
+                abs(sq_probability(family, ray_from_angles(theta, phi), k) - target[k - 1])
+                for family, target in zip(probes, targets)
+                for k in (1, 2)
+            )
+            for theta in np.linspace(0.0, np.pi, 20)
+            for phi in np.linspace(0.0, 2 * np.pi, 20, endpoint=False)
+        )
+        assert diag.details["ray_candidates"] == 400
+        assert abs(diag.details["standard_ray_min_residual"] - best) <= 1e-12
 
     def test_2x3_contract(self):
         diag = verify_cq_sub_entity(2, 3, samples=15, seed=8)
