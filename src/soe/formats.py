@@ -108,6 +108,7 @@ def _witness_entry(lhs: str, rhs: str, line_no: int, parts: dict) -> None:
 def parse_entity(text: str) -> EntityDocument:
     """Parse a document; raises ParseError carrying the offending line."""
     declared: dict = {}  # "states" | "experiments" | "outcomes" -> set of identifiers
+    declared_line: dict = {}  # the same keys -> line of the declaration
     cells: dict = {}
     seen_outcomes: set = set()  # outcomes of the cells so far, each checked once
     measures: dict = {}
@@ -139,6 +140,7 @@ def parse_entity(text: str) -> EntityDocument:
             if lhs in declared:
                 raise ParseError(f"{lhs} declared a second time", line=line_no)
             declared[lhs] = _identifier_set(lhs[:-1], rhs, line_no)
+            declared_line[lhs] = line_no
         elif section == "outcomes":
             parts = lhs.split()
             if len(parts) != 2:
@@ -183,6 +185,9 @@ def parse_entity(text: str) -> EntityDocument:
         raise ParseError(f"missing outcome cell for {missing[0]}" + (
             f" and {len(missing) - 1} more" if len(missing) > 1 else ""
         ))
+    never = sorted(declared.get("outcomes", set()).difference(*cells.values()))
+    if never:
+        raise ParseError(f"outcomes {never} are declared but never possible", line=declared_line["outcomes"])
     try:
         entity = Entity(states, experiments, cells, outcomes=declared.get("outcomes"))
     except EntityValidationError as err:

@@ -26,7 +26,6 @@ from soe.closure import (
     entity_ortho_space,
     ortho_closure_system,
     state_trace,
-    subsets,
     validate_closure_axioms,
 )
 from soe.examples import three_by_three
@@ -49,6 +48,7 @@ from soe.quantum import (
 )
 
 from conftest import random_d_classical_entity, random_distinguishable_entity, random_entity
+from oracles import powerset as subsets
 
 
 def _criterion(number: int, description: str, failures: list) -> None:

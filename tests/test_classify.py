@@ -17,13 +17,14 @@ from soe.classify import (
     satisfies_T1,
 )
 from soe.cli import main
-from soe.closure import ClosureSystem, eigen_closure_system, subsets
+from soe.closure import ClosureSystem, eigen_closure_system
 from soe.entity import Entity
 from soe.errors import CapacityError
 from soe.formats import parse_entity
 from soe.mixture import full_mixed_entity
 
 from conftest import random_d_classical_entity, random_entity
+from oracles import powerset as subsets
 
 
 class TestDetermination:

@@ -1,10 +1,13 @@
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from soe.cli import main
-from soe.entity import RelationKind, orthogonal
+from soe.closure import ClosureSystem
+from soe.entity import Entity, RelationKind, orthogonal
 from soe.examples import deterministic_pair, three_by_three
 from soe.formats import emit_entity
 
@@ -174,6 +177,39 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "verdict: FAIL" in out
+
+    @pytest.mark.parametrize("source", ["five_by_five", "random_12x12"])
+    def test_over_24_couples_reports_every_check(self, source, tmp_path, capsys):
+        if source == "five_by_five":
+            path = Path(__file__).parent / "fixtures" / "five_by_five.soe"
+        else:
+            rng = random.Random(12)
+            outcomes = [f"x{i}" for i in range(16)]
+            table = {(f"e{i}", f"p{j}"): rng.sample(outcomes, rng.randint(1, 3)) for i in range(12) for j in range(12)}
+            path = tmp_path / "random.soe"
+            path.write_text(emit_entity(Entity({p for _, p in table}, {e for e, _ in table}, table)), encoding="utf-8")
+        code = main(["verify", str(path), "--structured"])
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert "verify.closures.axioms.central_eigen = pass" in rows
+        assert "verify.closures.axioms.state_trace_of_central = pass" in rows
+        assert "verify.verdict = pass" in rows
+
+    def test_axioms_ask_the_kernel_operator(self, worked_file, capsys, monkeypatch):
+        # drop an element of K from the closure of every K of two or more
+        # elements; the singleton closures that classify reads stay intact
+        closure_of = ClosureSystem.closure_of
+
+        def broken(system, K):
+            K = frozenset(K)
+            return closure_of(system, K) - {min(K, key=str)} if len(K) > 1 else closure_of(system, K)
+
+        monkeypatch.setattr(ClosureSystem, "closure_of", broken)
+        code = main(["verify", worked_file, "--structured"])
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert any(row.startswith("verify.closures.axioms.") and row.endswith(" = fail") for row in rows)
+        assert any(row.startswith("verify.failure.") and "= closures.axioms." in row for row in rows)
 
 
 class TestSubentityCommand:

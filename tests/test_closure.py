@@ -21,7 +21,6 @@ from soe.closure import (
     outcome_closure_system,
     outcome_interior,
     state_trace,
-    subsets,
     validate_closure_axioms,
 )
 from soe.entity import Entity
@@ -178,7 +177,7 @@ class TestEigenClosureSystems:
             (), {"e"}, {"f"}, {"g"}, {"e", "g"}, {"e", "f"}, {"e", "f", "g"}
         )
         assert eigen_closure_system(worked, "experiments").members == frozenset(
-            subsets({"e", "f", "g"})
+            powerset({"e", "f", "g"})
         )
 
     def test_worked_central_family(self, worked):
@@ -381,8 +380,8 @@ class TestStateTrace:
 
     def test_full_power_system(self, worked):
         couples = frozenset(worked.couples())
-        full = ClosureSystem(couples, frozenset(subsets(couples)))
-        assert state_trace(full).members == frozenset(subsets(worked.states))
+        full = ClosureSystem(couples, frozenset(powerset(couples)))
+        assert state_trace(full).members == frozenset(powerset(worked.states))
 
     def test_trace_differs_from_state_system_here(self, worked):
         assert state_trace(eigen_closure_system(worked, "central")) != eigen_closure_system(
@@ -454,6 +453,18 @@ class TestValidateAxioms:
         diag = validate_closure_axioms(bad)
         assert not diag.checks["system.intersection_closed"]
         assert any("['b']" in f for f in diag.failures)
+
+    @pytest.mark.parametrize(
+        "members, failure",
+        [
+            ([{"a"}, {"a", "b", "c"}], "system.contains_empty"),
+            ([set(), {"a"}], "system.contains_ground"),
+            ([set(), {"a", "b"}, {"b", "c"}, {"a", "b", "c"}], r"system.intersection_closed: \['a', 'b'\] & \['b', 'c'\]"),
+        ],
+    )
+    def test_listed_system_raises_its_first_failure(self, members, failure):
+        with pytest.raises(ContractError, match=failure):
+            ClosureSystem({"a", "b", "c"}, members)
 
     def test_intersection_closure_matches_brute_force(self):
         rng = random.Random(31)

@@ -81,6 +81,8 @@ class TestParsing:
             ("[entity]\nstates = p\nexperiments = e\noutcomes = x]\n", r"outcome identifier 'x\]' .* \(line 4\)"),
             ("[entity]\nstates = p, q\nexperiments = e\n[outcomes]\ne p = x\ne q = x, y z\n",
              r"outcome identifier 'y z' .* \(line 6\)"),
+            ("[entity]\nstates = p\nexperiments = e\noutcomes = x, ghost\n[outcomes]\ne p = x\n",
+             r"outcomes \['ghost'\] are declared but never possible \(line 4\)"),
         ],
     )
     def test_malformed_line_rejected_with_line(self, text, message):

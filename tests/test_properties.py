@@ -23,7 +23,7 @@ from soe.classify import (
     is_state_determined,
     satisfies_T0,
 )
-from soe.closure import ClosureSystem
+from soe.closure import ClosureSystem, state_trace
 from soe.entity import Entity, RelationKind, check_identifier
 from soe.errors import ContractError, EntityValidationError, ParseError
 from soe.formats import emit_entity, parse_entity, parse_witness
@@ -197,6 +197,23 @@ def test_T0_witness_is_the_least_pair_with_equal_closures(drawn):
     cl = lambda w: system.closure_of({w})  # noqa: E731
     violations = [(v, w) for v in points for w in points if v < w and cl(v) == cl(w)]
     assert satisfies_T0(system) == (not violations, min(violations, default=None))
+
+
+@st.composite
+def couple_grids(draw):
+    experiments = draw(st.frozensets(NAMES, min_size=1, max_size=3))
+    states = draw(st.frozensets(NAMES, min_size=1, max_size=3))
+    return frozenset(product(experiments, states))
+
+
+@SETTINGS
+@given(couple_grids().flatmap(systems))
+def test_state_trace_is_the_trace_of_every_member(drawn):
+    system, _ = _generated(*drawn)
+    experiments = {e for e, _ in system.ground}
+    states = {p for _, p in system.ground}
+    trace = lambda Y: frozenset(p for p in states if all((e, p) in Y for e in experiments))  # noqa: E731
+    assert state_trace(system).members == {trace(m) for m in system.members}
 
 
 def _is_identifier(token) -> bool:
