@@ -337,10 +337,11 @@ def _closure_checks(entity: Entity, diag: Diagnostics, rng: random.Random) -> No
     outcomes = sorted(entity.outcomes)
     for _ in range(10):
         A = frozenset(rng.sample(outcomes, rng.randint(0, len(outcomes))))
+        interior = outcome_interior(entity, A)
         diag.record(
             "closures.outcome_interior_invisible_to_eig",
             frozenset(c for c, cell in entity.cells() if cell <= A)
-            == frozenset(c for c, cell in entity.cells() if cell <= outcome_interior(entity, A)),
+            == frozenset(c for c, cell in entity.cells() if cell <= interior),
             _fmt_member(A),
         )
         clA = outcome_closure(entity, A)

@@ -29,14 +29,16 @@ CLUSTER_TOL = 1e-8
 DIMENSION_CAP = 64
 
 
-def _as_matrix(value) -> np.ndarray:
+def _as_matrix(value, stack: bool = False) -> np.ndarray:
+    """One square complex matrix or, with stack, also a stack of them along
+    the leading axes."""
     M = np.asarray(value, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
+    if M.ndim < 2 or (M.ndim > 2 and not stack) or M.shape[-2] != M.shape[-1] or M.shape[-1] < 1:
         raise ContractError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ContractError("matrix has non-finite entries")
-    if M.shape[0] > DIMENSION_CAP:
-        raise CapacityError(f"dimension {M.shape[0]} exceeds the cap of {DIMENSION_CAP}")
+    if M.shape[-1] > DIMENSION_CAP:
+        raise CapacityError(f"dimension {M.shape[-1]} exceeds the cap of {DIMENSION_CAP}")
     return M
 
 
@@ -51,8 +53,9 @@ def _rank_one(kets: np.ndarray) -> np.ndarray:
 
 
 def _born(W: np.ndarray, P: np.ndarray):
-    """tr(W P) for one density operator W or for each of a stack of them."""
-    return np.real(np.trace(W @ P, axis1=-2, axis2=-1))
+    """tr(W P) for one density operator W or for each of a stack of them, as
+    one contraction; the product W P is never formed."""
+    return np.real(np.einsum("...ij,ji->...", W, P))
 
 
 def opnorm(M) -> float:
@@ -167,21 +170,36 @@ def spectral_family_from_hermitian(H, cluster_tol: float = CLUSTER_TOL) -> Spect
 # -- completed (density operator) states --------------------------------------
 
 
+def _density_residuals(W: np.ndarray) -> tuple:
+    """Hermitian residual (operator norm of W - W*), lowest eigenvalue of the
+    Hermitian part and real trace, of one matrix or of each of a stack."""
+    W_adj = np.swapaxes(W.conj(), -2, -1)
+    herm = np.linalg.norm(W - W_adj, 2, axis=(-2, -1))
+    lowest = np.linalg.eigvalsh((W + W_adj) / 2)[..., 0]
+    return herm, lowest, np.real(np.trace(W, axis1=-2, axis2=-1))
+
+
 def validate_density_operator(W, tol: float = VALIDATION_TOL) -> Diagnostics:
     W = _as_matrix(W)
     diag = Diagnostics()
-    herm = opnorm(W - W.conj().T)
+    herm, lowest, trace = (float(x) for x in _density_residuals(W))
     diag.record("density.hermitian", herm <= tol, f"residual {herm:.3g}")
-    eigenvalues = np.linalg.eigvalsh((W + W.conj().T) / 2)
-    diag.record("density.positive", float(eigenvalues.min()) >= -tol, f"lowest eigenvalue {eigenvalues.min():.3g}")
-    trace_residual = abs(float(np.real(np.trace(W))) - 1.0)
+    diag.record("density.positive", lowest >= -tol, f"lowest eigenvalue {lowest:.3g}")
+    trace_residual = abs(trace - 1.0)
     diag.record("density.unit_trace", trace_residual <= tol, f"residual {trace_residual:.3g}")
-    diag.details.update(
-        hermitian_residual=herm,
-        lowest_eigenvalue=float(eigenvalues.min()),
-        trace=float(np.real(np.trace(W))),
-    )
+    diag.details.update(hermitian_residual=herm, lowest_eigenvalue=lowest, trace=trace)
     return diag
+
+
+def _require_densities(W: np.ndarray, error: type, what: str) -> None:
+    """Raise error, with the failures of validate_density_operator, for the
+    first matrix of W (one matrix or a stack) that is not a density operator."""
+    herm, lowest, trace = _density_residuals(W)
+    tol = VALIDATION_TOL
+    bad = ~((herm <= tol) & (lowest >= -tol) & (np.abs(trace - 1.0) <= tol))
+    if np.any(bad):
+        first = W.reshape(-1, *W.shape[-2:])[np.argmax(bad.reshape(-1))]
+        raise error(f"{what}: {validate_density_operator(first).failures}")
 
 
 def cq_outcome_set(family: SpectralFamily, W, tol: float = PROBABILITY_TOL) -> frozenset:
@@ -373,20 +391,21 @@ def lift_experiment(family: SpectralFamily, dim_env: int) -> SpectralFamily:
 def partial_trace(W_big, dims: tuple) -> np.ndarray:
     """The unique reduction to the first factor: summing the matrix elements
     over an orthonormal basis of the second factor. Satisfies
-    tr(reduction @ E) = tr(W_big @ (E kron I)) for every projection E."""
+    tr(reduction @ E) = tr(W_big @ (E kron I)) for every projection E.
+
+    W_big is one matrix or a stack of them along the leading axes; a stack is
+    reduced matrix by matrix, and the first matrix that is not a density
+    operator raises as it would on its own."""
     n_sys, n_env = dims
-    W_big = _as_matrix(W_big)
-    if W_big.shape[0] != n_sys * n_env:
+    W_big = _as_matrix(W_big, stack=True)
+    if W_big.shape[-1] != n_sys * n_env:
         raise ContractError(
-            f"matrix dimension {W_big.shape[0]} does not factor as {n_sys} x {n_env}"
+            f"matrix dimension {W_big.shape[-1]} does not factor as {n_sys} x {n_env}"
         )
-    check = validate_density_operator(W_big)
-    if not check.passed:
-        raise ContractError(f"input is not a density operator: {check.failures}")
-    reduced = np.einsum("ijkj->ik", W_big.reshape(n_sys, n_env, n_sys, n_env))
-    out = validate_density_operator(reduced)
-    if not out.passed:
-        raise ConsistencyError(f"partial trace produced an invalid density operator: {out.failures}")
+    _require_densities(W_big, ContractError, "input is not a density operator")
+    blocks = W_big.reshape(W_big.shape[:-2] + (n_sys, n_env, n_sys, n_env))
+    reduced = np.einsum("...ijkj->...ik", blocks)
+    _require_densities(reduced, ConsistencyError, "partial trace produced an invalid density operator")
     return reduced
 
 
@@ -496,33 +515,38 @@ def verify_cq_sub_entity(
     if n_sys == n_env == 2:
         big_states.append(singlet_density())
 
-    worst = 0.0
-    for W_big in big_states:
-        reduced = partial_trace(W_big, (n_sys, n_env))
-        for family, lifted in zip(families, lifted_families):
-            for k in range(1, len(family) + 1):
-                residual = abs(
-                    cq_probability(family, reduced, k)
-                    - cq_probability(lifted, W_big, k)
-                )
-                worst = max(worst, residual)
-                diag.record(
-                    "completed.trace_identity",
-                    residual <= tol,
-                    f"outcome {k}: residual {residual:.3g}",
-                )
+    # reshape keeps a sample of no states a (0, dim, dim) stack
+    dim = n_sys * n_env
+    big = np.array(big_states, dtype=complex).reshape(-1, dim, dim)
+    reduced = partial_trace(big, (n_sys, n_env))
+    # one column per (family, outcome); rows are the states, so the failures
+    # below come out in (state, family, outcome) order
+    outcome_indices = [k for family in families for k in range(1, len(family) + 1)]
+    residuals = np.abs(np.stack(
+        [
+            _born(reduced, P) - _born(big, lifted_P)
+            for family, lifted in zip(families, lifted_families)
+            for P, lifted_P in zip(family.projections, lifted.projections)
+        ],
+        axis=-1,
+    ))
+    for state, column in zip(*np.nonzero(~(residuals <= tol))):
+        diag.record(
+            "completed.trace_identity",
+            False,
+            f"outcome {outcome_indices[column]}: residual {residuals[state, column]:.3g}",
+        )
     diag.checks.setdefault("completed.trace_identity", True)
-    diag.details["completed_max_residual"] = worst
+    diag.details["completed_max_residual"] = float(np.max(residuals, initial=0.0))
     diag.details["samples"] = len(big_states)
 
     # the finite-entity harness: a handful of sampled states is enough to
     # exercise the morphism contract end to end
-    harness_states = big_states[: min(6, len(big_states))]
-    big_entity, big_measure = finite_completed_entity(harness_states, lifted_families)
-    reduced_states = [partial_trace(W, (n_sys, n_env)) for W in harness_states]
-    small_entity, small_measure = finite_completed_entity(reduced_states, families)
+    harness = min(6, len(big_states))
+    big_entity, big_measure = finite_completed_entity(big[:harness], lifted_families)
+    small_entity, small_measure = finite_completed_entity(reduced[:harness], families)
     witness = SubEntityWitness(
-        m={f"s{j}": f"s{j}" for j in range(1, len(harness_states) + 1)},
+        m={f"s{j}": f"s{j}" for j in range(1, harness + 1)},
         n={f"e{i}": f"e{i}" for i in range(1, len(families) + 1)},
         l={
             f"e{i}:o{k}": f"e{i}:o{k}"

@@ -384,6 +384,27 @@ class TestPartialTrace:
         with pytest.raises(ContractError):
             partial_trace(np.eye(4), (2, 2))  # trace 4, not a density
 
+    def test_stack_reduces_matrix_by_matrix(self):
+        rng = np.random.default_rng(96)
+        stack = np.array([[random_density(rng, 6) for _ in range(4)] for _ in range(3)])
+        reduced = partial_trace(stack, (2, 3))
+        assert reduced.shape == (3, 4, 2, 2)
+        for i in range(3):
+            for j in range(4):
+                assert opnorm(reduced[i, j] - partial_trace(stack[i, j], (2, 3))) <= 1e-12
+
+    def test_stack_raises_as_its_first_bad_matrix(self):
+        rng = np.random.default_rng(97)
+        bad = np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex)  # trace 1, not positive
+        worse = np.eye(4)
+        stack = np.array([random_density(rng, 4), bad, random_density(rng, 4), worse])
+        with pytest.raises(ContractError) as alone:
+            partial_trace(bad, (2, 2))
+        with pytest.raises(ContractError) as stacked:
+            partial_trace(stack, (2, 2))
+        assert str(stacked.value) == str(alone.value)
+        assert "density.positive" in str(alone.value)
+
 
 class TestEntityBridge:
     def test_finite_standard_entity_structure(self):
@@ -502,6 +523,35 @@ class TestSubEntityDemonstration:
         )
         assert diag.details["ray_candidates"] == 400
         assert abs(diag.details["standard_ray_min_residual"] - best) <= 1e-12
+
+    def test_failures_match_a_scalar_reference(self):
+        # tol = -1 fails every residual, so every (state, family, outcome)
+        # line is recorded in the order of the scalar loop below
+        diag = verify_cq_sub_entity(2, 2, samples=5, seed=3, tol=-1.0, ray_candidates=400)
+        rng = np.random.default_rng(3)
+        families = [random_spectral_family(rng, 2) for _ in range(3)] + pauli_axis_families()
+        big_states = [random_density(rng, 4) for _ in range(5)] + [singlet_density()]
+        lines = []
+        for W_big in big_states:
+            reduced = partial_trace(W_big, (2, 2))
+            for family in families:
+                lifted = lift_experiment(family, 2)
+                for k in range(1, len(family) + 1):
+                    residual = abs(cq_probability(family, reduced, k) - cq_probability(lifted, W_big, k))
+                    lines.append(f"completed.trace_identity: outcome {k}: residual {residual:.3g}")
+        assert diag.failures == lines[: diag.cap]
+        # the morphism contract fails too, past the cap
+        assert diag._overflow == len(lines) - diag.cap + 1
+        assert diag.checks == {
+            "completed.trace_identity": False,
+            "completed.morphism_contract": False,
+            "standard.no_ray_reproduces_entangled_state": True,
+        }
+
+    def test_residuals_are_pinned(self):
+        diag = verify_cq_sub_entity(2, 2, seed=42, ray_candidates=10_000)
+        assert diag.details["standard_ray_min_residual"] == 0.2969001568483114
+        assert diag.details["completed_max_residual"] == 2.220446049250313e-16
 
     def test_2x3_contract(self):
         diag = verify_cq_sub_entity(2, 3, samples=15, seed=8)
