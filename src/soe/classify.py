@@ -43,9 +43,12 @@ def is_experiment_determined(entity: Entity):
 
 
 def satisfies_T0(system: ClosureSystem):
-    """Distinct points have distinct singleton closures. Returns (flag, least
-    pair of points with equal closures)."""
-    pair = first_equivalent_pair(sorted(system.ground), lambda w: system.closure_of({w}))
+    """Distinct points have distinct singleton closures. The closure of {w}
+    is the ground cut by the generators containing w, so two points have
+    equal closures exactly when they lie in the same generators. Returns
+    (flag, least pair of points with equal closures)."""
+    generators = list(system.generators)
+    pair = first_equivalent_pair(sorted(system.ground), lambda w: tuple([w in g for g in generators]))
     return (pair is None, pair)
 
 
@@ -68,16 +71,29 @@ def is_experiment_atomic(entity: Entity):
     return _atomic(entity, RelationKind.experiment_global(), sorted(entity.experiments))
 
 
+def _d_classical_witness(entity: Entity):
+    """The first couple whose cell is not a singleton, or None."""
+    return next((couple for couple, cell in entity.cells() if len(cell) != 1), None)
+
+
 def is_d_classical(entity: Entity) -> bool:
     """Every cell is a singleton: each experiment has a determined outcome."""
-    return all(len(cell) == 1 for _, cell in entity.cells())
+    return _d_classical_witness(entity) is None
 
 
-def _d_classical_witness(entity: Entity):
-    for couple, cell in entity.cells():
-        if len(cell) != 1:
-            return couple
-    return None
+# The eight flags in report order, each with its witness search: a flag holds
+# exactly when its search finds no witness. The predicates are looked up when
+# called, so a wrapper installed over this module's names sees every call.
+_SEARCHES = (
+    ("outcome_determined", lambda entity: is_outcome_determined(entity)[1]),
+    ("state_determined", lambda entity: is_state_determined(entity)[1]),
+    ("experiment_determined", lambda entity: is_experiment_determined(entity)[1]),
+    ("central_atomic", lambda entity: is_central_atomic(entity)[1]),
+    ("state_atomic", lambda entity: is_state_atomic(entity)[1]),
+    ("experiment_atomic", lambda entity: is_experiment_atomic(entity)[1]),
+    ("d_classical", _d_classical_witness),
+    ("distinguishable", indistinguishable_pair),
+)
 
 
 @dataclass(frozen=True)
@@ -95,16 +111,7 @@ class ClassificationReport:
     witnesses: dict = field(default_factory=dict, compare=False)
 
     def flags(self) -> dict:
-        return {
-            "outcome_determined": self.outcome_determined,
-            "state_determined": self.state_determined,
-            "experiment_determined": self.experiment_determined,
-            "central_atomic": self.central_atomic,
-            "state_atomic": self.state_atomic,
-            "experiment_atomic": self.experiment_atomic,
-            "d_classical": self.d_classical,
-            "distinguishable": self.distinguishable,
-        }
+        return {name: getattr(self, name) for name, _ in _SEARCHES}
 
 
 def _cross_check(name: str, condition: bool) -> None:
@@ -120,35 +127,30 @@ def classify(entity: Entity) -> ClassificationReport:
     atomic-implies-determined implications, and the deterministic-entity
     consequences; any mismatch raises ConsistencyError.
     """
-    out_det, w_out = is_outcome_determined(entity)
-    st_det, w_st = is_state_determined(entity)
-    ex_det, w_ex = is_experiment_determined(entity)
-    c_atomic, w_ca = is_central_atomic(entity)
-    s_atomic, w_sa = is_state_atomic(entity)
-    e_atomic, w_ea = is_experiment_atomic(entity)
-    d_cls = is_d_classical(entity)
+    found = {name: search(entity) for name, search in _SEARCHES}
+    report = ClassificationReport(
+        **{name: witness is None for name, witness in found.items()},
+        witnesses={name: witness for name, witness in found.items() if witness is not None},
+    )
+    flag = report.flags()
 
     central = eigen_closure_system(entity, "central")
-    states = eigen_closure_system(entity, "states")
-    experiments = eigen_closure_system(entity, "experiments")
-
-    _cross_check("outcome determination is T0 of the central system", out_det == satisfies_T0(central)[0])
-    _cross_check("state determination is T0 of the state system", st_det == satisfies_T0(states)[0])
-    _cross_check(
-        "experiment determination is T0 of the experiment system",
-        ex_det == satisfies_T0(experiments)[0],
+    # (determination, atomicity and system name, eigen closure system)
+    scopes = (
+        ("outcome", "central", central),
+        ("state", "state", eigen_closure_system(entity, "states")),
+        ("experiment", "experiment", eigen_closure_system(entity, "experiments")),
     )
-    _cross_check("central atomicity is T1 of the central system", c_atomic == satisfies_T1(central)[0])
-    _cross_check("state atomicity is T1 of the state system", s_atomic == satisfies_T1(states)[0])
-    _cross_check(
-        "experiment atomicity is T1 of the experiment system",
-        e_atomic == satisfies_T1(experiments)[0],
-    )
-    _cross_check("central atomic entities are outcome determined", (not c_atomic) or out_det)
-    _cross_check("state atomic entities are state determined", (not s_atomic) or st_det)
-    _cross_check("experiment atomic entities are experiment determined", (not e_atomic) or ex_det)
+    for det, on, system in scopes:
+        determined = flag[f"{det}_determined"]
+        _cross_check(f"{det} determination is T0 of the {on} system", determined == satisfies_T0(system)[0])
+    for _, on, system in scopes:
+        _cross_check(f"{on} atomicity is T1 of the {on} system", flag[f"{on}_atomic"] == satisfies_T1(system)[0])
+    for det, on, _ in scopes:
+        atomic = flag[f"{on}_atomic"]
+        _cross_check(f"{on} atomic entities are {det} determined", not atomic or flag[f"{det}_determined"])
 
-    if d_cls:
+    if report.d_classical:
         for name, kind, pool in (
             ("states", RelationKind.state_global(), sorted(entity.states)),
             ("experiments", RelationKind.experiment_global(), sorted(entity.experiments)),
@@ -162,35 +164,9 @@ def classify(entity: Entity) -> ClassificationReport:
             "deterministic entities have matching eigen and ortho central closures",
             central == ortho_closure_system(entity_ortho_space(entity, "central")),
         )
-        _cross_check("deterministic determination forces central atomicity", (not out_det) or c_atomic)
-        _cross_check("deterministic determination forces state atomicity", (not st_det) or s_atomic)
-        _cross_check(
-            "deterministic determination forces experiment atomicity", (not ex_det) or e_atomic
-        )
-
-    overlapping = indistinguishable_pair(entity)
-    distinguishable = overlapping is None
-    witnesses = {}
-    for name, flag, witness in (
-        ("outcome_determined", out_det, w_out),
-        ("state_determined", st_det, w_st),
-        ("experiment_determined", ex_det, w_ex),
-        ("central_atomic", c_atomic, w_ca),
-        ("state_atomic", s_atomic, w_sa),
-        ("experiment_atomic", e_atomic, w_ea),
-        ("d_classical", d_cls, _d_classical_witness(entity)),
-        ("distinguishable", distinguishable, overlapping),
-    ):
-        if not flag:
-            witnesses[name] = witness
-    return ClassificationReport(
-        outcome_determined=out_det,
-        state_determined=st_det,
-        experiment_determined=ex_det,
-        central_atomic=c_atomic,
-        state_atomic=s_atomic,
-        experiment_atomic=e_atomic,
-        d_classical=d_cls,
-        distinguishable=distinguishable,
-        witnesses=witnesses,
-    )
+        for det, on, _ in scopes:
+            _cross_check(
+                f"deterministic determination forces {on} atomicity",
+                not flag[f"{det}_determined"] or flag[f"{on}_atomic"],
+            )
+    return report

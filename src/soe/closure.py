@@ -10,6 +10,7 @@ closure operator intersects them, and its members are listed only on request.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .diagnostics import Diagnostics
 from .entity import Entity, RelationKind, relation_views
@@ -207,28 +208,39 @@ def eigen_closure_system(entity: Entity, on: str, scoped_to=None) -> ClosureSyst
 
 
 class OrthoSpace:
-    """A finite set with a symmetric anti-reflexive orthogonality relation."""
+    """A finite set with a symmetric anti-reflexive orthogonality relation,
+    held as the orthocomplement `perp[a]` of each point a (a read-only map;
+    a point missing from the given map is orthogonal to nothing)."""
 
-    __slots__ = ("ground", "_pairs")
+    __slots__ = ("ground", "perp")
 
-    def __init__(self, ground, pairs):
+    def __init__(self, ground, perp):
         ground = frozenset(ground)
-        pairs = frozenset(tuple(p) for p in pairs)
-        for a, b in pairs:
-            if a not in ground or b not in ground:
-                raise ContractError(f"orthogonal pair ({a!r}, {b!r}) lies outside the ground set")
-            if a == b:
+        for a in set(perp) - ground:
+            raise ContractError(f"orthocomplement given for {a!r}, which lies outside the ground set")
+        perp = {a: frozenset(perp.get(a, ())) for a in ground}
+        groups = {}  # the points sharing each orthocomplement
+        for a, p in perp.items():
+            groups.setdefault(p, []).append(a)
+        for p, points in groups.items():
+            for b in p - ground:
+                raise ContractError(f"orthogonal pair ({points[0]!r}, {b!r}) lies outside the ground set")
+            for a in p.intersection(points):
                 raise ContractError(f"orthogonality must be anti-reflexive; got ({a!r}, {a!r})")
-            if (b, a) not in pairs:
-                raise ContractError(f"orthogonality must be symmetric; ({b!r}, {a!r}) missing")
+            for q, others in groups.items():
+                # every b of others inside p needs every a of points inside q
+                if not p.isdisjoint(others) and not q.issuperset(points):
+                    b = next(b for b in others if b in p)
+                    a = next(a for a in points if a not in q)
+                    raise ContractError(f"orthogonality must be symmetric; ({b!r}, {a!r}) missing")
         object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "perp", MappingProxyType(perp))
 
     def __setattr__(self, name, value):
         raise AttributeError("OrthoSpace is immutable")
 
     def orthogonal(self, a, b) -> bool:
-        return (a, b) in self._pairs
+        return b in self.perp.get(a, ())
 
 
 def orth_complement(space: OrthoSpace, K) -> frozenset:
@@ -236,7 +248,7 @@ def orth_complement(space: OrthoSpace, K) -> frozenset:
     K = frozenset(K)
     if not K <= space.ground:
         raise ContractError(f"{sorted(K - space.ground)} lie outside the ground set")
-    return frozenset(a for a in space.ground if all(space.orthogonal(a, q) for q in K))
+    return space.ground.intersection(*(space.perp[q] for q in K))
 
 
 def ortho_closure(space: OrthoSpace, K) -> frozenset:
@@ -245,12 +257,15 @@ def ortho_closure(space: OrthoSpace, K) -> frozenset:
 
 
 def ortho_closure_system(space: OrthoSpace) -> ClosureSystem:
-    """The system of ortho closed sets, generated by the singleton complements."""
-    return ClosureSystem.generated(space.ground, [orth_complement(space, {x}) for x in space.ground])
+    """The system of ortho closed sets, generated by the orthocomplements of
+    the points: (K^perp)^perp is the intersection of the perps of K^perp."""
+    return ClosureSystem.generated(space.ground, space.perp.values())
 
 
 def entity_ortho_space(entity: Entity, on: str, scoped_to=None) -> OrthoSpace:
-    """The orthogonality space of an entity for the requested relation kind."""
+    """The orthogonality space of an entity for the requested relation kind.
+    Points with equal views have equal orthocomplements, so one perp is
+    computed per distinct view."""
     if on == "states":
         kind = RelationKind.state_for(scoped_to) if scoped_to is not None else RelationKind.state_global()
         ground = entity.states
@@ -263,16 +278,16 @@ def entity_ortho_space(entity: Entity, on: str, scoped_to=None) -> OrthoSpace:
         kind = RelationKind.central()
         ground = frozenset(entity.couples())
     elif on == "outcomes":
-        if scoped_to is not None:
-            kind = RelationKind.outcome_for(*scoped_to)
-        else:
-            kind = RelationKind.outcome_global()
+        kind = RelationKind.outcome_for(*scoped_to) if scoped_to is not None else RelationKind.outcome_global()
         ground = entity.outcomes
     else:
         raise ContractError(f"unknown orthogonality scope {on!r}")
     view, orthogonal = relation_views(entity, kind)
-    views = [(a, view(a)) for a in ground]
-    return OrthoSpace(ground, [(a, b) for a, u in views for b, v in views if a != b and orthogonal(u, v)])
+    points = {}
+    for a in ground:
+        points.setdefault(view(a), []).append(a)
+    perps = {u: frozenset(b for v, bs in points.items() if orthogonal(u, v) for b in bs) for u in points}
+    return OrthoSpace(ground, {a: perps[u] for u, group in points.items() for a in group})
 
 
 # -- trace of a couple system on the states -----------------------------------

@@ -229,9 +229,11 @@ def preimage_continuity(small: Entity, big: Entity, w: SubEntityWitness) -> Diag
         raise ContractError("preimage continuity is only defined for verified sub-entity witnesses")
     diag = Diagnostics()
 
+    # preimages preserve intersections and send the ground to the ground, so
+    # a map is continuous when the preimage of every generator is closed
     small_states = eigen_closure_system(small, "states")
     big_states = eigen_closure_system(big, "states")
-    for F in small_states.sorted_members():
+    for F in sorted(small_states.generators, key=sorted):
         preimage = frozenset(p for p in big.states if w.m[p] in F)
         diag.record(
             "continuity.m_preimages_closed",
@@ -242,7 +244,7 @@ def preimage_continuity(small: Entity, big: Entity, w: SubEntityWitness) -> Diag
 
     small_exps = eigen_closure_system(small, "experiments")
     big_exps = eigen_closure_system(big, "experiments")
-    for G in big_exps.sorted_members():
+    for G in sorted(big_exps.generators, key=sorted):
         preimage = frozenset(e for e in small.experiments if w.n[e] in G)
         diag.record(
             "continuity.n_preimages_closed",

@@ -211,6 +211,17 @@ class TestVerifyCommand:
         assert any(row.startswith("verify.closures.axioms.") and row.endswith(" = fail") for row in rows)
         assert any(row.startswith("verify.failure.") and "= closures.axioms." in row for row in rows)
 
+    def test_transitivity_asks_the_kernel_relation(self, worked_file, capsys, monkeypatch):
+        # (e,p) < (e,q) < (e,r) but not (e,p) < (e,r): reflexive, not transitive
+        worked = three_by_three()
+        a, b, c = ((worked.outcome_set("e", p),) for p in "pqr")
+        monkeypatch.setattr("soe.cli.view_implies", lambda u, v: u == v or (u, v) in {(a, b), (b, c)})
+        code = main(["verify", worked_file, "--structured"])
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert "verify.relations.transitive = fail" in rows
+        assert "verify.relations.reflexive = pass" in rows
+
 
 class TestSubentityCommand:
     def test_pass(self, pair_files, capsys):
@@ -234,6 +245,28 @@ class TestSubentityCommand:
         assert "FAIL" in out
         assert "suppressed" not in out  # one failure, under the cap
         capsys.readouterr()
+
+    def test_over_24_states_checks_continuity_without_listing(self, tmp_path, capsys):
+        rng = random.Random(2)
+        outcomes = ["x0", "x1", "x2", "x3", "x4", "x5"]
+        table = {(f"e{i}", f"p{j}"): rng.sample(outcomes, rng.randint(1, 2)) for i in range(3) for j in range(25)}
+        entity = Entity({p for _, p in table}, {e for e, _ in table}, table)
+        path = tmp_path / "entity.soe"
+        path.write_text(emit_entity(entity), encoding="utf-8")
+        witness = tmp_path / "identity.soe"
+        witness.write_text(
+            "[witness]\n"
+            + "".join(f"m {p} = {p}\n" for p in sorted(entity.states))
+            + "".join(f"n {e} = {e}\n" for e in sorted(entity.experiments))
+            + "".join(f"l {x} = {x}\n" for x in sorted(entity.outcomes)),
+            encoding="utf-8",
+        )
+        code = main(["subentity", str(path), str(path), "--witness", str(witness), "--structured"])
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 0
+        for check in ("generator_identity", "m_preimages_closed", "n_preimages_closed"):
+            assert f"subentity.continuity.continuity.{check} = pass" in rows
+        assert "subentity.verdict = pass" in rows
 
 
 class TestSuppressedFailures:

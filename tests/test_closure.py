@@ -311,10 +311,22 @@ class TestOrthoClosure:
                     assert orth_complement(space, K | L) == Kp & orth_complement(space, L)
 
     def test_asymmetric_relation_rejected(self):
-        with pytest.raises(ContractError):
-            OrthoSpace({"a", "b"}, {("a", "b")})
-        with pytest.raises(ContractError):
-            OrthoSpace({"a"}, {("a", "a")})
+        with pytest.raises(ContractError, match="symmetric"):
+            OrthoSpace({"a", "b"}, {"a": {"b"}})
+        with pytest.raises(ContractError, match="anti-reflexive"):
+            OrthoSpace({"a"}, {"a": {"a"}})
+
+    def test_points_outside_the_ground_rejected(self):
+        with pytest.raises(ContractError, match="'c', which lies outside the ground set"):
+            OrthoSpace({"a", "b"}, {"a": {"b"}, "b": {"a"}, "c": set()})
+        with pytest.raises(ContractError, match=r"pair \('a', 'c'\) lies outside"):
+            OrthoSpace({"a", "b"}, {"a": {"c"}})
+
+    def test_a_point_left_out_is_orthogonal_to_nothing(self):
+        space = OrthoSpace({"a", "b", "c"}, {"a": {"b"}, "b": {"a"}})
+        assert space.perp["c"] == frozenset()
+        assert space.orthogonal("a", "b") and not space.orthogonal("a", "c")
+        assert ortho_closure_system(space).generators == {frozenset({"a"}), frozenset({"b"}), frozenset()}
 
 
 class TestOrthoInsideEigen:

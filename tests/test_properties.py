@@ -3,8 +3,8 @@
 The mixed relations are checked against their definitions written out from
 `mixed_outcome_set`, every witness of `classify` and of `satisfies_T0` against
 the least violating pair found by enumerating all pairs, the closure engine
-against the brute-force oracles, and the text format against its emitter and
-against arbitrary text.
+and the ortho spaces against the brute-force oracles and the relation engine,
+and the text format against its emitter and against arbitrary text.
 """
 
 from itertools import product
@@ -23,22 +23,22 @@ from soe.classify import (
     is_state_determined,
     satisfies_T0,
 )
-from soe.closure import ClosureSystem, state_trace
-from soe.entity import Entity, RelationKind, check_identifier
+from soe.closure import ClosureSystem, entity_ortho_space, ortho_closure_system, state_trace
+from soe.entity import Entity, RelationKind, check_identifier, orthogonal
 from soe.errors import ContractError, EntityValidationError, ParseError
 from soe.formats import emit_entity, parse_entity, parse_witness
 from soe.mixture import Event, MixedExperiment, MixedState, mixed_implies, mixed_orthogonal, mixed_outcome_set
 from soe.statprop import is_distinguishable
 
-from oracles import brute_intersection_closure, brute_smallest_member
+from oracles import brute_intersection_closure, brute_ortho_closed_sets, brute_smallest_member
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @st.composite
-def entities(draw):
-    states = [f"p{i}" for i in range(draw(st.integers(1, 4)))]
-    experiments = [f"e{i}" for i in range(draw(st.integers(1, 4)))]
+def entities(draw, side=4):
+    states = [f"p{i}" for i in range(draw(st.integers(1, side)))]
+    experiments = [f"e{i}" for i in range(draw(st.integers(1, side)))]
     outcomes = [f"x{i}" for i in range(draw(st.integers(1, 5)))]
     cell = st.frozensets(st.sampled_from(outcomes), min_size=1)
     return Entity(states, experiments, {(e, p): draw(cell) for e in experiments for p in states})
@@ -137,6 +137,26 @@ def test_classify_witnesses_are_the_least_violating_pairs(entity):
     report = classify(entity)
     assert report.witnesses == {name: w for name, w in expected.items() if w is not None}
     assert all(report.flags()[name] == (w is None) for name, w in expected.items())
+
+
+@SETTINGS
+@given(entities(side=3), st.data())
+def test_ortho_spaces_match_the_relation_engine(entity, data):
+    e = data.draw(st.sampled_from(sorted(entity.experiments)))
+    p = data.draw(st.sampled_from(sorted(entity.states)))
+    for on, scope, kind in (
+        ("states", None, RelationKind.state_global()),
+        ("states", e, RelationKind.state_for(e)),
+        ("experiments", None, RelationKind.experiment_global()),
+        ("experiments", p, RelationKind.experiment_for(p)),
+        ("central", None, RelationKind.central()),
+        ("outcomes", None, RelationKind.outcome_global()),
+        ("outcomes", (e, p), RelationKind.outcome_for(e, p)),
+    ):
+        space = entity_ortho_space(entity, on, scope)
+        orth = lambda a, b: orthogonal(entity, kind, a, b)  # noqa: E731
+        assert all(space.orthogonal(a, b) == orth(a, b) for a in space.ground for b in space.ground), kind
+        assert ortho_closure_system(space).members == brute_ortho_closed_sets(space.ground, orth), kind
 
 
 NAMES = st.text(min_size=1, max_size=3)
