@@ -4,7 +4,9 @@ Eigen closure systems are the image families of the eigen maps (which states /
 experiments / couples are certain to produce an outcome inside a given set);
 ortho closure systems arise from orthogonality relations via double
 orthocomplement. A closure system is held as its generating closed sets; its
-closure operator intersects them, and its members are listed only on request.
+closure operator intersects them, and its members are listed only on request,
+by one sweep of the generators over bit masks. The eigen generators of a scope
+are read from one pass over its row of the table.
 """
 
 from __future__ import annotations
@@ -118,33 +120,16 @@ def closure_of(system: ClosureSystem, K) -> frozenset:
 
 def intersection_closure(ground, generators) -> frozenset:
     """All intersections of subfamilies of `generators` (the empty
-    intersection contributes the ground set), enumerated by Ganter's
-    NextClosure in lectic order over bit masks of the sorted ground: each
-    member costs at most |ground| closures of |generators| ANDs each.
+    intersection contributes the ground set), swept over bit masks of the
+    sorted ground: starting from the ground, each distinct generator g adds
+    A & g for every set A found so far, so the cost is |generators| x
+    |members| ANDs.
     """
     items = sorted(ground, key=str)
     bit = {x: 1 << i for i, x in enumerate(items)}
-    full = (1 << len(items)) - 1
-    masks = [sum(bit[x] for x in g) for g in generators]
-
-    def close(A):
-        out = full
-        for g in masks:
-            if A & g == A:
-                out &= g
-        return out
-
-    A = close(0)
-    found = [A]
-    while A != full:
-        for i in reversed(range(len(items))):
-            below = (1 << i) - 1
-            if not A >> i & 1:
-                B = close(A & below | 1 << i)
-                if B & below == A & below:
-                    A = B
-                    break
-        found.append(A)
+    found = {(1 << len(items)) - 1}
+    for g in {sum(map(bit.__getitem__, m)) for m in generators}:
+        found |= {A & g for A in found}
     return frozenset(frozenset(x for x in items if A & bit[x]) for A in found)
 
 
@@ -176,6 +161,18 @@ def eig_central(entity: Entity, A) -> frozenset:
     return frozenset(couple for couple, cell in entity.cells() if cell <= A)
 
 
+def _row_coatoms(row) -> dict:
+    """For one row {item: cell} of the table, the coatom of each outcome x of
+    the row: eig(O - {x}) = the items whose cell misses x, where O is the
+    union of the row's cells. One read of the row gives every coatom."""
+    holders = {}  # outcome -> the items whose cell holds it
+    for item, cell in row.items():
+        for x in cell:
+            holders.setdefault(x, []).append(item)
+    items = frozenset(row)
+    return {x: items.difference(held) for x, held in holders.items()}
+
+
 def eigen_closure_system(entity: Entity, on: str, scoped_to=None) -> ClosureSystem:
     """The eigen closure system of the requested scope.
 
@@ -185,23 +182,30 @@ def eigen_closure_system(entity: Entity, on: str, scoped_to=None) -> ClosureSyst
     on='experiments'  scoped_to=None  global system on experiments
     on='central'                      image family of the central eigen map
 
-    The generators are the co-atoms of the image families (drop one outcome
-    from the scope's full outcome set), whose intersections are exactly the
-    image family without enumerating every outcome subset.
+    The generators are the coatoms of the image families, eig(O - {x}) for
+    each outcome x of a scope's full outcome set O: their intersections are
+    exactly the image family, without enumerating every outcome subset. Each
+    scope's coatoms come from one read of its row of the table (`_row_coatoms`);
+    `eig_states`, `eig_experiments` and `eig_central` are the definitions
+    they agree with.
     """
+    table = entity._table
     if on == "central":
         if scoped_to is not None:
             raise ContractError("the central eigen system takes no scope")
-        generators = [eig_central(entity, entity.outcomes - {x}) for x in sorted(entity.outcomes)]
-        return ClosureSystem.generated(entity.couples(), generators)
+        return ClosureSystem.generated(entity.couples(), _row_coatoms(table).values())
     if on == "states":
-        ground, scopes, full, eig = entity.states, entity.experiments, entity.experiment_outcomes, eig_states
+        ground, scopes, require = entity.states, entity.experiments, entity.require_experiment
+        row = lambda e: {p: table[(e, p)] for p in ground}
     elif on == "experiments":
-        ground, scopes, full, eig = entity.experiments, entity.states, entity.state_outcomes, eig_experiments
+        ground, scopes, require = entity.experiments, entity.states, entity.require_state
+        row = lambda p: {e: table[(e, p)] for e in ground}
     else:
         raise ContractError(f"unknown eigen scope {on!r}")
+    if scoped_to is not None:
+        require(scoped_to)
     scopes = sorted(scopes) if scoped_to is None else [scoped_to]
-    return ClosureSystem.generated(ground, [eig(entity, s, full(s) - {x}) for s in scopes for x in sorted(full(s))])
+    return ClosureSystem.generated(ground, [g for s in scopes for g in _row_coatoms(row(s)).values()])
 
 
 # -- orthogonality spaces and ortho closures ----------------------------------
@@ -345,10 +349,20 @@ def outcome_closure_system(entity: Entity) -> ClosureSystem:
 # -- axiom validation ----------------------------------------------------------
 
 
+def _intersection_closed(ground, members) -> bool:
+    """Whether every pairwise intersection of `members` is a member, checked
+    over bit masks of the ground, one C-level pass per member."""
+    bit = {x: 1 << i for i, x in enumerate(ground)}
+    masks = [sum(map(bit.__getitem__, m)) for m in members]
+    closed = set(masks)
+    return all(closed.issuperset(map(a.__and__, masks[i + 1:])) for i, a in enumerate(masks))
+
+
 def validate_closure_axioms(family: SetFamily) -> Diagnostics:
     """Check that a listed family is a closure system: it holds the empty set
-    and the ground set, it is closed under intersection (the first missing
-    pairwise intersection is the witness), and the closure operator it
+    and the ground set, it is closed under intersection (checked over bit
+    masks; on failure the witness is the first missing pairwise intersection
+    in size-then-lexicographic order), and the closure operator it
     induces, K -> the intersection of the members containing K, fixes the
     empty set. That operator is extensive, idempotent and monotone for every
     family of subsets (Birkhoff, Lattice Theory, 1940, on Moore families), so
@@ -360,18 +374,16 @@ def validate_closure_axioms(family: SetFamily) -> Diagnostics:
 
     diag.record("system.contains_empty", frozenset() in members, "empty set missing")
     diag.record("system.contains_ground", ground in members, "ground set missing")
-    ordered = sorted(members, key=lambda m: (len(m), tuple(sorted(map(str, m)))))
-    for i, a in enumerate(ordered):
-        b = next((b for b in ordered[i + 1:] if a & b not in members), None)
-        if b is not None:
-            diag.record(
-                "system.intersection_closed",
-                False,
-                f"{sorted(map(str, a))} & {sorted(map(str, b))} = {sorted(map(str, a & b))} missing",
-            )
-            break
-    else:
+    if _intersection_closed(ground, members):
         diag.record("system.intersection_closed", True)
+    else:
+        ordered = sorted(members, key=lambda m: (len(m), tuple(sorted(map(str, m)))))
+        a, b = next((a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:] if a & b not in members)
+        diag.record(
+            "system.intersection_closed",
+            False,
+            f"{sorted(map(str, a))} & {sorted(map(str, b))} = {sorted(map(str, a & b))} missing",
+        )
     cl_empty = ground.intersection(*members)
     diag.record("operator.empty_fixed", not cl_empty, f"cl([]) = {sorted(map(str, cl_empty))}")
     return diag

@@ -196,6 +196,17 @@ def mixture_id(base) -> str:
     return "+".join(sorted(atoms))
 
 
+def _mixtures(items) -> list:
+    """(bit mask over the sorted items, mixture_id) of every nonempty subset
+    of `items`, in the order of `_nonempty_subsets`."""
+    items = sorted(items)
+    return [
+        (sum(1 << i for i in c), mixture_id(items[i] for i in c))
+        for r in range(1, len(items) + 1)
+        for c in combinations(range(len(items)), r)
+    ]
+
+
 def full_mixed_entity(entity: Entity, budget: int = FULL_MIXED_BUDGET) -> Entity:
     """The entity whose states/experiments are all nonempty subsets of the
     original ones, with outcome table given by mixed outcome sets.
@@ -204,19 +215,35 @@ def full_mixed_entity(entity: Entity, budget: int = FULL_MIXED_BUDGET) -> Entity
     this to an already-full entity collapses mixtures of mixtures onto the
     mixture over the union of their bases (same minted identifier, same row),
     so the construction is idempotent up to identifiers.
+
+    Each mixed cell is the union of two smaller ones, found by bit mask: a
+    mixture over several experiments splits off its lowest experiment, and
+    over one experiment a mixture over several states splits off its lowest
+    state.
     """
     _guard_budget(entity, budget)
-    state_ids = {sub: mixture_id(sub) for sub in _nonempty_subsets(entity.states)}
-    experiment_ids = {sub: mixture_id(sub) for sub in _nonempty_subsets(entity.experiments)}
+    experiments, states = sorted(entity.experiments), sorted(entity.states)
+    state_ids, experiment_ids = _mixtures(states), _mixtures(experiments)
+    position = {P: k for k, (P, _) in enumerate(state_ids)}
+    # the singletons come first, then each state mixture splits off its lowest state
+    splits = [(position[P & (P - 1)], position[P & -P]) for P, _ in state_ids[len(states):]]
+    rows = {}  # experiment mask -> its mixed cells, one per state mixture in state_ids order
     table = {}
-    for E, eid in experiment_ids.items():
-        for P, pid in state_ids.items():
-            cell = mixed_outcome_set(entity, E, P)
-            previous = table.get((eid, pid))
-            if previous is not None and previous != cell:
+    for E, eid in experiment_ids:
+        low = E & -E
+        if E != low:
+            row = list(map(frozenset.union, rows[E ^ low], rows[low]))
+        else:
+            e = experiments[low.bit_length() - 1]
+            row = [entity._table[(e, p)] for p in states]
+            for i, j in splits:
+                row.append(row[i] | row[j])
+        rows[E] = row
+        for (_, pid), cell in zip(state_ids, row):
+            previous = table.setdefault((eid, pid), cell)
+            if previous != cell:
                 raise EntityValidationError(
                     f"minted identifier collision with conflicting rows at ({eid}, {pid}); "
                     "rename base identifiers containing '+'"
                 )
-            table[(eid, pid)] = cell
-    return Entity(set(state_ids.values()), set(experiment_ids.values()), table)
+    return Entity({pid for _, pid in state_ids}, {eid for _, eid in experiment_ids}, table)

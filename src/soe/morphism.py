@@ -255,10 +255,12 @@ def preimage_continuity(small: Entity, big: Entity, w: SubEntityWitness) -> Diag
 
     for e in sorted(small.experiments):
         full = small.experiment_outcomes(e)
+        big_full = big.experiment_outcomes(w.n[e])
         for x in sorted(full):
             A = full - {x}
-            lhs = frozenset(p for p in big.states if w.m[p] in eig_states(small, e, A))
-            rhs = eig_states(big, w.n[e], frozenset(w.l[y] for y in A) & big.experiment_outcomes(w.n[e]))
+            small_eig = eig_states(small, e, A)
+            lhs = frozenset(p for p in big.states if w.m[p] in small_eig)
+            rhs = eig_states(big, w.n[e], frozenset(w.l[y] for y in A) & big_full)
             diag.record(
                 "continuity.generator_identity",
                 lhs == rhs,

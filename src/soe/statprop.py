@@ -8,7 +8,7 @@ testable property is kept as a label so reports can cite a test.
 
 from __future__ import annotations
 
-from .closure import ClosureSystem, eig_states, intersection_closure
+from .closure import ClosureSystem, _row_coatoms, intersection_closure
 from .diagnostics import Diagnostics
 from .entity import Entity, RelationKind, first_equivalent_pair, first_pair
 from .errors import ContractError, UnknownIdentifierError
@@ -160,16 +160,17 @@ def testable_sps(entity: Entity, e) -> StatePropertySystem:
 
     Properties are the Cartan images (equal to the e-eigen closed state sets);
     each property is labeled with its largest defining outcome set, the union
-    of the cells of its states.
+    of the cells of its states. The coatoms that generate the properties and
+    the labels are both read from the row of e.
     """
     entity.require_experiment(e)
-    full = entity.experiment_outcomes(e)
-    coatoms = {x: eig_states(entity, e, full - {x}) for x in full}
+    row = {p: entity._table[(e, p)] for p in entity.states}
+    coatoms = _row_coatoms(row)
     members = intersection_closure(entity.states, coatoms.values())
-    labels = {F: frozenset().union(*(entity.outcome_set(e, p) for p in F)) for F in members}
+    labels = {F: frozenset().union(*map(row.__getitem__, F)) for F in members}
     actual = {p: frozenset(F for F in members if p in F) for p in entity.states}
     return StatePropertySystem(
-        entity.states, members, actual, labels=labels, _coatoms=coatoms, _full_outcomes=full
+        entity.states, members, actual, labels=labels, _coatoms=coatoms, _full_outcomes=frozenset(coatoms)
     )
 
 

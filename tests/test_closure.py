@@ -24,7 +24,7 @@ from soe.closure import (
     validate_closure_axioms,
 )
 from soe.entity import Entity
-from soe.errors import CapacityError, ContractError
+from soe.errors import CapacityError, ContractError, UnknownIdentifierError
 
 from conftest import random_distinguishable_entity, random_entity
 from oracles import (
@@ -201,6 +201,11 @@ class TestEigenClosureSystems:
             assert eigen_closure_system(entity, "central").members == brute_eig_central_family(
                 entity
             )
+
+    @pytest.mark.parametrize("on", ["states", "experiments"])
+    def test_unknown_scope_is_an_unknown_identifier(self, worked, on):
+        with pytest.raises(UnknownIdentifierError):
+            eigen_closure_system(worked, on, "nope")
 
     def test_global_is_generated_intersection_closure(self):
         rng = random.Random(24)
@@ -465,6 +470,14 @@ class TestValidateAxioms:
         diag = validate_closure_axioms(bad)
         assert not diag.checks["system.intersection_closed"]
         assert any("['b']" in f for f in diag.failures)
+
+    def test_the_first_of_several_missing_pairs_is_named(self):
+        # five pairs meet outside the family; the witness is the first pair in
+        # size-then-lexicographic order
+        family = SetFamily("abcd", [set(), {"a", "b"}, {"b", "c"}, {"c", "d"}, {"a", "c"}, set("abcd")])
+        diag = validate_closure_axioms(family)
+        assert diag.failures == ["system.intersection_closed: ['a', 'b'] & ['a', 'c'] = ['a'] missing"]
+        assert diag.checks["system.contains_empty"] and diag.checks["operator.empty_fixed"]
 
     @pytest.mark.parametrize(
         "members, failure",

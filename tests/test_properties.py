@@ -2,9 +2,11 @@
 
 The mixed relations are checked against their definitions written out from
 `mixed_outcome_set`, every witness of `classify` and of `satisfies_T0` against
-the least violating pair found by enumerating all pairs, the closure engine
-and the ortho spaces against the brute-force oracles and the relation engine,
-and the text format against its emitter and against arbitrary text.
+the least violating pair found by enumerating all pairs, the closure engine,
+the eigen systems and the ortho spaces against the brute-force oracles and
+the relation engine, the full mixed entity against its cell-by-cell
+definition, and the text format against its emitter and against arbitrary
+text.
 """
 
 from itertools import product
@@ -23,14 +25,41 @@ from soe.classify import (
     is_state_determined,
     satisfies_T0,
 )
-from soe.closure import ClosureSystem, entity_ortho_space, ortho_closure_system, state_trace
+from soe.closure import (
+    ClosureSystem,
+    eig_central,
+    eig_experiments,
+    eig_states,
+    eigen_closure_system,
+    entity_ortho_space,
+    intersection_closure,
+    ortho_closure_system,
+    state_trace,
+)
 from soe.entity import Entity, RelationKind, check_identifier, orthogonal
 from soe.errors import ContractError, EntityValidationError, ParseError
 from soe.formats import emit_entity, parse_entity, parse_witness
-from soe.mixture import Event, MixedExperiment, MixedState, mixed_implies, mixed_orthogonal, mixed_outcome_set
+from soe.mixture import (
+    Event,
+    MixedExperiment,
+    MixedState,
+    full_mixed_entity,
+    mixed_implies,
+    mixed_orthogonal,
+    mixed_outcome_set,
+    mixture_id,
+)
 from soe.statprop import is_distinguishable
 
-from oracles import brute_intersection_closure, brute_ortho_closed_sets, brute_smallest_member
+from oracles import (
+    brute_eig_central_family,
+    brute_eig_experiment_family,
+    brute_eig_state_family,
+    brute_intersection_closure,
+    brute_ortho_closed_sets,
+    brute_smallest_member,
+    powerset,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -159,6 +188,33 @@ def test_ortho_spaces_match_the_relation_engine(entity, data):
         assert ortho_closure_system(space).members == brute_ortho_closed_sets(space.ground, orth), kind
 
 
+@SETTINGS
+@given(entities(side=3))
+def test_eigen_generators_are_the_coatoms_and_members_the_brute_families(entity):
+    def coatoms(eig, scope, full):
+        return {eig(entity, scope, full - {x}) for x in full}
+
+    states, experiments = sorted(entity.states), sorted(entity.experiments)
+    state_coatoms = {e: coatoms(eig_states, e, entity.experiment_outcomes(e)) for e in experiments}
+    experiment_coatoms = {p: coatoms(eig_experiments, p, entity.state_outcomes(p)) for p in states}
+    state_families = {e: brute_eig_state_family(entity, e) for e in experiments}
+    experiment_families = {p: brute_eig_experiment_family(entity, p) for p in states}
+    cases = [
+        ("central", None, coatoms(lambda entity, _, A: eig_central(entity, A), None, entity.outcomes),
+         brute_eig_central_family(entity)),
+        ("states", None, set().union(*state_coatoms.values()),
+         brute_intersection_closure(entity.states, list(state_families.values()))),
+        ("experiments", None, set().union(*experiment_coatoms.values()),
+         brute_intersection_closure(entity.experiments, list(experiment_families.values()))),
+    ]
+    cases += [("states", e, state_coatoms[e], state_families[e]) for e in experiments]
+    cases += [("experiments", p, experiment_coatoms[p], experiment_families[p]) for p in states]
+    for on, scope, generators, members in cases:
+        system = eigen_closure_system(entity, on, scope)
+        assert system.generators == generators, (on, scope)
+        assert system.members == members, (on, scope)
+
+
 NAMES = st.text(min_size=1, max_size=3)
 
 
@@ -201,6 +257,17 @@ def test_generated_systems_match_the_oracles(drawn, data):
 
 @SETTINGS
 @given(systems(), st.data())
+def test_intersection_closure_matches_the_oracle(drawn, data):
+    """Also on lists with repeated generators, empty generators or none."""
+    ground, generators = drawn
+    repeats = data.draw(st.lists(st.sampled_from(generators), max_size=3)) if generators else []
+    empties = data.draw(st.lists(st.just(frozenset()), max_size=1))
+    generators = data.draw(st.permutations(generators + repeats + empties))
+    assert intersection_closure(ground, generators) == brute_intersection_closure(ground, [generators])
+
+
+@SETTINGS
+@given(systems(), st.data())
 def test_equality_is_equality_of_members(drawn, data):
     ground = drawn[0]
     first, _ = _generated(*drawn)
@@ -234,6 +301,47 @@ def test_state_trace_is_the_trace_of_every_member(drawn):
     states = {p for _, p in system.ground}
     trace = lambda Y: frozenset(p for p in states if all((e, p) in Y for e in experiments))  # noqa: E731
     assert state_trace(system).members == {trace(m) for m in system.members}
+
+
+@st.composite
+def plus_entities(draw):
+    """Entities whose identifiers contain '+', so minted mixture identifiers
+    collide, with rows that agree or conflict."""
+    states = draw(st.lists(st.sampled_from(["a", "b", "c", "a+b", "b+c"]), min_size=1, max_size=4, unique=True))
+    experiments = draw(st.lists(st.sampled_from(["e", "f", "e+f"]), min_size=1, max_size=3, unique=True))
+    outcomes = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    cell = st.frozensets(st.sampled_from(outcomes), min_size=1)
+    return Entity(states, experiments, {(e, p): draw(cell) for e in experiments for p in states})
+
+
+def _reference_full_mixed_entity(entity):
+    """The full mixed entity cell by cell from `mixed_outcome_set`, over the
+    nonempty subsets in size-then-lexicographic order."""
+    experiment_subsets = [E for E in powerset(entity.experiments) if E]
+    state_subsets = [P for P in powerset(entity.states) if P]
+    table = {}
+    for E in experiment_subsets:
+        for P in state_subsets:
+            eid, pid = mixture_id(E), mixture_id(P)
+            cell = mixed_outcome_set(entity, E, P)
+            if table.setdefault((eid, pid), cell) != cell:
+                raise EntityValidationError(
+                    f"minted identifier collision with conflicting rows at ({eid}, {pid}); "
+                    "rename base identifiers containing '+'"
+                )
+    return Entity({mixture_id(P) for P in state_subsets}, {mixture_id(E) for E in experiment_subsets}, table)
+
+
+@SETTINGS
+@given(st.one_of(entities(side=3), plus_entities()))
+def test_full_mixed_entity_matches_the_definition(entity):
+    def outcome(build):
+        try:
+            return build(entity)
+        except EntityValidationError as err:
+            return str(err)
+
+    assert outcome(full_mixed_entity) == outcome(_reference_full_mixed_entity)
 
 
 def _is_identifier(token) -> bool:

@@ -71,6 +71,10 @@ class TestTestableSps:
                 for q in sorted(worked.states):
                     assert sps.state_leq(p, q) == implies(worked, kind, p, q)
 
+    def test_unknown_experiment_is_an_unknown_identifier(self, worked):
+        with pytest.raises(UnknownIdentifierError):
+            testable_sps(worked, "nope")
+
     def test_validates(self, worked):
         for e in sorted(worked.experiments):
             diag = validate_sps(testable_sps(worked, e))
