@@ -6,7 +6,8 @@ are deterministic (byte-identical across runs for identical inputs and seeds);
 datum per line, documented in the README. Exit codes: 0 success, 1 a
 verification failed, 2 usage or input errors, 3 the kernel contradicted one
 of its own theorem cross-checks (a kernel bug). The environment variable
-SOE_SEED (default 42) seeds every sampled verification.
+SOE_SEED (default 42) seeds every sampled verification; a value that is not
+an integer is a usage error unless --seed overrides it.
 """
 
 from __future__ import annotations
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("SOE_SEED", DEFAULT_SEED)),
+        default=None,
         help="seed for sampled verifications (overrides SOE_SEED)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -446,6 +447,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is None:
+        raw = os.environ.get("SOE_SEED", str(DEFAULT_SEED))
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            sys.stderr.write(f"error: SOE_SEED must be an integer, got {raw!r}\n")
+            return 2
     try:
         return args.func(args)
     except ConsistencyError as err:

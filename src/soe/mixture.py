@@ -207,6 +207,19 @@ def _mixtures(items) -> list:
     ]
 
 
+def _subset_unions(singles, masks, union=frozenset.union) -> list:
+    """The value of every mixture in `masks` order (the bit masks of
+    `_mixtures`, singletons first), given the values of the single items in
+    sorted order: each larger mixture joins the value of the mixture without
+    its lowest item with the value of that item, so a mixture costs one
+    `union` whatever its size."""
+    position = {P: k for k, P in enumerate(masks)}
+    values = list(singles)
+    for P in masks[len(values):]:
+        values.append(union(values[position[P & (P - 1)]], values[position[P & -P]]))
+    return values
+
+
 def full_mixed_entity(entity: Entity, budget: int = FULL_MIXED_BUDGET) -> Entity:
     """The entity whose states/experiments are all nonempty subsets of the
     original ones, with outcome table given by mixed outcome sets.
@@ -216,7 +229,7 @@ def full_mixed_entity(entity: Entity, budget: int = FULL_MIXED_BUDGET) -> Entity
     mixture over the union of their bases (same minted identifier, same row),
     so the construction is idempotent up to identifiers.
 
-    Each mixed cell is the union of two smaller ones, found by bit mask: a
+    Each mixed cell is the union of two smaller ones (`_subset_unions`): a
     mixture over several experiments splits off its lowest experiment, and
     over one experiment a mixture over several states splits off its lowest
     state.
@@ -224,21 +237,13 @@ def full_mixed_entity(entity: Entity, budget: int = FULL_MIXED_BUDGET) -> Entity
     _guard_budget(entity, budget)
     experiments, states = sorted(entity.experiments), sorted(entity.states)
     state_ids, experiment_ids = _mixtures(states), _mixtures(experiments)
-    position = {P: k for k, (P, _) in enumerate(state_ids)}
-    # the singletons come first, then each state mixture splits off its lowest state
-    splits = [(position[P & (P - 1)], position[P & -P]) for P, _ in state_ids[len(states):]]
-    rows = {}  # experiment mask -> its mixed cells, one per state mixture in state_ids order
+    state_masks = [P for P, _ in state_ids]
+    plain_rows = [_subset_unions([entity._table[(e, p)] for p in states], state_masks) for e in experiments]
+    rows = _subset_unions(
+        plain_rows, [E for E, _ in experiment_ids], lambda u, v: list(map(frozenset.union, u, v))
+    )
     table = {}
-    for E, eid in experiment_ids:
-        low = E & -E
-        if E != low:
-            row = list(map(frozenset.union, rows[E ^ low], rows[low]))
-        else:
-            e = experiments[low.bit_length() - 1]
-            row = [entity._table[(e, p)] for p in states]
-            for i, j in splits:
-                row.append(row[i] | row[j])
-        rows[E] = row
+    for (_, eid), row in zip(experiment_ids, rows):
         for (_, pid), cell in zip(state_ids, row):
             previous = table.setdefault((eid, pid), cell)
             if previous != cell:

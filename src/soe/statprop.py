@@ -12,7 +12,16 @@ from .closure import ClosureSystem, _row_coatoms, intersection_closure
 from .diagnostics import Diagnostics
 from .entity import Entity, RelationKind, first_equivalent_pair, first_pair
 from .errors import ContractError, UnknownIdentifierError
-from .mixture import MixedState, full_mixed_entity, mixed_views, mixture_id
+from .mixture import (
+    FULL_MIXED_BUDGET,
+    MixedState,
+    _guard_budget,
+    _mixtures,
+    _subset_unions,
+    full_mixed_entity,
+    mixed_views,
+    mixture_id,
+)
 
 
 def _prop_key(a):
@@ -164,13 +173,18 @@ def testable_sps(entity: Entity, e) -> StatePropertySystem:
     the labels are both read from the row of e.
     """
     entity.require_experiment(e)
-    row = {p: entity._table[(e, p)] for p in entity.states}
+    return _testable_system({p: entity._table[(e, p)] for p in entity.states})
+
+
+def _testable_system(row) -> StatePropertySystem:
+    """The testable system of one experiment's row {state: cell}."""
+    states = frozenset(row)
     coatoms = _row_coatoms(row)
-    members = intersection_closure(entity.states, coatoms.values())
+    members = intersection_closure(states, coatoms.values())
     labels = {F: frozenset().union(*map(row.__getitem__, F)) for F in members}
-    actual = {p: frozenset(F for F in members if p in F) for p in entity.states}
+    actual = {p: frozenset(F for F in members if p in F) for p in states}
     return StatePropertySystem(
-        entity.states, members, actual, labels=labels, _coatoms=coatoms, _full_outcomes=frozenset(coatoms)
+        states, members, actual, labels=labels, _coatoms=coatoms, _full_outcomes=frozenset(coatoms)
     )
 
 
@@ -206,6 +220,15 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
     """The testable system of the total mixed experiment over the full mixed
     entity; its lattice carries every testable property of the entity.
 
+    Only that experiment's row is built, the 2^|states| - 1 cells of the state
+    mixtures: the cell of a mixture P is the union of O(p) over p in P, one
+    union per mixture (`_subset_unions`). The result equals
+    `testable_sps(full_mixed_entity(entity), mixture_id(entity.experiments))`.
+    The `2^|states| * 2^|experiments|` budget of `full_mixed_entity` is still
+    enforced, only so that the refusals stay those of that definition. When an
+    identifier contains '+', minted identifiers can collide, and the full
+    mixed entity is built so that its collision check decides.
+
     Refused for non-distinguishable entities: mixing experiments that share
     outcomes produces union tests that no longer test the conjunction of the
     mixed parts, so completeness fails.
@@ -216,8 +239,13 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
             "does not test the conjunction of its parts, so the total mixed "
             "experiment does not collect all testable properties"
         )
-    full = full_mixed_entity(entity)
-    return testable_sps(full, mixture_id(entity.experiments))
+    if any("+" in identifier for identifier in entity.states | entity.experiments):
+        return testable_sps(full_mixed_entity(entity), mixture_id(entity.experiments))
+    _guard_budget(entity, FULL_MIXED_BUDGET)
+    states = sorted(entity.states)
+    state_ids = _mixtures(states)
+    cells = _subset_unions(map(entity.state_outcomes, states), [P for P, _ in state_ids])
+    return _testable_system({pid: cell for (_, pid), cell in zip(state_ids, cells)})
 
 
 def validate_sps(sps: StatePropertySystem) -> Diagnostics:

@@ -402,6 +402,18 @@ class TestErrorPaths:
         assert code == 0
         assert "(seed 11)" in out  # the explicit flag wins
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_seed_env_var_not_an_integer_exits_2(self, worked_file, capsys, monkeypatch, command):
+        monkeypatch.setenv("SOE_SEED", "abc")
+        code = main([command, worked_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: SOE_SEED must be an integer, got 'abc'\n"
+        code = main(["--seed", "5", "verify", worked_file])
+        assert code == 0
+        assert "(seed 5)" in capsys.readouterr().out  # the flag wins over a bad variable
+
     def test_subprocess_entry_point(self, worked_file):
         result = subprocess.run(
             [sys.executable, "-m", "soe.cli", "classify", worked_file],

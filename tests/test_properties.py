@@ -37,7 +37,7 @@ from soe.closure import (
     state_trace,
 )
 from soe.entity import Entity, RelationKind, check_identifier, orthogonal
-from soe.errors import ContractError, EntityValidationError, ParseError
+from soe.errors import ContractError, EntityValidationError, ParseError, SoeError
 from soe.formats import emit_entity, parse_entity, parse_witness
 from soe.mixture import (
     Event,
@@ -49,7 +49,7 @@ from soe.mixture import (
     mixed_outcome_set,
     mixture_id,
 )
-from soe.statprop import is_distinguishable
+from soe.statprop import global_testable_sps, is_distinguishable, testable_sps
 
 from oracles import (
     brute_eig_central_family,
@@ -342,6 +342,49 @@ def test_full_mixed_entity_matches_the_definition(entity):
             return str(err)
 
     assert outcome(full_mixed_entity) == outcome(_reference_full_mixed_entity)
+
+
+@st.composite
+def distinguishable_entities(draw):
+    """Entities whose experiments own disjoint outcome alphabets, over plain
+    identifiers or over identifiers containing '+'. In the second case minted
+    mixture identifiers collide; when `agree` is drawn, a '+' state's cells
+    are the unions of its atoms' cells, so colliding state mixtures agree."""
+    plus = draw(st.booleans())
+    state_pool = ["a", "b", "c", "a+b", "b+c"] if plus else ["a", "b", "c", "d"]
+    experiment_pool = ["e", "f", "e+f", "g"] if plus else ["e", "f", "g"]
+    states = draw(st.lists(st.sampled_from(state_pool), min_size=1, max_size=4, unique=True))
+    experiments = draw(st.lists(st.sampled_from(experiment_pool), min_size=1, max_size=3, unique=True))
+    agree = draw(st.booleans())
+    table = {}
+    for e in experiments:
+        alphabet = [f"{e}.x{i}" for i in range(draw(st.integers(1, 3)))]
+        cell = st.frozensets(st.sampled_from(alphabet), min_size=1)
+        for p in sorted(states, key=len):
+            atoms = p.split("+")
+            if agree and len(atoms) > 1 and set(atoms) <= set(states):
+                table[(e, p)] = frozenset().union(*(table[(e, a)] for a in atoms))
+            else:
+                table[(e, p)] = draw(cell)
+    return Entity(states, experiments, table)
+
+
+@SETTINGS
+@given(distinguishable_entities())
+def test_global_testable_sps_matches_the_definition(entity):
+    """The total mixed experiment's row alone gives the testable system of
+    that experiment over the full mixed entity, refusals included."""
+    assert is_distinguishable(entity)
+
+    def outcome(build):
+        try:
+            sps = build(entity)
+        except SoeError as err:
+            return type(err), str(err)
+        return sps.states, sps.properties, sps.actual, sps.labels, sps._coatoms, sps._full_outcomes
+
+    definition = lambda e: testable_sps(full_mixed_entity(e), mixture_id(e.experiments))  # noqa: E731
+    assert outcome(global_testable_sps) == outcome(definition)
 
 
 def _is_identifier(token) -> bool:

@@ -4,7 +4,7 @@ import pytest
 
 from soe.closure import ClosureSystem, eig_states, eigen_closure_system, intersection_closure
 from soe.entity import Entity, RelationKind, implies
-from soe.errors import ContractError, UnknownIdentifierError
+from soe.errors import CapacityError, ContractError, EntityValidationError, UnknownIdentifierError
 from soe.mixture import full_mixed_entity, mixture_id
 from soe.statprop import (
     StatePropertySystem,
@@ -221,6 +221,40 @@ class TestGlobalTestable:
             sps = global_testable_sps(entity)
             full = full_mixed_entity(entity)
             assert cartan(sps, sps.top) == full.states
+
+    def test_builds_only_the_total_row(self, monkeypatch):
+        rng = random.Random(47)
+        entities = [random_distinguishable_entity(rng, 4, 3, 3) for _ in range(5)]
+        expected = [testable_sps(full_mixed_entity(e), mixture_id(e.experiments)) for e in entities]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("built the full mixed entity")
+
+        monkeypatch.setattr("soe.statprop.full_mixed_entity", refused)
+        for entity, want in zip(entities, expected):
+            sps = global_testable_sps(entity)
+            assert sps == want
+            assert (sps.labels, sps._coatoms, sps._full_outcomes) == (want.labels, want._coatoms, want._full_outcomes)
+
+    def test_minted_collision_is_refused(self):
+        table = {(e, p): {f"{e}.{p}"} for e in ("a", "b", "a+b") for p in ("p", "q")}
+        entity = Entity({"p", "q"}, {"a", "b", "a+b"}, table)
+        with pytest.raises(EntityValidationError) as err:
+            global_testable_sps(entity)
+        assert str(err.value) == (
+            "minted identifier collision with conflicting rows at (a+b, p); "
+            "rename base identifiers containing '+'"
+        )
+
+    def test_budget_refusal_is_the_full_mixed_entity_one(self):
+        states = [f"p{i}" for i in range(9)]
+        table = {(f"e{k}", p): {f"e{k}.x"} for k in range(8) for p in states}
+        entity = Entity(states, {f"e{k}" for k in range(8)}, table)
+        with pytest.raises(CapacityError) as expected:
+            full_mixed_entity(entity)
+        with pytest.raises(CapacityError) as err:
+            global_testable_sps(entity)
+        assert str(err.value) == str(expected.value) == "mixture space 2^9 * 2^8 exceeds budget 65536"
 
     def test_mixed_experiment_eigen_identity(self):
         # eigen sets of a mixed experiment are the intersections of the parts'
