@@ -119,13 +119,15 @@ def _cross_check(name: str, condition: bool) -> None:
         raise ConsistencyError(f"classification cross-check failed: {name} (kernel bug)")
 
 
-def classify(entity: Entity) -> ClassificationReport:
+def classify(entity: Entity, *, _eigen=None) -> ClassificationReport:
     """Full classification report.
 
     Internally re-derives every flag through the corresponding separation
     axiom of the eigen closure systems and asserts the equivalences, the
     atomic-implies-determined implications, and the deterministic-entity
-    consequences; any mismatch raises ConsistencyError.
+    consequences; any mismatch raises ConsistencyError. A caller that has
+    built the central, state and experiment eigen closure systems of the
+    entity already passes them, in that order, as `_eigen`.
     """
     found = {name: search(entity) for name, search in _SEARCHES}
     report = ClassificationReport(
@@ -134,13 +136,11 @@ def classify(entity: Entity) -> ClassificationReport:
     )
     flag = report.flags()
 
-    central = eigen_closure_system(entity, "central")
+    if _eigen is None:
+        _eigen = tuple(eigen_closure_system(entity, on) for on in ("central", "states", "experiments"))
+    central, states, experiments = _eigen
     # (determination, atomicity and system name, eigen closure system)
-    scopes = (
-        ("outcome", "central", central),
-        ("state", "state", eigen_closure_system(entity, "states")),
-        ("experiment", "experiment", eigen_closure_system(entity, "experiments")),
-    )
+    scopes = (("outcome", "central", central), ("state", "state", states), ("experiment", "experiment", experiments))
     for det, on, system in scopes:
         determined = flag[f"{det}_determined"]
         _cross_check(f"{det} determination is T0 of the {on} system", determined == satisfies_T0(system)[0])

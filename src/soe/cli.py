@@ -13,6 +13,7 @@ an integer is a usage error unless --seed overrides it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -41,7 +42,7 @@ from .quantum import (
     qmachine_to_hilbert,
     sphere_experiment_family,
 )
-from .statprop import sps_to_closure, testable_sps
+from .statprop import is_cartan_family, testable_sps
 
 DEFAULT_SEED = 42
 
@@ -262,8 +263,8 @@ def _relation_axiom_checks(entity: Entity, diag: Diagnostics, rng: random.Random
     central = RelationKind.central()
     cells = {c: entity.outcome_set(*c) for c in couples}
     for a in couples:
-        diag.record("relations.reflexive", implies(entity, central, a, a), _fmt_item(a))
-        diag.record("relations.antireflexive", not orthogonal(entity, central, a, a), _fmt_item(a))
+        diag.record("relations.reflexive", implies(entity, central, a, a), lambda: _fmt_item(a))
+        diag.record("relations.antireflexive", not orthogonal(entity, central, a, a), lambda: _fmt_item(a))
     pool = couples if len(couples) <= 12 else rng.sample(couples, 12)
     view, _ = relation_views(entity, central)
     below = {(a, b): view_implies(view(a), view(b)) for a in pool for b in pool}  # the kernel's implication
@@ -273,30 +274,31 @@ def _relation_axiom_checks(entity: Entity, diag: Diagnostics, rng: random.Random
                 diag.record(
                     "relations.symmetric",
                     orthogonal(entity, central, b, a),
-                    f"{_fmt_item(a)} | {_fmt_item(b)}",
+                    lambda: f"{_fmt_item(a)} | {_fmt_item(b)}",
                 )
             if below[a, b]:
                 diag.record(
                     "relations.implies_never_orthogonal",
                     not orthogonal(entity, central, a, b),
-                    f"{_fmt_item(a)} < {_fmt_item(b)}",
+                    lambda: f"{_fmt_item(a)} < {_fmt_item(b)}",
                 )
             for c in pool:
                 if below[a, b] and below[b, c]:
                     diag.record(
                         "relations.transitive",
                         below[a, c],
-                        f"{_fmt_item(a)} < {_fmt_item(b)} < {_fmt_item(c)}",
+                        lambda: f"{_fmt_item(a)} < {_fmt_item(b)} < {_fmt_item(c)}",
                     )
     for (e, p), cell in entity.cells():
         diag.record(
             "relations.eigen_iff_singleton",
             (eigen_outcome(entity, e, p) is not None) == (len(cell) == 1),
-            f"({e}, {p})",
+            lambda: f"({e}, {p})",
         )
 
 
-def _closure_checks(entity: Entity, diag: Diagnostics, rng: random.Random) -> None:
+def _closure_checks(entity: Entity, diag: Diagnostics, rng: random.Random) -> dict:
+    """Check every closure system verify builds; returns them by name."""
     central_eig = eigen_closure_system(entity, "central")
     central_orth = ortho_closure_system(entity_ortho_space(entity, "central"))
     diag.record(
@@ -324,18 +326,18 @@ def _closure_checks(entity: Entity, diag: Diagnostics, rng: random.Random) -> No
         for _ in range(5):
             K = frozenset(rng.sample(sorted(system.ground, key=str), rng.randint(0, len(system.ground))))
             closed = system.closure_of(K)
-            diag.record(axioms, K <= closed, f"extensive: K = {_fmt_member(K)}")
+            diag.record(axioms, K <= closed, lambda: f"extensive: K = {_fmt_member(K)}")
             if K:
                 least = min(K, key=str)
                 diag.record(
                     axioms,
                     system.closure_of(K - {least}) <= closed,
-                    f"monotone: K = {_fmt_member(K)} less {_fmt_item(least)}",
+                    lambda: f"monotone: K = {_fmt_member(K)} less {_fmt_item(least)}",
                 )
             diag.record(
                 f"closures.idempotent.{name}",
                 system.closure_of(closed) == closed,
-                _fmt_member(K),
+                lambda: _fmt_member(K),
             )
     outcomes = sorted(entity.outcomes)
     for _ in range(10):
@@ -345,21 +347,21 @@ def _closure_checks(entity: Entity, diag: Diagnostics, rng: random.Random) -> No
             "closures.outcome_interior_invisible_to_eig",
             frozenset(c for c, cell in entity.cells() if cell <= A)
             == frozenset(c for c, cell in entity.cells() if cell <= interior),
-            _fmt_member(A),
+            lambda: _fmt_member(A),
         )
         clA = outcome_closure(entity, A)
-        diag.record("closures.outcome_extensive", A <= clA, _fmt_member(A))
+        diag.record("closures.outcome_extensive", A <= clA, lambda: _fmt_member(A))
         diag.record(
-            "closures.outcome_idempotent", outcome_closure(entity, clA) == clA, _fmt_member(A)
+            "closures.outcome_idempotent", outcome_closure(entity, clA) == clA, lambda: _fmt_member(A)
         )
+    return systems
 
 
-def _statprop_checks(entity: Entity, diag: Diagnostics) -> None:
+def _statprop_checks(entity: Entity, diag: Diagnostics, systems: dict) -> None:
     for e in sorted(entity.experiments):
-        sps = testable_sps(entity, e)
         diag.record(
             "properties.cartan_image_is_eigen_family",
-            sps_to_closure(sps) == eigen_closure_system(entity, "states", e),
+            is_cartan_family(testable_sps(entity, e), systems[f"state_eigen<{e}>"]),
             f"experiment {e}",
         )
 
@@ -369,9 +371,10 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     diag = Diagnostics(cap=25)
     _relation_axiom_checks(doc.entity, diag, rng)
-    _closure_checks(doc.entity, diag, rng)
-    _statprop_checks(doc.entity, diag)
-    classify(doc.entity)  # raises ConsistencyError on any cross-check failure
+    systems = _closure_checks(doc.entity, diag, rng)
+    _statprop_checks(doc.entity, diag, systems)
+    # raises ConsistencyError on any cross-check failure
+    classify(doc.entity, _eigen=(systems["central_eigen"], systems["state_eigen"], systems["experiment_eigen"]))
     diag.record("classification.cross_checks", True)
     for name in sorted(doc.measures):
         measure_diag = validate_measure(doc.entity, doc.measures[name])
@@ -389,7 +392,10 @@ def cmd_verify(args) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing never changes it, and
+    every call parses into a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="soe",
         description="Kernel for finite experiment-state-outcome entities: relations, closures, classification, sub-entity verification, and the sphere-elastic machine.",
@@ -445,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.seed is None:
         raw = os.environ.get("SOE_SEED", str(DEFAULT_SEED))
         try:

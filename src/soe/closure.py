@@ -84,6 +84,8 @@ class ClosureSystem:
     def __eq__(self, other):
         if not isinstance(other, ClosureSystem):
             return NotImplemented
+        if self.generators == other.generators:
+            return self.ground == other.ground
         return (
             self.ground == other.ground
             and all(map(other.is_closed, self.generators))

@@ -32,11 +32,15 @@ class Diagnostics:
     def passed(self) -> bool:
         return all(self.checks.values())
 
-    def record(self, name: str, ok: bool, witness: str = "") -> bool:
+    def record(self, name: str, ok: bool, witness="") -> bool:
+        """Record one check instance. `witness` is the failure's text, or a
+        function returning it, called only for a failure that is listed."""
         # a check already marked failed stays failed
         self.checks[name] = self.checks.get(name, True) and ok
         if not ok:
             if len(self.failures) < self.cap:
+                if callable(witness):
+                    witness = witness()
                 self.failures.append(f"{name}: {witness}" if witness else name)
             else:
                 self._overflow += 1

@@ -158,7 +158,9 @@ def is_supremum(entity: Entity, candidate, family, budget: int = FULL_MIXED_BUDG
 
     Suprema need not be unique, so the kernel only verifies the defining
     biconditional (every mixture b: all members < b  iff  candidate < b)
-    against the complete mixture space of the entity.
+    against the complete mixture space of the entity. That space is the work,
+    so the budget caps it: 2^|outcomes| events, or 2^|states| * 2^|experiments|
+    for the other kinds.
     """
     if isinstance(candidate, Event):
         if 2 ** len(entity.outcomes) > budget:
@@ -232,7 +234,9 @@ def full_mixed_entity(entity: Entity, budget: int = FULL_MIXED_BUDGET) -> Entity
     Each mixed cell is the union of two smaller ones (`_subset_unions`): a
     mixture over several experiments splits off its lowest experiment, and
     over one experiment a mixture over several states splits off its lowest
-    state.
+    state. The budget caps 2^|states| * 2^|experiments|, just above the
+    (2^|states| - 1) * (2^|experiments| - 1) cells built, so it matches the
+    work.
     """
     _guard_budget(entity, budget)
     experiments, states = sorted(entity.experiments), sorted(entity.states)

@@ -130,20 +130,30 @@ def _assert_transports(small: Entity, big: Entity, w: SubEntityWitness) -> None:
                 raise ConsistencyError(f"experiment orthogonality not transported at ({e}, {f})")
     kind = RelationKind.central()
     (small_view, small_orth), (big_view, big_orth) = relation_views(small, kind), relation_views(big, kind)
+
+    def mismatch(a, b):
+        """The couple relation that a and b, two (small view, big view)
+        pairs, do not transport, or None."""
+        (u, u_big), (v, v_big) = a, b
+        if view_implies(u, v) != view_implies(u_big, v_big):
+            return "implication"
+        if small_orth(u, v) != big_orth(u_big, v_big):
+            return "orthogonality"
+        return None
+
+    views = {(e, p): (small_view((e, w.m[p])), big_view((w.n[e], p))) for p in big.states for e in small.experiments}
+    # both relations read only the two views, so testing each distinct pair of
+    # views decides every couple pair; the ordered scan only names the first
+    distinct = set(views.values())
+    if not any(mismatch(a, b) for a in distinct for b in distinct):
+        return
     for p in sorted(big.states):
         for q in sorted(big.states):
             for e in sorted(small.experiments):
                 for f in sorted(small.experiments):
-                    u, v = small_view((e, w.m[p])), small_view((f, w.m[q]))
-                    u_big, v_big = big_view((w.n[e], p)), big_view((w.n[f], q))
-                    if view_implies(u, v) != view_implies(u_big, v_big):
-                        raise ConsistencyError(
-                            f"couple implication not equivalent at (({e},{p}), ({f},{q}))"
-                        )
-                    if small_orth(u, v) != big_orth(u_big, v_big):
-                        raise ConsistencyError(
-                            f"couple orthogonality not equivalent at (({e},{p}), ({f},{q}))"
-                        )
+                    relation = mismatch(views[e, p], views[f, q])
+                    if relation is not None:
+                        raise ConsistencyError(f"couple {relation} not equivalent at (({e},{p}), ({f},{q}))")
 
 
 @dataclass(frozen=True)

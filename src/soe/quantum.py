@@ -27,6 +27,7 @@ VALIDATION_TOL = 1e-9
 PROBABILITY_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 DIMENSION_CAP = 64
+RAY_BLOCK = 10  # theta rows per step of the ray search in verify_cq_sub_entity
 
 
 def _as_matrix(value, stack: bool = False) -> np.ndarray:
@@ -326,7 +327,8 @@ def qmachine_probability(state: BallState, experiment: SphereExperiment) -> tupl
 
 def ray_from_angles(theta: float, phi: float) -> np.ndarray:
     """The two-dimensional unit vector of the surface point with polar angles
-    (theta, phi); for an array of phi, one such vector per column.
+    (theta, phi); for arrays, theta and phi broadcast against each other and
+    the two amplitudes run along the first axis of the result.
 
     Phase convention: the outer product of this vector is the density matrix
     with upper off-diagonal sin(theta/2)cos(theta/2)e^{-i phi}. Every
@@ -447,21 +449,28 @@ def _unit_interval(value: float) -> float:
 def finite_completed_entity(densities, families, tol: float = PROBABILITY_TOL):
     """Build a finite entity and its measure from sampled density-operator
     states and experiments: states s1..sN, experiments e1..eM, outcomes
-    'e{i}:o{k}'."""
+    'e{i}:o{k}'. The cells and probabilities are those of `cq_outcome_set`
+    and `cq_probability`, read from one Born contraction per outcome over
+    all the states."""
     densities = [_as_matrix(W) for W in densities]
     families = list(families)
     if not densities or not families:
         raise ContractError("need at least one state and one experiment")
+    for family in families:
+        for W in densities:
+            if W.shape[0] != family.dimension:
+                raise ContractError(f"state dimension {W.shape[0]} != family dimension {family.dimension}")
+    stack = np.array(densities)
     table = {}
     entries = {}
     for i, family in enumerate(families, start=1):
-        for j, W in enumerate(densities, start=1):
-            outcome_indices = cq_outcome_set(family, W, tol)
+        # one Born contraction per outcome over every state; row j is state j
+        probabilities = np.stack([_born(stack, P) for P in family.projections], axis=-1)
+        for j, row in enumerate(probabilities.tolist(), start=1):
+            outcome_indices = [k for k, value in enumerate(row, start=1) if abs(value) > tol]
             table[(f"e{i}", f"s{j}")] = {f"e{i}:o{k}" for k in outcome_indices}
             for k in outcome_indices:
-                entries[(f"e{i}", f"s{j}", f"e{i}:o{k}")] = _unit_interval(
-                    cq_probability(family, W, k)
-                )
+                entries[(f"e{i}", f"s{j}", f"e{i}:o{k}")] = _unit_interval(row[k - 1])
     entity = Entity(
         {f"s{j}" for j in range(1, len(densities) + 1)},
         {f"e{i}" for i in range(1, len(families) + 1)},
@@ -574,10 +583,17 @@ def verify_cq_sub_entity(
         ]
         side = int(round(np.sqrt(ray_candidates)))
         phis = np.linspace(0.0, 2 * np.pi, side, endpoint=False)
+        thetas = np.linspace(0.0, np.pi, side)[:, None]
         best = np.inf
-        for theta in np.linspace(0.0, np.pi, side):
-            densities = _rank_one(ray_from_angles(theta, phis).T)
-            residual = np.max([np.abs(_born(densities, P) - p) for P, p in outcomes], axis=0)
+        (P0, p0), *rest = outcomes
+        # RAY_BLOCK theta rows of rays at a time; each ray's arithmetic is
+        # that of a one-row evaluation, so the residuals do not depend on it
+        for start in range(0, side, RAY_BLOCK):
+            kets = np.moveaxis(ray_from_angles(thetas[start:start + RAY_BLOCK], phis), 0, -1)
+            densities = _rank_one(kets)
+            residual = np.abs(_born(densities, P0) - p0)
+            for P, p in rest:
+                np.maximum(residual, np.abs(_born(densities, P) - p), out=residual)
             best = min(best, float(residual.min()))
         diag.details["standard_ray_min_residual"] = float(best)
         diag.details["ray_candidates"] = side * side

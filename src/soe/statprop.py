@@ -11,17 +11,18 @@ from __future__ import annotations
 from .closure import ClosureSystem, _row_coatoms, intersection_closure
 from .diagnostics import Diagnostics
 from .entity import Entity, RelationKind, first_equivalent_pair, first_pair
-from .errors import ContractError, UnknownIdentifierError
+from .errors import CapacityError, ContractError, UnknownIdentifierError
 from .mixture import (
-    FULL_MIXED_BUDGET,
     MixedState,
-    _guard_budget,
     _mixtures,
     _subset_unions,
     full_mixed_entity,
     mixed_views,
     mixture_id,
 )
+
+
+TOTAL_ROW_BUDGET = 2**15  # cap on the 2^|states| - 1 cells global_testable_sps builds
 
 
 def _prop_key(a):
@@ -193,6 +194,38 @@ def sps_to_closure(sps: StatePropertySystem) -> ClosureSystem:
     return ClosureSystem(sps.states, {sps.cartan(a) for a in sps.properties})
 
 
+def is_cartan_family(sps: StatePropertySystem, system: ClosureSystem) -> bool:
+    """Whether the Cartan images of sps are exactly the members of system,
+    that is `sps_to_closure(sps) == system`, decided without listing system
+    and without testing pairs of images.
+
+    Over bit masks of the states, the images must hold the ground, each be
+    closed in system, and stay images when cut by any generator of system.
+    Every member of system is the ground cut by some of its generators, so
+    the images then hold every member, and hold nothing else. The cost is
+    |images| x |generators| mask operations.
+    """
+    if sps.states != system.ground:
+        return False
+    bit = {p: 1 << i for i, p in enumerate(sps.states)}
+    images = dict.fromkeys(sps.properties, 0)
+    for p, props in sps.actual.items():
+        for a in props:
+            images[a] |= bit[p]
+    images = set(images.values())
+    ground = (1 << len(bit)) - 1
+    generators = [sum(map(bit.__getitem__, g)) for g in system.generators]
+
+    def closed(F):
+        cl = ground
+        for g in generators:
+            if F & g == F:
+                cl &= g
+        return cl == F
+
+    return ground in images and all(map(closed, images)) and all(F & g in images for F in images for g in generators)
+
+
 def closure_to_sps(ground, system: ClosureSystem) -> StatePropertySystem:
     """The state-property system of a closure system: properties are the
     closed sets ordered by inclusion, and a state's actual properties are the
@@ -224,10 +257,10 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
     mixtures: the cell of a mixture P is the union of O(p) over p in P, one
     union per mixture (`_subset_unions`). The result equals
     `testable_sps(full_mixed_entity(entity), mixture_id(entity.experiments))`.
-    The `2^|states| * 2^|experiments|` budget of `full_mixed_entity` is still
-    enforced, only so that the refusals stay those of that definition. When an
-    identifier contains '+', minted identifiers can collide, and the full
-    mixed entity is built so that its collision check decides.
+    The row is refused (`CapacityError`) beyond TOTAL_ROW_BUDGET cells, so up
+    to 15 states whatever the number of experiments. When an identifier
+    contains '+', minted identifiers can collide, and the full mixed entity
+    is built, under its own budget, so that its collision check decides.
 
     Refused for non-distinguishable entities: mixing experiments that share
     outcomes produces union tests that no longer test the conjunction of the
@@ -241,7 +274,11 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
         )
     if any("+" in identifier for identifier in entity.states | entity.experiments):
         return testable_sps(full_mixed_entity(entity), mixture_id(entity.experiments))
-    _guard_budget(entity, FULL_MIXED_BUDGET)
+    cells = 2 ** len(entity.states) - 1
+    if cells > TOTAL_ROW_BUDGET:
+        raise CapacityError(
+            f"total mixed row of 2^{len(entity.states)} - 1 = {cells} cells exceeds budget {TOTAL_ROW_BUDGET}"
+        )
     states = sorted(entity.states)
     state_ids = _mixtures(states)
     cells = _subset_unions(map(entity.state_outcomes, states), [P for P, _ in state_ids])

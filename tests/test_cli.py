@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import soe
 from soe.cli import main
 from soe.closure import ClosureSystem
 from soe.entity import Entity, RelationKind, orthogonal
@@ -12,6 +14,18 @@ from soe.examples import deterministic_pair, three_by_three
 from soe.formats import emit_entity
 
 from oracles import brute_ortho_closed_sets
+
+SRC = str(Path(soe.__file__).resolve().parents[1])
+
+
+def soe_subprocess(argv, **env):
+    """`python -m soe.cli ARGV` in a fresh process that imports soe from this
+    checkout, with the given environment variables set and SOE_SEED unset
+    unless given."""
+    environment = {key: value for key, value in os.environ.items() if key != "SOE_SEED"}
+    environment["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    environment.update(env)
+    return subprocess.run([sys.executable, "-m", "soe.cli", *argv], capture_output=True, text=True, env=environment)
 
 
 @pytest.fixture
@@ -375,7 +389,7 @@ class TestErrorPaths:
     def test_consistency_error_exits_3(self, worked_file, capsys, monkeypatch):
         from soe.errors import ConsistencyError
 
-        def contradicted(entity):
+        def contradicted(entity, **prebuilt):
             raise ConsistencyError("classification cross-check failed: test (kernel bug)")
 
         monkeypatch.setattr("soe.cli.classify", contradicted)
@@ -415,11 +429,47 @@ class TestErrorPaths:
         assert "(seed 5)" in capsys.readouterr().out  # the flag wins over a bad variable
 
     def test_subprocess_entry_point(self, worked_file):
-        result = subprocess.run(
-            [sys.executable, "-m", "soe.cli", "classify", worked_file],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
+        result = soe_subprocess(["classify", worked_file])
+        assert result.returncode == 0
         assert "outcome_determined = true" in result.stdout
         assert result.stderr == ""
+
+
+class TestSuccessiveCalls:
+    """One process builds the parser once; every call still answers as a
+    fresh process does."""
+
+    def run_in_process(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # argparse refusals
+            code = exit_.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def run_fresh(self, argv, **env):
+        result = soe_subprocess(argv, COLUMNS="80", **env)
+        return result.returncode, result.stdout, result.stderr
+
+    def test_usage_error_then_a_valid_call(self, worked_file, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("SOE_SEED", raising=False)
+        calls = [
+            ["closures", worked_file, "--on", "states"],
+            ["classify", worked_file, "--structured"],
+            ["frobnicate"],
+            ["closures", worked_file, "--kind", "eigen", "--on", "states"],
+        ]
+        results = [self.run_in_process(argv, capsys) for argv in calls]
+        assert [code for code, _, _ in results] == [2, 0, 2, 0]
+        assert results == [self.run_fresh(argv) for argv in calls]
+
+    def test_seed_flag_then_the_variable(self, worked_file, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("SOE_SEED", raising=False)
+        first = self.run_in_process(["--seed", "11", "verify", worked_file], capsys)
+        monkeypatch.setenv("SOE_SEED", "7")
+        second = self.run_in_process(["verify", worked_file], capsys)
+        assert "(seed 11)" in first[1] and "(seed 7)" in second[1]
+        assert first == self.run_fresh(["--seed", "11", "verify", worked_file])
+        assert second == self.run_fresh(["verify", worked_file], SOE_SEED="7")

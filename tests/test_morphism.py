@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+import soe.morphism
 from soe.closure import eigen_closure_system
-from soe.entity import Entity, RelationKind, implies, orthogonal
-from soe.errors import ContractError
+from soe.entity import Entity, RelationKind, implies, orthogonal, view_implies
+from soe.errors import ConsistencyError, ContractError
 from soe.morphism import (
     ProbabilityCorrespondence,
     SpsMorphism,
@@ -82,6 +83,53 @@ class TestVerifySubEntity:
             entity = random_entity(rng, 4, 3, 5)
             big, witness = relabeled_copy(entity)
             assert verify_sub_entity(entity, big, witness).passed
+
+
+def first_couple_failure(small, big, w, views):
+    """The message of the first couple pair, in the ordered scan over big
+    states and small experiments, whose central relations do not transport."""
+    kind = RelationKind.central()
+    (small_view, small_orth), (big_view, big_orth) = views(small, kind), views(big, kind)
+    for p in sorted(big.states):
+        for q in sorted(big.states):
+            for e in sorted(small.experiments):
+                for f in sorted(small.experiments):
+                    u, v = small_view((e, w.m[p])), small_view((f, w.m[q]))
+                    u_big, v_big = big_view((w.n[e], p)), big_view((w.n[f], q))
+                    if view_implies(u, v) != view_implies(u_big, v_big):
+                        return f"couple implication not equivalent at (({e},{p}), ({f},{q}))"
+                    if small_orth(u, v) != big_orth(u_big, v_big):
+                        return f"couple orthogonality not equivalent at (({e},{p}), ({f},{q}))"
+    return None
+
+
+class TestTransportedCouples:
+    """The couple relations are checked once per distinct pair of views; a
+    failure still names the first couple pair of the full ordered scan."""
+
+    def test_forced_failure_names_the_first_couple_pair(self, worked, monkeypatch):
+        big, witness = relabeled_copy(worked)
+        real = soe.morphism.relation_views
+        relations = set()
+        for couple in big.couples():
+            for cell in ({"X.y2"}, {"X.x1", "X.x2", "X.x3", "X.y1", "X.y2"}):
+                def tampered(entity, kind, couple=couple, cell=frozenset(cell)):
+                    view, orthogonal_views = real(entity, kind)
+                    if entity is big and kind.on == "central":
+                        return (lambda c: (cell,) if c == couple else view(c)), orthogonal_views
+                    return view, orthogonal_views
+
+                expected = first_couple_failure(worked, big, witness, tampered)
+                monkeypatch.setattr(soe.morphism, "relation_views", tampered)
+                if expected is None:
+                    assert verify_sub_entity(worked, big, witness).passed
+                else:
+                    with pytest.raises(ConsistencyError) as err:
+                        verify_sub_entity(worked, big, witness)
+                    assert str(err.value) == expected
+                    relations.add(expected.split()[1])
+                monkeypatch.setattr(soe.morphism, "relation_views", real)
+        assert relations == {"implication", "orthogonality"}
 
 
 class TestNegativeCovariance:

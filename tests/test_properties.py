@@ -277,6 +277,25 @@ def test_equality_is_equality_of_members(drawn, data):
 
 
 @SETTINGS
+@given(systems(), st.data())
+def test_equality_agrees_with_members_when_generators_overlap(drawn, data):
+    """`==` against comparing the listed members: the same system given by
+    its generators plus some of its members, and systems whose generators
+    share some but not all sets with the first one's."""
+    ground = drawn[0]
+    first, generators = _generated(*drawn)
+    redundant = data.draw(st.lists(st.sampled_from(sorted(first.members, key=sorted)), max_size=3))
+    same = ClosureSystem.generated(ground, generators + redundant)
+    assert same.members == first.members
+    assert same == first and first == same
+    kept = data.draw(st.lists(st.sampled_from(generators), unique=True)) if generators else []
+    pool = st.sampled_from(sorted(ground)) if ground else st.nothing()
+    extra = data.draw(st.lists(st.frozensets(pool), max_size=2))
+    other, _ = _generated(ground, kept + extra)
+    assert (first == other) == (other == first) == (first.members == other.members)
+
+
+@SETTINGS
 @given(systems())
 def test_T0_witness_is_the_least_pair_with_equal_closures(drawn):
     system, _ = _generated(*drawn)

@@ -473,6 +473,29 @@ class TestEntityBridge:
                 fixed = np.linalg.norm(R @ c - c) <= 1e-9
                 assert in_eig == fixed
 
+    @pytest.mark.parametrize("n, seed", [(2, 106), (3, 107), (4, 108)])
+    def test_completed_entity_matches_a_scalar_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        densities = [random_density(rng, n) for _ in range(5)] + [density_from_ray(random_ket(rng, n))]
+        families = [random_spectral_family(rng, n) for _ in range(3)]
+        families.append(SpectralFamily([np.eye(n)]))
+        entity, measure = finite_completed_entity(densities, families)
+        table, entries = {}, {}
+        for i, family in enumerate(families, start=1):
+            for j, W in enumerate(densities, start=1):
+                outcomes = cq_outcome_set(family, W)
+                table[(f"e{i}", f"s{j}")] = frozenset(f"e{i}:o{k}" for k in outcomes)
+                for k in outcomes:
+                    entries[(f"e{i}", f"s{j}", f"e{i}:o{k}")] = min(1.0, max(0.0, cq_probability(family, W, k)))
+        assert dict(entity.cells()) == table
+        assert dict(measure.entries) == entries  # exactly, not within a tolerance
+
+    def test_completed_entity_dimension_mismatch(self):
+        rng = np.random.default_rng(109)
+        families = [random_spectral_family(rng, 2), random_spectral_family(rng, 3)]
+        with pytest.raises(ContractError, match=r"^state dimension 2 != family dimension 3$"):
+            finite_completed_entity([random_density(rng, 2)], families)
+
     def test_completed_entity_classifies(self):
         rng = np.random.default_rng(104)
         densities = [random_density(rng, 2) for _ in range(3)]

@@ -5,12 +5,15 @@ import pytest
 from soe.closure import ClosureSystem, eig_states, eigen_closure_system, intersection_closure
 from soe.entity import Entity, RelationKind, implies
 from soe.errors import CapacityError, ContractError, EntityValidationError, UnknownIdentifierError
+from soe.examples import deterministic_pair, three_by_three
 from soe.mixture import full_mixed_entity, mixture_id
 from soe.statprop import (
+    TOTAL_ROW_BUDGET,
     StatePropertySystem,
     cartan,
     closure_to_sps,
     global_testable_sps,
+    is_cartan_family,
     is_distinguishable,
     property_implies,
     sps_to_closure,
@@ -163,6 +166,36 @@ class TestClosureCorrespondence:
                 system = eigen_closure_system(entity, "states", scope)
                 assert sps_to_closure(closure_to_sps(entity.states, system)) == system
 
+    def test_is_cartan_family_agrees_with_sps_to_closure(self):
+        def listed_equal(sps, system):
+            try:
+                return sps_to_closure(sps) == system
+            except ContractError:  # the images are not a closure system
+                return False
+
+        def without(sps, a):
+            return StatePropertySystem(
+                sps.states, sps.properties - {a}, {p: sps.actual[p] - {a} for p in sps.states}
+            )
+
+        rng = random.Random(47)
+        seen = set()
+        for _ in range(25):
+            entity = random_entity(rng, 4, 3, 5)
+            systems = [eigen_closure_system(entity, "states", e) for e in sorted(entity.experiments)]
+            systems.append(eigen_closure_system(entity, "states"))
+            for e in sorted(entity.experiments):
+                sps = testable_sps(entity, e)
+                variants = [sps] + [without(sps, a) for a in sorted(sps.properties, key=sorted)]
+                for variant in variants:
+                    for system in systems:
+                        expected = listed_equal(variant, system)
+                        assert is_cartan_family(variant, system) == expected
+                        seen.add(expected)
+        assert seen == {True, False}
+        worked_sps = testable_sps(three_by_three(), "e")
+        assert not is_cartan_family(worked_sps, eigen_closure_system(deterministic_pair(), "states", "h"))
+
     def test_ground_mismatch_rejected(self, worked):
         system = eigen_closure_system(worked, "states")
         with pytest.raises(ContractError):
@@ -246,15 +279,25 @@ class TestGlobalTestable:
             "rename base identifiers containing '+'"
         )
 
-    def test_budget_refusal_is_the_full_mixed_entity_one(self):
+    def test_budget_refusal_is_the_row_budget(self):
+        # the 2^|states| - 1 cells of the total mixed row are budgeted, not
+        # the full mixed entity, which 9 states and 8 experiments exceed
         states = [f"p{i}" for i in range(9)]
         table = {(f"e{k}", p): {f"e{k}.x"} for k in range(8) for p in states}
         entity = Entity(states, {f"e{k}" for k in range(8)}, table)
-        with pytest.raises(CapacityError) as expected:
+        with pytest.raises(CapacityError, match=r"^mixture space 2\^9 \* 2\^8 exceeds budget 65536$"):
             full_mixed_entity(entity)
-        with pytest.raises(CapacityError) as err:
-            global_testable_sps(entity)
-        assert str(err.value) == str(expected.value) == "mixture space 2^9 * 2^8 exceeds budget 65536"
+        assert len(global_testable_sps(entity).states) == 2**9 - 1
+        assert TOTAL_ROW_BUDGET == 2**15
+        for n, refused in ((15, False), (16, True)):
+            states = [f"p{i}" for i in range(n)]
+            wide = Entity(states, {"e"}, {("e", p): {"x"} for p in states})
+            if refused:
+                with pytest.raises(CapacityError) as err:
+                    global_testable_sps(wide)
+                assert str(err.value) == "total mixed row of 2^16 - 1 = 65535 cells exceeds budget 32768"
+            else:
+                assert len(global_testable_sps(wide).states) == 2**n - 1
 
     def test_mixed_experiment_eigen_identity(self):
         # eigen sets of a mixed experiment are the intersections of the parts'
