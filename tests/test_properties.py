@@ -215,6 +215,30 @@ def test_eigen_generators_are_the_coatoms_and_members_the_brute_families(entity)
         assert system.members == members, (on, scope)
 
 
+@SETTINGS
+@given(entities(), st.data())
+def test_testable_systems_match_the_definitions(entity, data):
+    """Every experiment's testable system: the properties are the brute eigen
+    family, a state's actual properties the members holding it, a label the
+    union of its states' cells, a coatom eig(O - {x}), and a testable
+    property eig(A)."""
+    for e in sorted(entity.experiments):
+        sps = testable_sps(entity, e)
+        full = entity.experiment_outcomes(e)
+        members = brute_eig_state_family(entity, e)
+        assert sps.states == entity.states
+        assert sps.properties == members
+        assert sps.actual == {p: frozenset(F for F in members if p in F) for p in entity.states}
+        assert sps.labels == {
+            F: frozenset().union(*(entity.outcome_set(e, p) for p in F)) for F in members
+        }
+        assert sps._full_outcomes == full
+        assert sps._coatoms == {x: eig_states(entity, e, full - {x}) for x in full}
+        for _ in range(3):
+            A = data.draw(st.frozensets(st.sampled_from(sorted(full))))
+            assert sps.testable_property(A) == eig_states(entity, e, A)
+
+
 NAMES = st.text(min_size=1, max_size=3)
 
 
