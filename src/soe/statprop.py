@@ -8,18 +8,13 @@ testable property is kept as a label so reports can cite a test.
 
 from __future__ import annotations
 
-from .closure import ClosureSystem, _row_coatoms, intersection_closure
+from itertools import compress
+
+from .closure import ClosureSystem, _bits, _member_sets
 from .diagnostics import Diagnostics
 from .entity import Entity, RelationKind, first_equivalent_pair, first_pair
 from .errors import CapacityError, ContractError, UnknownIdentifierError
-from .mixture import (
-    MixedState,
-    _mixtures,
-    _subset_unions,
-    full_mixed_entity,
-    mixed_views,
-    mixture_id,
-)
+from .mixture import MixedState, full_mixed_entity, mixed_views, mixture_id
 
 
 TOTAL_ROW_BUDGET = 2**15  # cap on the 2^|states| - 1 cells global_testable_sps builds
@@ -41,7 +36,7 @@ class StatePropertySystem:
     identified systems coincides with inclusion of Cartan images.
     """
 
-    __slots__ = ("states", "properties", "actual", "labels", "_coatoms", "_full_outcomes")
+    __slots__ = ("states", "properties", "actual", "labels", "_coatoms", "_full_outcomes", "_images")
 
     def __init__(self, states, properties, actual, labels=None, _coatoms=None, _full_outcomes=None):
         states = frozenset(states)
@@ -61,6 +56,7 @@ class StatePropertySystem:
         object.__setattr__(self, "labels", dict(labels) if labels else {})
         object.__setattr__(self, "_coatoms", dict(_coatoms) if _coatoms else None)
         object.__setattr__(self, "_full_outcomes", _full_outcomes)
+        object.__setattr__(self, "_images", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StatePropertySystem is immutable")
@@ -80,10 +76,18 @@ class StatePropertySystem:
     # -- the two orders -----------------------------------------------------
 
     def cartan(self, a) -> frozenset:
-        """kappa(a): the states in which a is actual."""
-        if a not in self.properties:
-            raise UnknownIdentifierError("property", a)
-        return frozenset(p for p in self.states if a in self.actual[p])
+        """kappa(a): the states in which a is actual. Every image is
+        computed on the first call, in one pass over `actual`."""
+        if self._images is None:
+            images = {b: [] for b in self.properties}
+            for p, props in self.actual.items():
+                for b in props:
+                    images[b].append(p)
+            object.__setattr__(self, "_images", {b: frozenset(ps) for b, ps in images.items()})
+        try:
+            return self._images[a]
+        except KeyError:
+            raise UnknownIdentifierError("property", a) from None
 
     def property_leq(self, a, b) -> bool:
         return self.cartan(a) <= self.cartan(b)
@@ -171,22 +175,52 @@ def testable_sps(entity: Entity, e) -> StatePropertySystem:
     Properties are the Cartan images (equal to the e-eigen closed state sets);
     each property is labeled with its largest defining outcome set, the union
     of the cells of its states. The coatoms that generate the properties and
-    the labels are both read from the row of e.
+    the labels both come from one read of the row of e, its holder masks.
     """
     entity.require_experiment(e)
-    return _testable_system({p: entity._table[(e, p)] for p in entity.states})
+    states = list(entity.states)
+    return _testable_system(states, _holder_masks(entity._table[(e, p)] for p in states))
 
 
-def _testable_system(row) -> StatePropertySystem:
-    """The testable system of one experiment's row {state: cell}."""
-    states = frozenset(row)
-    coatoms = _row_coatoms(row)
-    members = intersection_closure(states, coatoms.values())
-    labels = {F: frozenset().union(*map(row.__getitem__, F)) for F in members}
-    actual = {p: frozenset(F for F in members if p in F) for p in states}
+def _holder_masks(cells) -> dict:
+    """has[x] for cells given in item order: the mask of the items whose cell
+    holds outcome x, bit i for the i-th item."""
+    has = {}
+    for i, cell in enumerate(cells):
+        for x in cell:
+            has[x] = has.get(x, 0) | 1 << i
+    return has
+
+
+def _testable_system(items, has) -> StatePropertySystem:
+    """The testable system of one experiment's row, given as its items (the
+    states) and the holder masks has[x] of its outcomes (`_holder_masks`).
+
+    The coatom of x is full & ~has[x]. The members are the storing sweep of
+    the coatoms (`_member_sets`), so each coatom's set is the member of its
+    mask. The label of a member A is {x : A & has[x]}, and `actual` comes
+    from one pass over the members.
+    """
+    full = (1 << len(items)) - 1
+    found = _member_sets(items, {full & ~h for h in has.values()})
+    labels = {F: frozenset([x for x, h in has.items() if A & h]) for A, F in found.items()}
     return StatePropertySystem(
-        states, members, actual, labels=labels, _coatoms=coatoms, _full_outcomes=frozenset(coatoms)
+        found[full],
+        found.values(),
+        _actual(items, found.values()),
+        labels=labels,
+        _coatoms={x: found[full & ~h] for x, h in has.items()},
+        _full_outcomes=frozenset(has),
     )
+
+
+def _actual(states, members) -> dict:
+    """The members holding each state, in one pass over the members."""
+    actual = {p: [] for p in states}
+    for F in members:
+        for p in F:
+            actual[p].append(F)
+    return actual
 
 
 def sps_to_closure(sps: StatePropertySystem) -> ClosureSystem:
@@ -233,8 +267,7 @@ def closure_to_sps(ground, system: ClosureSystem) -> StatePropertySystem:
     ground = frozenset(ground)
     if ground != system.ground:
         raise ContractError("ground set does not match the closure system")
-    actual = {p: frozenset(F for F in system.members if p in F) for p in ground}
-    return StatePropertySystem(ground, system.members, actual)
+    return StatePropertySystem(ground, system.members, _actual(ground, system.members))
 
 
 def indistinguishable_pair(entity: Entity):
@@ -253,9 +286,11 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
     """The testable system of the total mixed experiment over the full mixed
     entity; its lattice carries every testable property of the entity.
 
-    Only that experiment's row is built, the 2^|states| - 1 cells of the state
-    mixtures: the cell of a mixture P is the union of O(p) over p in P, one
-    union per mixture (`_subset_unions`). The result equals
+    Only that experiment's row is read, and only as holder masks: the cell of
+    a mixture P is the union of O(p) over p in P, so P holds outcome x
+    exactly when P meets the states S_x whose O(p) holds x, and has[x] is
+    computed once per distinct S_x over the 2^|states| - 1 mixtures. No cell
+    is built. The result equals
     `testable_sps(full_mixed_entity(entity), mixture_id(entity.experiments))`.
     The row is refused (`CapacityError`) beyond TOTAL_ROW_BUDGET cells, so up
     to 15 states whatever the number of experiments. When an identifier
@@ -280,9 +315,17 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
             f"total mixed row of 2^{len(entity.states)} - 1 = {cells} cells exceeds budget {TOTAL_ROW_BUDGET}"
         )
     states = sorted(entity.states)
-    state_ids = _mixtures(states)
-    cells = _subset_unions(map(entity.state_outcomes, states), [P for P, _ in state_ids])
-    return _testable_system({pid: cell for (_, pid), cell in zip(state_ids, cells)})
+    mixtures = range(1, 2 ** len(states))  # mixture P is a mask over the sorted states
+    state_bits, row_bits = _bits(states), _bits(mixtures)
+    # no identifier holds '+', so the sorted base identifiers joined are mixture_id
+    ids = ["+".join(compress(states, map(P.__and__, state_bits))) for P in mixtures]
+    meeting = {}  # S_x -> the mask of the mixtures meeting it
+    has = {}
+    for x, S in _holder_masks(map(entity.state_outcomes, states)).items():
+        if S not in meeting:
+            meeting[S] = sum(compress(row_bits, map(S.__and__, mixtures)))
+        has[x] = meeting[S]
+    return _testable_system(ids, has)
 
 
 def validate_sps(sps: StatePropertySystem) -> Diagnostics:

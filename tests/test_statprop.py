@@ -95,6 +95,25 @@ class TestCartan:
         with pytest.raises(UnknownIdentifierError):
             cartan(sps, frozenset({"p", "zz"}))
 
+    def test_images_match_the_scan_definition(self):
+        def scanned(sps, a):
+            return frozenset(p for p in sps.states if a in sps.actual[p])
+
+        rng = random.Random(44)
+        systems = [
+            StatePropertySystem({"s", "t", "u"}, {"I", "a", 0}, {"s": {"I", "a"}, "t": {"I"}, "u": {"I", 0}}),
+            StatePropertySystem({"s"}, {("pair", 1), None}, {"s": [("pair", 1)]}),
+        ]
+        for _ in range(10):
+            entity = random_entity(rng, 4, 3, 5)
+            for scope in (None, sorted(entity.experiments)[0]):
+                systems.append(closure_to_sps(entity.states, eigen_closure_system(entity, "states", scope)))
+        for sps in systems:
+            for a in sps.properties:
+                assert cartan(sps, a) == scanned(sps, a)
+            with pytest.raises(UnknownIdentifierError):
+                cartan(sps, "not a property")
+
     def test_meet_is_intersection_of_images(self):
         rng = random.Random(41)
         for _ in range(10):
