@@ -17,7 +17,7 @@ from .errors import CapacityError, ContractError, UnknownIdentifierError
 from .mixture import MixedState, full_mixed_entity, mixed_views, mixture_id
 
 
-TOTAL_ROW_BUDGET = 2**15  # cap on the 2^|states| - 1 cells global_testable_sps builds
+TOTAL_ROW_BUDGET = 2**15  # cap on the 2^|states| - 1 mixtures of the row global_testable_sps reads
 
 
 def _prop_key(a):
