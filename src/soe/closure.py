@@ -11,7 +11,6 @@ are read from one pass over its row of the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from types import MappingProxyType
 
@@ -20,23 +19,6 @@ from .entity import Entity, RelationKind, relation_views
 from .errors import CapacityError, ContractError
 
 GROUND_CAP = 24  # full-family materialization refuses larger ground sets
-
-
-@dataclass(frozen=True)
-class SetFamily:
-    """A plain family of subsets of a ground set, prior to any axiom check."""
-
-    ground: frozenset
-    members: frozenset  # frozenset of frozensets
-
-    def __init__(self, ground, members):
-        ground = frozenset(ground)
-        members = frozenset(frozenset(m) for m in members)
-        for m in members:
-            if not m <= ground:
-                raise ContractError(f"family member {sorted(m)} is not a subset of the ground set")
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "members", members)
 
 
 class ClosureSystem:
@@ -48,19 +30,18 @@ class ClosureSystem:
     __slots__ = ("ground", "generators", "_members")
 
     def __init__(self, ground, members):
-        family = SetFamily(ground, members)
-        axioms = validate_closure_axioms(family)
+        ground, members = _family(ground, members)
+        axioms = validate_closure_axioms(ground, members)
         if not axioms.passed:
             raise ContractError(f"family is not a closure system: {axioms.failures[0]}")
-        self._init(family.ground, family.members, family.members)
+        self._init(ground, members, members)
 
     @classmethod
     def generated(cls, ground, generators) -> "ClosureSystem":
         """The system of all intersections of `generators`, closed by
         construction: only the empty set's membership is checked."""
-        family = SetFamily(ground, generators)
         system = object.__new__(cls)
-        system._init(family.ground, family.members, None)
+        system._init(*_family(ground, generators), None)
         if system.closure_of(frozenset()):
             raise ContractError("a closure system must contain the empty set")
         return system
@@ -115,6 +96,16 @@ class ClosureSystem:
     def is_closed(self, K) -> bool:
         K = frozenset(K)
         return K <= self.ground and self.closure_of(K) == K
+
+
+def _family(ground, members) -> tuple:
+    """The ground and the members as frozensets, each member inside the ground."""
+    ground = frozenset(ground)
+    members = frozenset(map(frozenset, members))
+    for m in members:
+        if not m <= ground:
+            raise ContractError(f"family member {sorted(m)} is not a subset of the ground set")
+    return ground, members
 
 
 def closure_of(system: ClosureSystem, K) -> frozenset:
@@ -390,8 +381,9 @@ def _intersection_closed(ground, members) -> bool:
     return all(closed.issuperset(map(a.__and__, masks[i + 1:])) for i, a in enumerate(masks))
 
 
-def validate_closure_axioms(family: SetFamily) -> Diagnostics:
-    """Check that a listed family is a closure system: it holds the empty set
+def validate_closure_axioms(ground, members) -> Diagnostics:
+    """Check that a listed family of subsets of `ground` (a member outside
+    it raises ContractError) is a closure system: it holds the empty set
     and the ground set, it is closed under intersection (checked over bit
     masks; on failure the witness is the first missing pairwise intersection
     in size-then-lexicographic order), and the closure operator it
@@ -400,10 +392,8 @@ def validate_closure_axioms(family: SetFamily) -> Diagnostics:
     family of subsets (Birkhoff, Lattice Theory, 1940, on Moore families), so
     those axioms need no check.
     """
+    ground, members = _family(ground, members)
     diag = Diagnostics()
-    members = family.members
-    ground = family.ground
-
     diag.record("system.contains_empty", frozenset() in members, "empty set missing")
     diag.record("system.contains_ground", ground in members, "ground set missing")
     if _intersection_closed(ground, members):

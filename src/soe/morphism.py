@@ -12,7 +12,7 @@ from .diagnostics import Diagnostics
 from .entity import Entity, RelationKind, relation_views, view_implies
 from .errors import ConsistencyError, ContractError
 from .probability import ProbabilisticEntity
-from .statprop import StatePropertySystem
+from .statprop import StatePropertySystem, _prop_key
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def verify_sps_morphism(sps: StatePropertySystem, sps_big: StatePropertySystem, 
     if not diag.passed:
         return diag
 
-    props = sorted(sps.properties, key=lambda a: tuple(sorted(map(str, a))) if isinstance(a, frozenset) else str(a))
+    props = sorted(sps.properties, key=_prop_key)
     for p_big in sorted(sps_big.states):
         for a in props:
             lhs = a in sps.actual[mor.m[p_big]]
@@ -190,7 +190,7 @@ def verify_sps_morphism(sps: StatePropertySystem, sps_big: StatePropertySystem, 
             diag.record(
                 "morphism.actuality_equivalence",
                 lhs == rhs,
-                f"property {a!r} at big state {p_big!r}: {lhs} vs {rhs}",
+                lambda: f"property {a!r} at big state {p_big!r}: {lhs} vs {rhs}",
             )
     diag.checks.setdefault("morphism.actuality_equivalence", True)
     if not diag.passed:
@@ -205,7 +205,7 @@ def verify_sps_morphism(sps: StatePropertySystem, sps_big: StatePropertySystem, 
             diag.record(
                 "morphism.meet_preserved",
                 lhs == rhs,
-                f"n({a!r} meet {b!r})",
+                lambda: f"n({a!r} meet {b!r})",
             )
     diag.checks.setdefault("morphism.meet_preserved", True)
     for a in props:

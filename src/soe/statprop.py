@@ -36,7 +36,7 @@ class StatePropertySystem:
     identified systems coincides with inclusion of Cartan images.
     """
 
-    __slots__ = ("states", "properties", "actual", "labels", "_coatoms", "_full_outcomes", "_images")
+    __slots__ = ("states", "properties", "actual", "labels", "_coatoms", "_full_outcomes", "_images", "_by_image")
 
     def __init__(self, states, properties, actual, labels=None, _coatoms=None, _full_outcomes=None):
         states = frozenset(states)
@@ -57,6 +57,7 @@ class StatePropertySystem:
         object.__setattr__(self, "_coatoms", dict(_coatoms) if _coatoms else None)
         object.__setattr__(self, "_full_outcomes", _full_outcomes)
         object.__setattr__(self, "_images", None)
+        object.__setattr__(self, "_by_image", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StatePropertySystem is immutable")
@@ -75,15 +76,34 @@ class StatePropertySystem:
 
     # -- the two orders -----------------------------------------------------
 
-    def cartan(self, a) -> frozenset:
-        """kappa(a): the states in which a is actual. Every image is
-        computed on the first call, in one pass over `actual`."""
-        if self._images is None:
+    def _index(self) -> dict:
+        """Image -> canonical property (the least by `_prop_key`, the first in
+        `properties` among ties), built with every Cartan image on first use,
+        in one pass over `actual`."""
+        if self._by_image is None:
             images = {b: [] for b in self.properties}
             for p, props in self.actual.items():
                 for b in props:
                     images[b].append(p)
-            object.__setattr__(self, "_images", {b: frozenset(ps) for b, ps in images.items()})
+            images = {b: frozenset(ps) for b, ps in images.items()}
+            index = {}
+            for b, F in images.items():
+                if F not in index or _prop_key(b) < _prop_key(index[F]):
+                    index[F] = b
+            object.__setattr__(self, "_images", images)
+            object.__setattr__(self, "_by_image", index)
+        return self._by_image
+
+    def _property(self, image, refusal):
+        """The canonical property with this Cartan image, or ContractError."""
+        try:
+            return self._index()[image]
+        except KeyError:
+            raise ContractError(refusal) from None
+
+    def cartan(self, a) -> frozenset:
+        """kappa(a): the states in which a is actual."""
+        self._index()
         try:
             return self._images[a]
         except KeyError:
@@ -100,43 +120,31 @@ class StatePropertySystem:
             raise UnknownIdentifierError("state", q)
         return self.actual[q] <= self.actual[p]
 
-    def _canonical(self, candidates):
-        return min(candidates, key=_prop_key)
-
     @property
     def top(self):
-        candidates = [a for a in self.properties if self.cartan(a) == self.states]
-        if not candidates:
-            raise ContractError("no maximal property is actual in every state")
-        return self._canonical(candidates)
+        return self._property(self.states, "no maximal property is actual in every state")
 
     @property
     def bottom(self):
-        candidates = [a for a in self.properties if not self.cartan(a)]
-        if not candidates:
-            raise ContractError("no minimal property is potential in every state")
-        return self._canonical(candidates)
+        return self._property(frozenset(), "no minimal property is potential in every state")
 
     def meet(self, props):
-        """Greatest lower bound of a family, scanned from the ordering-set order."""
-        props = list(props)
-        lower = [
-            c for c in self.properties if all(self.property_leq(c, a) for a in props)
-        ]
-        greatest = [m for m in lower if all(self.property_leq(c, m) for c in lower)]
-        if not greatest:
-            raise ContractError("family has no meet in this lattice")
-        return self._canonical(greatest)
+        """Greatest lower bound: the property whose image is I, the intersection
+        of the family's images, or else the union of the images inside I."""
+        index = self._index()
+        I = self.states.intersection(*map(self.cartan, props))
+        if I not in index:
+            I = frozenset().union(*(F for F in index if F <= I))
+        return self._property(I, "family has no meet in this lattice")
 
     def join(self, props):
-        props = list(props)
-        upper = [
-            c for c in self.properties if all(self.property_leq(a, c) for a in props)
-        ]
-        least = [j for j in upper if all(self.property_leq(j, c) for c in upper)]
-        if not least:
-            raise ContractError("family has no join in this lattice")
-        return self._canonical(least)
+        """Least upper bound: the property whose image is J, the union of the
+        family's images, or else the intersection of the images holding J."""
+        index = self._index()
+        J = frozenset().union(*map(self.cartan, props))
+        if J not in index:
+            J = self.states.intersection(*(F for F in index if J <= F))
+        return self._property(J, "family has no join in this lattice")
 
     # -- testable-property access --------------------------------------------
 
@@ -351,6 +359,7 @@ def validate_sps(sps: StatePropertySystem) -> Diagnostics:
         diag.record("lattice.bottom", False, str(err))
 
     props = sorted(sps.properties, key=_prop_key)
+    states = sorted(sps.states)
     meets_ok = True
     for i, a in enumerate(props):
         for b in props[i:]:
@@ -360,12 +369,12 @@ def validate_sps(sps: StatePropertySystem) -> Diagnostics:
                 diag.record("lattice.binary_meets", False, f"no meet of {a!r} and {b!r}")
                 meets_ok = False
                 break
-            for p in sorted(sps.states):
+            for p in states:
                 both = a in sps.actual[p] and b in sps.actual[p]
                 if not diag.record(
                     "xi.meet_stability",
                     both == (m in sps.actual[p]),
-                    f"state {p!r}, properties {a!r}, {b!r}",
+                    lambda: f"state {p!r}, properties {a!r}, {b!r}",
                 ):
                     break
         if not meets_ok:

@@ -19,7 +19,6 @@ from soe.classify import (
     satisfies_T1,
 )
 from soe.closure import (
-    SetFamily,
     eig_central,
     eig_states,
     eigen_closure_system,
@@ -520,7 +519,7 @@ def test_criterion_6_property_suites():
         if index % 25 == 0:
             # the full axiom battery (exhaustive on these small grounds)
             for system in (state_eig, exp_eig):
-                diag = validate_closure_axioms(SetFamily(system.ground, system.members))
+                diag = validate_closure_axioms(system.ground, system.members)
                 if not diag.passed:
                     failures.append(f"entity {index}: axiom battery failed")
 

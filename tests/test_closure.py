@@ -5,7 +5,6 @@ import pytest
 from soe.closure import (
     ClosureSystem,
     OrthoSpace,
-    SetFamily,
     closure_of,
     eig_central,
     eig_experiments,
@@ -436,7 +435,7 @@ class TestOutcomeClosure:
                 assert A <= clA
                 assert outcome_closure(entity, clA) == clA
             system = outcome_closure_system(entity)
-            assert validate_closure_axioms(SetFamily(system.ground, system.members)).passed
+            assert validate_closure_axioms(system.ground, system.members).passed
             assert system.members == {A for A in powerset(entity.outcomes) if outcome_closure(entity, A) == A}
 
     def test_shares_the_ground_cap(self):
@@ -455,27 +454,24 @@ class TestValidateAxioms:
             eigen_closure_system(worked, "states"),
             ortho_closure_system(entity_ortho_space(worked, "central")),
         ):
-            diag = validate_closure_axioms(SetFamily(system.ground, system.members))
+            diag = validate_closure_axioms(system.ground, system.members)
             assert diag.passed, diag.failures
 
     def test_missing_empty_set(self):
-        diag = validate_closure_axioms(SetFamily({"a", "b"}, [{"a"}, {"a", "b"}]))
+        diag = validate_closure_axioms({"a", "b"}, [{"a"}, {"a", "b"}])
         assert not diag.checks["system.contains_empty"]
         assert not diag.checks["operator.empty_fixed"]
 
     def test_intersection_gap_found(self):
-        good = SetFamily({"a", "b", "c"}, [set(), {"a"}, {"b"}, {"a", "b", "c"}])
-        assert validate_closure_axioms(good).passed
-        bad = SetFamily({"a", "b", "c"}, [set(), {"a", "b"}, {"b", "c"}, {"a", "b", "c"}])
-        diag = validate_closure_axioms(bad)
+        assert validate_closure_axioms({"a", "b", "c"}, [set(), {"a"}, {"b"}, {"a", "b", "c"}]).passed
+        diag = validate_closure_axioms({"a", "b", "c"}, [set(), {"a", "b"}, {"b", "c"}, {"a", "b", "c"}])
         assert not diag.checks["system.intersection_closed"]
         assert any("['b']" in f for f in diag.failures)
 
     def test_the_first_of_several_missing_pairs_is_named(self):
         # five pairs meet outside the family; the witness is the first pair in
         # size-then-lexicographic order
-        family = SetFamily("abcd", [set(), {"a", "b"}, {"b", "c"}, {"c", "d"}, {"a", "c"}, set("abcd")])
-        diag = validate_closure_axioms(family)
+        diag = validate_closure_axioms("abcd", [set(), {"a", "b"}, {"b", "c"}, {"c", "d"}, {"a", "c"}, set("abcd")])
         assert diag.failures == ["system.intersection_closed: ['a', 'b'] & ['a', 'c'] = ['a'] missing"]
         assert diag.checks["system.contains_empty"] and diag.checks["operator.empty_fixed"]
 
@@ -490,6 +486,11 @@ class TestValidateAxioms:
     def test_listed_system_raises_its_first_failure(self, members, failure):
         with pytest.raises(ContractError, match=failure):
             ClosureSystem({"a", "b", "c"}, members)
+
+    def test_a_member_outside_the_ground_is_refused(self):
+        for build in (ClosureSystem, ClosureSystem.generated, validate_closure_axioms):
+            with pytest.raises(ContractError, match=r"^family member \['d'\] is not a subset of the ground set$"):
+                build({"a", "b", "c"}, [set(), {"d"}, {"a", "b", "c"}])
 
     def test_intersection_closure_matches_brute_force(self):
         rng = random.Random(31)

@@ -17,7 +17,7 @@ from soe.morphism import (
     verify_sub_entity,
 )
 from soe.probability import ProbabilisticEntity, d_classical_measure
-from soe.statprop import closure_to_sps, testable_sps
+from soe.statprop import StatePropertySystem, closure_to_sps, testable_sps
 
 from conftest import random_entity
 
@@ -222,6 +222,29 @@ class TestSpsMorphism:
             sps, sps, SpsMorphism(m={p: p for p in sps.states}, n=n)
         )
         assert not diag.passed
+
+    def test_actuality_failures_are_named(self):
+        sps = StatePropertySystem({"s", "t"}, {"I", "0"}, {"s": {"I"}, "t": {"I"}})
+        mor = SpsMorphism(m={"s": "s", "t": "t"}, n={"I": "0", "0": "0"})
+        diag = verify_sps_morphism(sps, sps, mor)
+        assert diag.failures == [
+            "morphism.actuality_equivalence: property 'I' at big state 's': True vs False",
+            "morphism.actuality_equivalence: property 'I' at big state 't': True vs False",
+        ]
+        assert "morphism.meet_preserved" not in diag.checks
+
+    def test_a_meet_that_is_not_preserved_is_named(self):
+        # the same images on both sides, but only the big system has {t},
+        # so the small meet of a and b is 0 and the big one is x
+        actual = {"s": {"I", "a"}, "t": {"I", "a", "b"}, "u": {"I", "b"}}
+        small = StatePropertySystem({"s", "t", "u"}, {"I", "a", "b", "0"}, actual)
+        big = StatePropertySystem(
+            {"s", "t", "u"}, {"I", "a", "b", "x", "0"}, {**actual, "t": {"I", "a", "b", "x"}}
+        )
+        mor = SpsMorphism(m={p: p for p in big.states}, n={a: a for a in small.properties})
+        diag = verify_sps_morphism(small, big, mor)
+        assert diag.failures == ["morphism.meet_preserved: n('a' meet 'b')"]
+        assert [name for name, ok in diag.checks.items() if not ok] == ["morphism.meet_preserved"]
 
     def test_discontinuous_map_rejected(self):
         from soe.closure import ClosureSystem

@@ -5,8 +5,8 @@ The mixed relations are checked against their definitions written out from
 the least violating pair found by enumerating all pairs, the closure engine,
 the eigen systems and the ortho spaces against the brute-force oracles and
 the relation engine, the full mixed entity against its cell-by-cell
-definition, and the text format against its emitter and against arbitrary
-text.
+definition, the lattice queries of state-property systems against their
+scans, and the text format against its emitter and against arbitrary text.
 """
 
 from itertools import product
@@ -49,7 +49,13 @@ from soe.mixture import (
     mixed_outcome_set,
     mixture_id,
 )
-from soe.statprop import global_testable_sps, is_distinguishable, testable_sps
+from soe.statprop import (
+    StatePropertySystem,
+    _prop_key,
+    global_testable_sps,
+    is_distinguishable,
+    testable_sps,
+)
 
 from oracles import (
     brute_eig_central_family,
@@ -237,6 +243,94 @@ def test_testable_systems_match_the_definitions(entity, data):
         for _ in range(3):
             A = data.draw(st.frozensets(st.sampled_from(sorted(full))))
             assert sps.testable_property(A) == eig_states(entity, e, A)
+
+
+# property tokens of mixed types; each pair of TWINS ties under _prop_key
+TWINS = {1: "1", None: "None", frozenset({1}): frozenset({"1"})}
+PROPERTY_TOKENS = [*TWINS, *TWINS.values(), 2, "a", (1,), frozenset(), frozenset("ab")]
+
+
+@st.composite
+def state_property_systems(draw):
+    """Up to four states and six properties with random images, so systems
+    may be non-identified or non-lattices. With `twins`, each drawn token's
+    twin gets the same image. With `closed`, every intersection of the images
+    and the full state set are added, each as a property named by its image
+    (unless that token is already taken)."""
+    states = draw(st.lists(st.sampled_from("stuv"), max_size=4, unique=True))
+    image = st.frozensets(st.sampled_from(states)) if states else st.just(frozenset())
+    images = draw(st.dictionaries(st.sampled_from(PROPERTY_TOKENS), image, max_size=6))
+    if draw(st.booleans()):
+        images.update({TWINS[a]: F for a, F in images.items() if a in TWINS})
+    if draw(st.booleans()):
+        for F in intersection_closure(states, images.values()):
+            images.setdefault(F, F)
+    actual = {p: {a for a, F in images.items() if p in F} for p in states}
+    return StatePropertySystem(states, images, actual)
+
+
+def _scan_queries(sps):
+    """The scan definitions of top, bottom, meet and join over the
+    ordering-set order, each the least of its candidates by _prop_key."""
+    kappa = {a: frozenset(p for p in sps.states if a in sps.actual[p]) for a in sps.properties}
+
+    def leq(a, b):
+        return kappa[a] <= kappa[b]
+
+    def canonical(candidates):
+        return min(candidates, key=_prop_key)
+
+    def top():
+        candidates = [a for a in sps.properties if kappa[a] == sps.states]
+        if not candidates:
+            raise ContractError("no maximal property is actual in every state")
+        return canonical(candidates)
+
+    def bottom():
+        candidates = [a for a in sps.properties if not kappa[a]]
+        if not candidates:
+            raise ContractError("no minimal property is potential in every state")
+        return canonical(candidates)
+
+    def meet(props):
+        lower = [c for c in sps.properties if all(leq(c, a) for a in props)]
+        greatest = [m for m in lower if all(leq(c, m) for c in lower)]
+        if not greatest:
+            raise ContractError("family has no meet in this lattice")
+        return canonical(greatest)
+
+    def join(props):
+        upper = [c for c in sps.properties if all(leq(a, c) for a in props)]
+        least = [j for j in upper if all(leq(j, c) for c in upper)]
+        if not least:
+            raise ContractError("family has no join in this lattice")
+        return canonical(least)
+
+    return top, bottom, meet, join
+
+
+@SETTINGS
+@given(state_property_systems(), st.data())
+def test_lattice_queries_match_the_scans(sps, data):
+    """top, bottom, meet and join return the property the scans return, or
+    raise the same error, on families of up to three properties, the empty
+    family included."""
+
+    def outcome(query, *args):
+        try:
+            result = query(*args)
+        except SoeError as err:
+            return type(err), str(err)
+        return type(result), result
+
+    top, bottom, meet, join = _scan_queries(sps)
+    assert outcome(lambda: sps.top) == outcome(top)
+    assert outcome(lambda: sps.bottom) == outcome(bottom)
+    families = st.lists(st.sampled_from(sorted(sps.properties, key=_prop_key)), max_size=3)
+    for _ in range(4):
+        props = data.draw(families) if sps.properties else []
+        assert outcome(sps.meet, props) == outcome(meet, props)
+        assert outcome(sps.join, props) == outcome(join, props)
 
 
 NAMES = st.text(min_size=1, max_size=3)

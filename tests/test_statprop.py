@@ -366,3 +366,26 @@ class TestValidateAbstractSps:
         )
         diag = validate_sps(sps)
         assert not diag.passed
+
+    def test_a_missing_binary_meet_is_named(self):
+        # a and b share the lower bounds x = {t} and y = {u}, whose union
+        # {t, u} is no image, so the pair has no meet
+        sps = StatePropertySystem(
+            {"s", "t", "u", "v"},
+            {"I", "a", "b", "x", "y", "0"},
+            {"s": {"I", "a"}, "t": {"I", "a", "b", "x"}, "u": {"I", "a", "b", "y"}, "v": {"I", "b"}},
+        )
+        diag = validate_sps(sps)
+        assert diag.failures == ["lattice.binary_meets: no meet of 'a' and 'b'"]
+        assert [name for name, ok in diag.checks.items() if not ok] == ["lattice.binary_meets"]
+
+    def test_a_meet_that_is_not_actual_is_named(self):
+        # the meet of a and b is 0, but both are actual in t
+        sps = StatePropertySystem(
+            {"s", "t", "u"},
+            {"I", "a", "b", "0"},
+            {"s": {"I", "a"}, "t": {"I", "a", "b"}, "u": {"I", "b"}},
+        )
+        diag = validate_sps(sps)
+        assert diag.failures == ["xi.meet_stability: state 't', properties 'a', 'b'"]
+        assert [name for name, ok in diag.checks.items() if not ok] == ["xi.meet_stability"]
