@@ -3,15 +3,19 @@
 Eigen closure systems are the image families of the eigen maps (which states /
 experiments / couples are certain to produce an outcome inside a given set);
 ortho closure systems arise from orthogonality relations via double
-orthocomplement. A closure system is held as its generating closed sets; its
-closure operator intersects them, and its members are listed only on request,
-by one sweep of the generators over bit masks. The eigen generators of a scope
-are read from one pass over its row of the table.
+orthocomplement. A closure system is held as the bit masks of its generating
+closed sets over one item order; its closure operator intersects them, and its
+generators and members become frozensets only when asked for. The eigen
+generators and the orthocomplements of an entity come from its holder index:
+for each row of the table, the mask of the items whose cell holds each
+outcome, built once per entity.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import compress
+from operator import or_
 from types import MappingProxyType
 
 from .diagnostics import Diagnostics
@@ -21,38 +25,90 @@ from .errors import CapacityError, ContractError
 GROUND_CAP = 24  # full-family materialization refuses larger ground sets
 
 
+class _Order:
+    """An order of items for bit masks: bit i stands for items[i]."""
+
+    __slots__ = ("items", "ground", "bits", "full", "_bit")
+
+    def __init__(self, items, ground=None):
+        self.items = tuple(items)
+        self.ground = frozenset(self.items) if ground is None else ground
+        self.bits = [1 << i for i in range(len(self.items))]
+        self.full = (1 << len(self.items)) - 1
+        self._bit = None
+
+    def mask(self, K) -> int:
+        """The mask of K, a set of items."""
+        if self._bit is None:
+            self._bit = dict(zip(self.items, self.bits))
+        return sum(map(self._bit.__getitem__, K))
+
+    def decode(self, A) -> frozenset:
+        """The items of mask A."""
+        return frozenset(compress(self.items, map(A.__and__, self.bits)))
+
+    def same(self, other) -> bool:
+        return self is other or self.items == other.items
+
+
+def _closure_mask(full, generators, k) -> int:
+    """The full mask cut by every generator mask holding k."""
+    for g in generators:
+        if k & g == k:
+            full &= g
+    return full
+
+
 class ClosureSystem:
     """A family of subsets containing the empty set and the ground set and
-    closed under intersection, held as its generators: the members are their
-    intersections, and the closure of K is the ground cut by every generator
-    containing K. A listed family must pass `validate_closure_axioms`."""
+    closed under intersection, held as the masks of its generators over one
+    item order: the members are their intersections, and the closure of K is
+    the ground cut by every generator containing K. A listed family must pass
+    `validate_closure_axioms`."""
 
-    __slots__ = ("ground", "generators", "_members")
+    __slots__ = ("ground", "_order", "_gens", "_generators", "_members")
 
     def __init__(self, ground, members):
         ground, members = _family(ground, members)
         axioms = validate_closure_axioms(ground, members)
         if not axioms.passed:
             raise ContractError(f"family is not a closure system: {axioms.failures[0]}")
-        self._init(ground, members, members)
+        order = _Order(ground, ground)
+        self._init(order, set(map(order.mask, members)), members, members)
 
     @classmethod
     def generated(cls, ground, generators) -> "ClosureSystem":
         """The system of all intersections of `generators`, closed by
         construction: only the empty set's membership is checked."""
+        ground, generators = _family(ground, generators)
+        order = _Order(ground, ground)
+        return cls._of_masks(order, set(map(order.mask, generators)), generators)
+
+    @classmethod
+    def _of_masks(cls, order: _Order, gens: set, generators=None) -> "ClosureSystem":
+        """The system generated by the masks `gens` over `order`."""
         system = object.__new__(cls)
-        system._init(*_family(ground, generators), None)
-        if system.closure_of(frozenset()):
+        system._init(order, gens, generators, None)
+        if _closure_mask(order.full, gens, 0):
             raise ContractError("a closure system must contain the empty set")
         return system
 
-    def _init(self, ground, generators, members):
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "generators", generators)
+    def _init(self, order, gens, generators, members):
+        object.__setattr__(self, "ground", order.ground)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_gens", gens)
+        object.__setattr__(self, "_generators", generators)
         object.__setattr__(self, "_members", members)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClosureSystem is immutable")
+
+    @property
+    def generators(self) -> frozenset:
+        """The generating closed sets, decoded on first use."""
+        if self._generators is None:
+            object.__setattr__(self, "_generators", frozenset(map(self._order.decode, self._gens)))
+        return self._generators
 
     @property
     def members(self) -> frozenset:
@@ -66,12 +122,14 @@ class ClosureSystem:
     def __eq__(self, other):
         if not isinstance(other, ClosureSystem):
             return NotImplemented
-        if self.generators == other.generators:
-            return self.ground == other.ground
-        return (
-            self.ground == other.ground
-            and all(map(other.is_closed, self.generators))
-            and all(map(self.is_closed, other.generators))
+        if self.ground != other.ground:
+            return False
+        order = self._order
+        theirs = other._gens if order.same(other._order) else set(map(order.mask, other.generators))
+        if self._gens == theirs:
+            return True
+        return all(_closure_mask(order.full, self._gens, g) == g for g in theirs) and all(
+            _closure_mask(order.full, theirs, g) == g for g in self._gens
         )
 
     def __hash__(self):
@@ -81,7 +139,7 @@ class ClosureSystem:
         return len(self.members)
 
     def __repr__(self):
-        return f"ClosureSystem(|ground|={len(self.ground)}, |generators|={len(self.generators)})"
+        return f"ClosureSystem(|ground|={len(self.ground)}, |generators|={len(self._gens)})"
 
     def sorted_members(self) -> list:
         return sorted(self.members, key=lambda m: (len(m), tuple(sorted(m))))
@@ -91,11 +149,15 @@ class ClosureSystem:
         K = frozenset(K)
         if not K <= self.ground:
             raise ContractError(f"{sorted(K - self.ground)} lie outside the ground set")
-        return self.ground.intersection(*(g for g in self.generators if K <= g))
+        order = self._order
+        return order.decode(_closure_mask(order.full, self._gens, order.mask(K)))
 
     def is_closed(self, K) -> bool:
         K = frozenset(K)
-        return K <= self.ground and self.closure_of(K) == K
+        if not K <= self.ground:
+            return False
+        k = self._order.mask(K)
+        return _closure_mask(self._order.full, self._gens, k) == k
 
 
 def _family(ground, members) -> tuple:
@@ -119,44 +181,116 @@ def intersection_closure(ground, generators) -> frozenset:
     A & g for every set A found so far, so the cost is |generators| x
     |members| ANDs.
     """
-    items = sorted(ground, key=str)
-    bits = _bits(items)
-    bit = dict(zip(items, bits))
-    found = {(1 << len(items)) - 1}
-    for g in {sum(map(bit.__getitem__, m)) for m in generators}:
+    order = _Order(sorted(ground, key=str))
+    found = {order.full}
+    for g in set(map(order.mask, generators)):
         found |= {A & g for A in found}
-    return frozenset(_decode(items, bits, A) for A in found)
+    return frozenset(map(order.decode, found))
 
 
-def _bits(items) -> list:
-    """The mask encoding of the sweeps: bit i stands for items[i]."""
-    return [1 << i for i in range(len(items))]
-
-
-def _decode(items, bits, A) -> frozenset:
-    """The items of mask A."""
-    return frozenset(compress(items, map(A.__and__, bits)))
-
-
-def _member_sets(items, generators) -> dict:
-    """Every intersection of the generator masks over `items` (the empty one
+def _member_sets(order: _Order, generators) -> dict:
+    """Every intersection of the generator masks over `order` (the empty one
     is the ground), as {mask: set}. The same sweep as `intersection_closure`,
     but each member's set is stored when the member is found, as one
     intersection F & G with the generator that found it, so only the
     generators are decoded. That pays on families of a few dozen members; on
     families of thousands, the plain sweep and one decoding are faster.
     """
-    bits = _bits(items)
-    found = {(1 << len(items)) - 1: frozenset(items)}
+    found = {order.full: order.ground}
     for g in generators:
-        G = _decode(items, bits, g)
+        G = order.decode(g)
         for A, F in list(found.items()):
             if A & g not in found:
                 found[A & g] = F & G
     return found
 
 
-# -- eigen maps ---------------------------------------------------------------
+# -- the holder index and the eigen maps --------------------------------------
+
+
+def _holder_masks(cells) -> dict:
+    """has[x] for cells given in item order: the mask of the items whose cell
+    holds outcome x, bit i for the i-th item."""
+    has = {}
+    for i, cell in enumerate(cells):
+        for x in cell:
+            has[x] = has.get(x, 0) | 1 << i
+    return has
+
+
+class _Holders:
+    """The holder index of an entity: one canonical order of its states
+    (sorted), experiments (sorted) and couples (experiment-major, as in
+    `Entity.couples`), and the holder masks has[x] of every row over them,
+    each kind built on first use from one read of the table. Held on the
+    entity, which is immutable (`_holder_index`)."""
+
+    __slots__ = ("states", "experiments", "_table", "_couples", "_rows")
+
+    def __init__(self, entity: Entity):
+        self.states = _Order(sorted(entity.states), entity.states)
+        self.experiments = _Order(sorted(entity.experiments), entity.experiments)
+        self._table = entity._table  # not the entity, which holds the index
+        self._couples = None
+        self._rows = {}
+
+    @property
+    def couples(self) -> _Order:
+        if self._couples is None:
+            self._couples = _Order([(e, p) for e in self.experiments.items for p in self.states.items])
+        return self._couples
+
+    def rows(self, on: str) -> dict:
+        """{scope: has} for on='states' (each experiment's row over the
+        states), on='experiments' (each state's row over the experiments) or
+        on='central' ({None: has} over the couples)."""
+        rows = self._rows.get(on)
+        if rows is None:
+            table = self._table
+            states, experiments = self.states.items, self.experiments.items
+            if on == "states":
+                rows = {e: _holder_masks([table[(e, p)] for p in states]) for e in experiments}
+            elif on == "experiments":
+                rows = {p: _holder_masks([table[(e, p)] for e in experiments]) for p in states}
+            else:  # couple (e, p) has bit i * |states| + j, from e's row over the states
+                central = {}
+                for i, has in enumerate(self.rows("states").values()):
+                    shift = i * len(states)
+                    for x, h in has.items():
+                        central[x] = central.get(x, 0) | h << shift
+                rows = {None: central}
+            self._rows[on] = rows
+        return rows
+
+
+def _holder_index(entity: Entity) -> _Holders:
+    """The entity's holder index, built on first use and kept on the entity."""
+    try:
+        return entity._holders
+    except AttributeError:
+        index = _Holders(entity)
+        object.__setattr__(entity, "_holders", index)
+        return index
+
+
+def _scoped_rows(entity: Entity, on: str, scoped_to, what: str, system: str) -> tuple:
+    """(order, rows in scope) of the holder index for one eigen or ortho scope."""
+    index = _holder_index(entity)
+    if on == "central":
+        if scoped_to is not None:
+            raise ContractError(f"the central {system} takes no scope")
+        return index.couples, index.rows("central")
+    if on == "states":
+        order, require = index.states, entity.require_experiment
+    elif on == "experiments":
+        order, require = index.experiments, entity.require_state
+    else:
+        raise ContractError(f"unknown {what} scope {on!r}")
+    rows = index.rows(on)
+    if scoped_to is None:
+        return order, rows
+    require(scoped_to)
+    return order, {scoped_to: rows[scoped_to]}
 
 
 def eig_states(entity: Entity, e, A) -> frozenset:
@@ -184,18 +318,6 @@ def eig_central(entity: Entity, A) -> frozenset:
     return frozenset(couple for couple, cell in entity.cells() if cell <= A)
 
 
-def _row_coatoms(row) -> dict:
-    """For one row {item: cell} of the table, the coatom of each outcome x of
-    the row: eig(O - {x}) = the items whose cell misses x, where O is the
-    union of the row's cells. One read of the row gives every coatom."""
-    holders = {}  # outcome -> the items whose cell holds it
-    for item, cell in row.items():
-        for x in cell:
-            holders.setdefault(x, []).append(item)
-    items = frozenset(row)
-    return {x: items.difference(held) for x, held in holders.items()}
-
-
 def eigen_closure_system(entity: Entity, on: str, scoped_to=None) -> ClosureSystem:
     """The eigen closure system of the requested scope.
 
@@ -207,28 +329,14 @@ def eigen_closure_system(entity: Entity, on: str, scoped_to=None) -> ClosureSyst
 
     The generators are the coatoms of the image families, eig(O - {x}) for
     each outcome x of a scope's full outcome set O: their intersections are
-    exactly the image family, without enumerating every outcome subset. Each
-    scope's coatoms come from one read of its row of the table (`_row_coatoms`);
-    `eig_states`, `eig_experiments` and `eig_central` are the definitions
-    they agree with.
+    exactly the image family, without enumerating every outcome subset. The
+    coatom of x is the mask full & ~has[x] of the scope's row in the holder
+    index; `eig_states`, `eig_experiments` and `eig_central` are the
+    definitions they agree with.
     """
-    table = entity._table
-    if on == "central":
-        if scoped_to is not None:
-            raise ContractError("the central eigen system takes no scope")
-        return ClosureSystem.generated(entity.couples(), _row_coatoms(table).values())
-    if on == "states":
-        ground, scopes, require = entity.states, entity.experiments, entity.require_experiment
-        row = lambda e: {p: table[(e, p)] for p in ground}
-    elif on == "experiments":
-        ground, scopes, require = entity.experiments, entity.states, entity.require_state
-        row = lambda p: {e: table[(e, p)] for e in ground}
-    else:
-        raise ContractError(f"unknown eigen scope {on!r}")
-    if scoped_to is not None:
-        require(scoped_to)
-    scopes = sorted(scopes) if scoped_to is None else [scoped_to]
-    return ClosureSystem.generated(ground, [g for s in scopes for g in _row_coatoms(row(s)).values()])
+    order, rows = _scoped_rows(entity, on, scoped_to, "eigen", "eigen system")
+    full = order.full
+    return ClosureSystem._of_masks(order, {full & ~h for has in rows.values() for h in has.values()})
 
 
 # -- orthogonality spaces and ortho closures ----------------------------------
@@ -236,38 +344,69 @@ def eigen_closure_system(entity: Entity, on: str, scoped_to=None) -> ClosureSyst
 
 class OrthoSpace:
     """A finite set with a symmetric anti-reflexive orthogonality relation,
-    held as the orthocomplement `perp[a]` of each point a (a read-only map;
-    a point missing from the given map is orthogonal to nothing)."""
+    held as the orthocomplement of each point a, a mask over one item order;
+    `perp[a]` is its read-only frozenset form (a point missing from the given
+    map is orthogonal to nothing)."""
 
-    __slots__ = ("ground", "perp")
+    __slots__ = ("ground", "_order", "_perp", "_perps")
 
     def __init__(self, ground, perp):
         ground = frozenset(ground)
         for a in set(perp) - ground:
             raise ContractError(f"orthocomplement given for {a!r}, which lies outside the ground set")
-        perp = {a: frozenset(perp.get(a, ())) for a in ground}
-        groups = {}  # the points sharing each orthocomplement
-        for a, p in perp.items():
-            groups.setdefault(p, []).append(a)
-        for p, points in groups.items():
-            for b in p - ground:
-                raise ContractError(f"orthogonal pair ({points[0]!r}, {b!r}) lies outside the ground set")
-            for a in p.intersection(points):
+        order = _Order(ground, ground)
+        given = {a: frozenset(perp.get(a, ())) for a in order.items}
+        masks = {}  # one mask per distinct orthocomplement
+        for a, p in given.items():
+            if p not in masks:
+                for b in p - ground:
+                    raise ContractError(f"orthogonal pair ({a!r}, {b!r}) lies outside the ground set")
+                masks[p] = order.mask(p)
+        self._init(order, {a: masks[p] for a, p in given.items()})
+
+    @classmethod
+    def _of_masks(cls, order: _Order, perp: dict) -> "OrthoSpace":
+        """The space whose point a has the orthocomplement mask perp[a]."""
+        space = object.__new__(cls)
+        space._init(order, perp)
+        return space
+
+    def _init(self, order, perp):
+        groups = {}  # orthocomplement mask -> [its points, their mask]
+        for a, bit in zip(order.items, order.bits):
+            group = groups.get(perp[a])
+            if group is None:
+                groups[perp[a]] = group = [[], 0]
+            group[0].append(a)
+            group[1] |= bit
+        for p, (points, mask) in groups.items():
+            if p & mask:
+                a = next(a for a, bit in zip(order.items, order.bits) if p & mask & bit)
                 raise ContractError(f"orthogonality must be anti-reflexive; got ({a!r}, {a!r})")
-            for q, others in groups.items():
+            for q, (others, others_mask) in groups.items():
                 # every b of others inside p needs every a of points inside q
-                if not p.isdisjoint(others) and not q.issuperset(points):
-                    b = next(b for b in others if b in p)
-                    a = next(a for a in points if a not in q)
+                if p & others_mask and mask & ~q:
+                    b = next(b for b in others if p & order.mask((b,)))
+                    a = next(a for a in points if not q & order.mask((a,)))
                     raise ContractError(f"orthogonality must be symmetric; ({b!r}, {a!r}) missing")
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "perp", MappingProxyType(perp))
+        object.__setattr__(self, "ground", order.ground)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_perp", perp)
+        object.__setattr__(self, "_perps", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrthoSpace is immutable")
 
+    @property
+    def perp(self) -> MappingProxyType:
+        """{a: the orthocomplement of a}, decoded on first use."""
+        if self._perps is None:
+            sets = {P: self._order.decode(P) for P in set(self._perp.values())}
+            object.__setattr__(self, "_perps", MappingProxyType({a: sets[P] for a, P in self._perp.items()}))
+        return self._perps
+
     def orthogonal(self, a, b) -> bool:
-        return b in self.perp.get(a, ())
+        return a in self._perp and b in self.ground and bool(self._perp[a] & self._order.mask((b,)))
 
 
 def orth_complement(space: OrthoSpace, K) -> frozenset:
@@ -275,7 +414,11 @@ def orth_complement(space: OrthoSpace, K) -> frozenset:
     K = frozenset(K)
     if not K <= space.ground:
         raise ContractError(f"{sorted(K - space.ground)} lie outside the ground set")
-    return space.ground.intersection(*(space.perp[q] for q in K))
+    order = space._order
+    perp = order.full
+    for q in K:
+        perp &= space._perp[q]
+    return order.decode(perp)
 
 
 def ortho_closure(space: OrthoSpace, K) -> frozenset:
@@ -286,35 +429,47 @@ def ortho_closure(space: OrthoSpace, K) -> frozenset:
 def ortho_closure_system(space: OrthoSpace) -> ClosureSystem:
     """The system of ortho closed sets, generated by the orthocomplements of
     the points: (K^perp)^perp is the intersection of the perps of K^perp."""
-    return ClosureSystem.generated(space.ground, space.perp.values())
+    return ClosureSystem._of_masks(space._order, set(space._perp.values()))
 
 
 def entity_ortho_space(entity: Entity, on: str, scoped_to=None) -> OrthoSpace:
     """The orthogonality space of an entity for the requested relation kind.
-    Points with equal views have equal orthocomplements, so one perp is
-    computed per distinct view."""
-    if on == "states":
-        kind = RelationKind.state_for(scoped_to) if scoped_to is not None else RelationKind.state_global()
-        ground = entity.states
-    elif on == "experiments":
-        kind = RelationKind.experiment_for(scoped_to) if scoped_to is not None else RelationKind.experiment_global()
-        ground = entity.experiments
-    elif on == "central":
-        if scoped_to is not None:
-            raise ContractError("the central orthogonality takes no scope")
-        kind = RelationKind.central()
-        ground = frozenset(entity.couples())
-    elif on == "outcomes":
+
+    Two points are orthogonal when their cells are disjoint in some scope
+    (one experiment, one state, or every one for the global kinds). For
+    states, experiments and couples the perp of a point is therefore the OR,
+    over the scopes, of ~OR has[x] over the outcomes x of its cell there, read
+    from the holder index, once per distinct view. Outcome orthogonality
+    compares the views of `relation_views`.
+    """
+    if on == "outcomes":
         kind = RelationKind.outcome_for(*scoped_to) if scoped_to is not None else RelationKind.outcome_global()
-        ground = entity.outcomes
+        view, orthogonal = relation_views(entity, kind)
+        points = {}
+        for a in entity.outcomes:
+            points.setdefault(view(a), []).append(a)
+        perps = {u: frozenset(b for v, bs in points.items() if orthogonal(u, v) for b in bs) for u in points}
+        return OrthoSpace(entity.outcomes, {a: perps[u] for u, group in points.items() for a in group})
+    order, rows = _scoped_rows(entity, on, scoped_to, "orthogonality", "orthogonality")
+    table, scopes, holders = entity._table, list(rows), list(rows.values())
+    if on == "states":
+        view = lambda a: tuple([table[(s, a)] for s in scopes])  # noqa: E731
+    elif on == "experiments":
+        view = lambda a: tuple([table[(a, s)] for s in scopes])  # noqa: E731
     else:
-        raise ContractError(f"unknown orthogonality scope {on!r}")
-    view, orthogonal = relation_views(entity, kind)
-    points = {}
-    for a in ground:
-        points.setdefault(view(a), []).append(a)
-    perps = {u: frozenset(b for v, bs in points.items() if orthogonal(u, v) for b in bs) for u in points}
-    return OrthoSpace(ground, {a: perps[u] for u, group in points.items() for a in group})
+        view = lambda a: (table[a],)  # noqa: E731
+    full = order.full
+    perps, perp = {}, {}  # view -> perp mask, point -> perp mask
+    for a in order.items:
+        u = view(a)
+        P = perps.get(u)
+        if P is None:
+            meets = full  # the points whose cell meets a's in every scope
+            for cell, has in zip(u, holders):
+                meets &= reduce(or_, map(has.__getitem__, cell))
+            perps[u] = P = full & ~meets
+        perp[a] = P
+    return OrthoSpace._of_masks(order, perp)
 
 
 # -- trace of a couple system on the states -----------------------------------
@@ -375,8 +530,7 @@ def outcome_closure_system(entity: Entity) -> ClosureSystem:
 def _intersection_closed(ground, members) -> bool:
     """Whether every pairwise intersection of `members` is a member, checked
     over bit masks of the ground, one C-level pass per member."""
-    bit = {x: 1 << i for i, x in enumerate(ground)}
-    masks = [sum(map(bit.__getitem__, m)) for m in members]
+    masks = list(map(_Order(ground, ground).mask, members))
     closed = set(masks)
     return all(closed.issuperset(map(a.__and__, masks[i + 1:])) for i, a in enumerate(masks))
 

@@ -42,7 +42,8 @@ class Entity:
         silent extension)
     """
 
-    __slots__ = ("states", "experiments", "outcomes", "_table")
+    # _holders: the holder index of soe.closure, set on first use
+    __slots__ = ("states", "experiments", "outcomes", "_table", "_holders")
 
     def __init__(self, states, experiments, table, outcomes=None):
         states = frozenset(states)

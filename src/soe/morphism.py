@@ -53,8 +53,12 @@ class SubEntityWitness:
 
 
 def _require_total(mapping, domain, what) -> None:
-    missing = sorted(set(domain) - set(mapping))
+    missing = set(domain) - set(mapping)
     if missing:
+        try:
+            missing = sorted(missing)
+        except TypeError:  # keys of mixed types have no common order
+            missing = sorted(missing, key=lambda key: (type(key).__name__, repr(key)))
         raise ContractError(f"{what} is not total; missing {missing}")
 
 

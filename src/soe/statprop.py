@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .closure import ClosureSystem, _bits, _member_sets
+from .closure import ClosureSystem, _closure_mask, _holder_index, _member_sets, _Order
 from .diagnostics import Diagnostics
 from .entity import Entity, RelationKind, first_equivalent_pair, first_pair
 from .errors import CapacityError, ContractError, UnknownIdentifierError
@@ -34,9 +34,16 @@ class StatePropertySystem:
     `actual` is the map xi; the property order is the ordering-set order
     (a below b iff every state making a actual makes b actual), which for
     identified systems coincides with inclusion of Cartan images.
+
+    A testable system (`testable_sps`) keeps the masks of its properties and
+    the holder masks of its row, and derives `actual`, `labels` and
+    `_coatoms` from them on first use.
     """
 
-    __slots__ = ("states", "properties", "actual", "labels", "_coatoms", "_full_outcomes", "_images", "_by_image")
+    __slots__ = (
+        "states", "properties", "_full_outcomes", "_masks", "_actual", "_labels", "_coatom_sets",
+        "_images", "_by_image",
+    )
 
     def __init__(self, states, properties, actual, labels=None, _coatoms=None, _full_outcomes=None):
         states = frozenset(states)
@@ -50,14 +57,55 @@ class StatePropertySystem:
             if stray:
                 raise ContractError(f"state {p!r} lists unknown properties: {sorted(map(str, stray))}")
             fixed[p] = props
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "properties", properties)
-        object.__setattr__(self, "actual", fixed)
-        object.__setattr__(self, "labels", dict(labels) if labels else {})
-        object.__setattr__(self, "_coatoms", dict(_coatoms) if _coatoms else None)
-        object.__setattr__(self, "_full_outcomes", _full_outcomes)
-        object.__setattr__(self, "_images", None)
-        object.__setattr__(self, "_by_image", None)
+        self._init(states, properties, _full_outcomes, None, fixed, dict(labels) if labels else {},
+                   dict(_coatoms) if _coatoms else None)
+
+    @classmethod
+    def _testable(cls, order, has) -> "StatePropertySystem":
+        """The testable system of one experiment's row, given as the order of
+        its items (the states) and the holder masks has[x] of its outcomes.
+        The coatom of x is full & ~has[x], and the properties are the storing
+        sweep of the coatoms (`_member_sets`), whose masks the system keeps."""
+        found = _member_sets(order, {order.full & ~h for h in has.values()})
+        sps = object.__new__(cls)
+        sps._init(found[order.full], frozenset(found.values()), frozenset(has), (order, has, found), None, None, None)
+        return sps
+
+    def _init(self, states, properties, full_outcomes, masks, actual, labels, coatoms):
+        for name, value in (
+            ("states", states), ("properties", properties), ("_full_outcomes", full_outcomes), ("_masks", masks),
+            ("_actual", actual), ("_labels", labels), ("_coatom_sets", coatoms), ("_images", None),
+            ("_by_image", None),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def actual(self) -> dict:
+        """{state: the properties actual in it}; a testable system's comes
+        from one pass over its properties."""
+        if self._actual is None:
+            actual = {p: frozenset(F) for p, F in _actual(self._masks[0].items, self.properties).items()}
+            object.__setattr__(self, "_actual", actual)
+        return self._actual
+
+    @property
+    def labels(self) -> dict:
+        """{property: its outcome-set label}; a testable property of mask A
+        is labeled {x : A & has[x]}."""
+        if self._labels is None:
+            _, has, found = self._masks
+            labels = {F: frozenset([x for x, h in has.items() if A & h]) for A, F in found.items()}
+            object.__setattr__(self, "_labels", labels)
+        return self._labels
+
+    @property
+    def _coatoms(self):
+        """{outcome x: the property of mask full & ~has[x]} of a testable
+        system, else None."""
+        if self._coatom_sets is None and self._masks is not None:
+            order, has, found = self._masks
+            object.__setattr__(self, "_coatom_sets", {x: found[order.full & ~h] for x, h in has.items()})
+        return self._coatom_sets
 
     def __setattr__(self, name, value):
         raise AttributeError("StatePropertySystem is immutable")
@@ -183,43 +231,11 @@ def testable_sps(entity: Entity, e) -> StatePropertySystem:
     Properties are the Cartan images (equal to the e-eigen closed state sets);
     each property is labeled with its largest defining outcome set, the union
     of the cells of its states. The coatoms that generate the properties and
-    the labels both come from one read of the row of e, its holder masks.
+    the labels both come from the row of e in the entity's holder index.
     """
     entity.require_experiment(e)
-    states = list(entity.states)
-    return _testable_system(states, _holder_masks(entity._table[(e, p)] for p in states))
-
-
-def _holder_masks(cells) -> dict:
-    """has[x] for cells given in item order: the mask of the items whose cell
-    holds outcome x, bit i for the i-th item."""
-    has = {}
-    for i, cell in enumerate(cells):
-        for x in cell:
-            has[x] = has.get(x, 0) | 1 << i
-    return has
-
-
-def _testable_system(items, has) -> StatePropertySystem:
-    """The testable system of one experiment's row, given as its items (the
-    states) and the holder masks has[x] of its outcomes (`_holder_masks`).
-
-    The coatom of x is full & ~has[x]. The members are the storing sweep of
-    the coatoms (`_member_sets`), so each coatom's set is the member of its
-    mask. The label of a member A is {x : A & has[x]}, and `actual` comes
-    from one pass over the members.
-    """
-    full = (1 << len(items)) - 1
-    found = _member_sets(items, {full & ~h for h in has.values()})
-    labels = {F: frozenset([x for x, h in has.items() if A & h]) for A, F in found.items()}
-    return StatePropertySystem(
-        found[full],
-        found.values(),
-        _actual(items, found.values()),
-        labels=labels,
-        _coatoms={x: found[full & ~h] for x, h in has.items()},
-        _full_outcomes=frozenset(has),
-    )
+    index = _holder_index(entity)
+    return StatePropertySystem._testable(index.states, index.rows("states")[e])
 
 
 def _actual(states, members) -> dict:
@@ -241,31 +257,25 @@ def is_cartan_family(sps: StatePropertySystem, system: ClosureSystem) -> bool:
     that is `sps_to_closure(sps) == system`, decided without listing system
     and without testing pairs of images.
 
-    Over bit masks of the states, the images must hold the ground, each be
-    closed in system, and stay images when cut by any generator of system.
-    Every member of system is the ground cut by some of its generators, so
-    the images then hold every member, and hold nothing else. The cost is
-    |images| x |generators| mask operations.
+    Over the masks of system, the images must hold the ground, each be closed
+    in system, and stay images when cut by any generator of system. Every
+    member of system is the ground cut by some of its generators, so the
+    images then hold every member, and hold nothing else. A testable system
+    gives the masks it keeps; other systems encode their Cartan images. The
+    cost is |images| x |generators| mask operations.
     """
     if sps.states != system.ground:
         return False
-    bit = {p: 1 << i for i, p in enumerate(sps.states)}
-    images = dict.fromkeys(sps.properties, 0)
-    for p, props in sps.actual.items():
-        for a in props:
-            images[a] |= bit[p]
-    images = set(images.values())
-    ground = (1 << len(bit)) - 1
-    generators = [sum(map(bit.__getitem__, g)) for g in system.generators]
-
-    def closed(F):
-        cl = ground
-        for g in generators:
-            if F & g == F:
-                cl &= g
-        return cl == F
-
-    return ground in images and all(map(closed, images)) and all(F & g in images for F in images for g in generators)
+    order, generators = system._order, system._gens
+    if sps._masks is not None and sps._masks[0].same(order):
+        images = sps._masks[2].keys()
+    else:
+        images = set(map(order.mask, sps._index()))
+    return (
+        order.full in images
+        and all(_closure_mask(order.full, generators, F) == F for F in images)
+        and all(F & g in images for F in images for g in generators)
+    )
 
 
 def closure_to_sps(ground, system: ClosureSystem) -> StatePropertySystem:
@@ -296,8 +306,9 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
 
     Only that experiment's row is read, and only as holder masks: the cell of
     a mixture P is the union of O(p) over p in P, so P holds outcome x
-    exactly when P meets the states S_x whose O(p) holds x, and has[x] is
-    computed once per distinct S_x over the 2^|states| - 1 mixtures. No cell
+    exactly when P meets the states S_x whose O(p) holds x (the OR of x's
+    holder masks in the entity's holder index), and has[x] is computed once
+    per distinct S_x over the 2^|states| - 1 mixtures. No cell
     is built. The result equals
     `testable_sps(full_mixed_entity(entity), mixture_id(entity.experiments))`.
     The row is refused (`CapacityError`) beyond TOTAL_ROW_BUDGET cells, so up
@@ -322,18 +333,22 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
         raise CapacityError(
             f"total mixed row of 2^{len(entity.states)} - 1 = {cells} cells exceeds budget {TOTAL_ROW_BUDGET}"
         )
-    states = sorted(entity.states)
-    mixtures = range(1, 2 ** len(states))  # mixture P is a mask over the sorted states
-    state_bits, row_bits = _bits(states), _bits(mixtures)
+    index = _holder_index(entity)
+    states = index.states
+    mixtures = range(1, 2 ** len(states.items))  # mixture P is a mask over the sorted states
     # no identifier holds '+', so the sorted base identifiers joined are mixture_id
-    ids = ["+".join(compress(states, map(P.__and__, state_bits))) for P in mixtures]
+    row = _Order(["+".join(compress(states.items, map(P.__and__, states.bits))) for P in mixtures])
+    held = {}  # x -> S_x, from the rows of the holder index
+    for has in index.rows("states").values():
+        for x, S in has.items():
+            held[x] = held.get(x, 0) | S
     meeting = {}  # S_x -> the mask of the mixtures meeting it
     has = {}
-    for x, S in _holder_masks(map(entity.state_outcomes, states)).items():
+    for x, S in held.items():
         if S not in meeting:
-            meeting[S] = sum(compress(row_bits, map(S.__and__, mixtures)))
+            meeting[S] = sum(compress(row.bits, map(S.__and__, mixtures)))
         has[x] = meeting[S]
-    return _testable_system(ids, has)
+    return StatePropertySystem._testable(row, has)
 
 
 def validate_sps(sps: StatePropertySystem) -> Diagnostics:
@@ -369,14 +384,15 @@ def validate_sps(sps: StatePropertySystem) -> Diagnostics:
                 diag.record("lattice.binary_meets", False, f"no meet of {a!r} and {b!r}")
                 meets_ok = False
                 break
-            for p in states:
-                both = a in sps.actual[p] and b in sps.actual[p]
-                if not diag.record(
+            # xi(p) holds a and b exactly when it holds their meet: kappa(a meet b)
+            # is kappa(a) & kappa(b), else the least state where they differ fails
+            if states:
+                diff = sps.cartan(m) ^ (sps.cartan(a) & sps.cartan(b))
+                diag.record(
                     "xi.meet_stability",
-                    both == (m in sps.actual[p]),
-                    lambda: f"state {p!r}, properties {a!r}, {b!r}",
-                ):
-                    break
+                    not diff,
+                    lambda: f"state {next(p for p in states if p in diff)!r}, properties {a!r}, {b!r}",
+                )
         if not meets_ok:
             break
     diag.checks.setdefault("lattice.binary_meets", True)

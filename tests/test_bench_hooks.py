@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import soe.classify
+import soe.closure
+import soe.statprop
 from soe.examples import three_by_three
 
 
@@ -29,3 +31,23 @@ def test_every_traced_name_installs_and_uninstalls(spans):
     assert soe.classify.classify is original
     assert tracer.counts["classify.classify.calls"] == 1
     assert tracer.counts["classify.predicates.calls"] == 6
+
+
+def test_listed_families_and_testable_systems_stay_traced(spans):
+    """Listing the members of an eigen system still goes through
+    `intersection_closure(ground, generators)`, and `testable_sps` still opens
+    its span, so the closure and statprop layers of a traced run do not read 0."""
+    entity = three_by_three()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        system = soe.closure.eigen_closure_system(entity, "states")
+        members = system.members
+        soe.statprop.testable_sps(entity, "e")
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["closure.generators"] == len(system.generators) > 0
+    assert tracer.counts["closure.members"] == len(members) > 0
+    assert tracer.counts["closure.intersection_closure.calls"] == 1
+    assert tracer.counts["statprop.testable_sps.calls"] == 1
+    assert "statprop.testable_sps" in {span[0] for span in tracer.spans}

@@ -77,6 +77,15 @@ class TestVerifySubEntity:
         with pytest.raises(ContractError):
             verify_sub_entity(worked, worked, SubEntityWitness({}, {}, {}))
 
+    def test_a_partial_map_names_its_missing_keys_in_order(self, worked):
+        m = {p: p for p in worked.states if p != "p"}
+        with pytest.raises(ContractError) as err:
+            verify_sub_entity(worked, worked, SubEntityWitness({}, {}, {}))
+        assert str(err.value) == f"the state map is not total; missing {sorted(worked.states)}"
+        with pytest.raises(ContractError) as err:
+            verify_sub_entity(worked, worked, SubEntityWitness(m, {}, {}))
+        assert str(err.value) == "the state map is not total; missing ['p']"
+
     def test_random_relabelings(self):
         rng = random.Random(71)
         for _ in range(15):
@@ -245,6 +254,16 @@ class TestSpsMorphism:
         diag = verify_sps_morphism(small, big, mor)
         assert diag.failures == ["morphism.meet_preserved: n('a' meet 'b')"]
         assert [name for name, ok in diag.checks.items() if not ok] == ["morphism.meet_preserved"]
+
+    def test_a_map_missing_keys_of_mixed_types_is_refused(self):
+        sps = StatePropertySystem({"s"}, {1, "a", "b"}, {"s": {1, "a", "b"}})
+        identity = {"s": "s"}
+        with pytest.raises(ContractError) as err:
+            verify_sps_morphism(sps, sps, SpsMorphism(m=identity, n={"b": "b"}))
+        assert str(err.value) == "the property map is not total; missing [1, 'a']"
+        with pytest.raises(ContractError) as err:
+            verify_sps_morphism(sps, sps, SpsMorphism(m=identity, n={1: 1}))
+        assert str(err.value) == "the property map is not total; missing ['a', 'b']"
 
     def test_discontinuous_map_rejected(self):
         from soe.closure import ClosureSystem

@@ -4,7 +4,8 @@ The mixed relations are checked against their definitions written out from
 `mixed_outcome_set`, every witness of `classify` and of `satisfies_T0` against
 the least violating pair found by enumerating all pairs, the closure engine,
 the eigen systems and the ortho spaces against the brute-force oracles and
-the relation engine, the full mixed entity against its cell-by-cell
+the relation engine, the mask engine of the closure layer against the
+frozenset definitions, the full mixed entity against its cell-by-cell
 definition, the lattice queries of state-property systems against their
 scans, and the text format against its emitter and against arbitrary text.
 """
@@ -27,16 +28,20 @@ from soe.classify import (
 )
 from soe.closure import (
     ClosureSystem,
+    OrthoSpace,
+    _Order,
     eig_central,
     eig_experiments,
     eig_states,
     eigen_closure_system,
     entity_ortho_space,
     intersection_closure,
+    orth_complement,
     ortho_closure_system,
     state_trace,
 )
-from soe.entity import Entity, RelationKind, check_identifier, orthogonal
+from soe.diagnostics import Diagnostics
+from soe.entity import Entity, RelationKind, check_identifier, first_equivalent_pair, orthogonal
 from soe.errors import ContractError, EntityValidationError, ParseError, SoeError
 from soe.formats import emit_entity, parse_entity, parse_witness
 from soe.mixture import (
@@ -53,8 +58,10 @@ from soe.statprop import (
     StatePropertySystem,
     _prop_key,
     global_testable_sps,
+    is_cartan_family,
     is_distinguishable,
     testable_sps,
+    validate_sps,
 )
 
 from oracles import (
@@ -245,6 +252,77 @@ def test_testable_systems_match_the_definitions(entity, data):
             assert sps.testable_property(A) == eig_states(entity, e, A)
 
 
+def _scopes(entity):
+    """Every eigen and ortho scope of an entity: (on, scoped_to, relation kind)."""
+    scopes = [("states", None, RelationKind.state_global()), ("experiments", None, RelationKind.experiment_global())]
+    scopes += [("states", e, RelationKind.state_for(e)) for e in sorted(entity.experiments)]
+    scopes += [("experiments", p, RelationKind.experiment_for(p)) for p in sorted(entity.states)]
+    return scopes + [("central", None, RelationKind.central())]
+
+
+@SETTINGS
+@given(entities(side=3), st.data())
+def test_mask_coatoms_and_perps_match_the_definitions(entity, data):
+    """For every scope, the coatoms read from the holder index are the
+    eig_states / eig_experiments / eig_central coatoms, each perp is the set
+    of points orthogonal to its point, and orth_complement and closure_of cut
+    the ground by them as the definitions say."""
+    eig = {
+        "states": lambda s, A: eig_states(entity, s, A),
+        "experiments": lambda s, A: eig_experiments(entity, s, A),
+        "central": lambda s, A: eig_central(entity, A),
+    }
+    full = {
+        "states": entity.experiment_outcomes,
+        "experiments": entity.state_outcomes,
+        "central": lambda s: entity.outcomes,
+    }
+    rows = {"states": sorted(entity.experiments), "experiments": sorted(entity.states), "central": [None]}
+    for on, scope, kind in _scopes(entity):
+        coatoms = {eig[on](s, full[on](s) - {x}) for s in ([scope] if scope else rows[on]) for x in full[on](s)}
+        system = eigen_closure_system(entity, on, scope)
+        assert system.generators == coatoms, (on, scope)
+        space = entity_ortho_space(entity, on, scope)
+        ground = sorted(space.ground)
+        for a in ground:
+            assert space.perp[a] == frozenset(b for b in ground if orthogonal(entity, kind, a, b)), (on, scope, a)
+        for _ in range(2):
+            K = data.draw(st.frozensets(st.sampled_from(ground)))
+            assert orth_complement(space, K) == frozenset(
+                b for b in ground if all(orthogonal(entity, kind, a, b) for a in K)
+            ), (on, scope, K)
+            assert system.closure_of(K) == system.ground.intersection(*(g for g in coatoms if K <= g))
+            assert system.is_closed(K) == (system.closure_of(K) == K)
+
+
+@SETTINGS
+@given(entities(), st.data())
+def test_derived_fields_equal_their_eager_forms(entity, data):
+    """A testable system's derived actual, labels and coatoms, and the
+    decoded generators and perps, equal the forms built eagerly from
+    frozensets through the public constructors, and answer the same checks."""
+    on, scope, _ = data.draw(st.sampled_from(_scopes(entity)))
+    space = entity_ortho_space(entity, on, scope)
+    eager_space = OrthoSpace(space.ground, {a: set(p) for a, p in space.perp.items()})
+    assert eager_space.perp == space.perp
+    system = ortho_closure_system(space)
+    eager = ClosureSystem.generated(space.ground, list(eager_space.perp.values()))
+    assert system.generators == eager.generators == frozenset(space.perp.values())
+    assert system == eager and eager == system
+    for e in sorted(entity.experiments):
+        sps = testable_sps(entity, e)
+        actual = {p: {F for F in sps.properties if p in F} for p in entity.states}
+        labels = {F: frozenset().union(*(entity.outcome_set(e, p) for p in F)) for F in sps.properties}
+        full = entity.experiment_outcomes(e)
+        coatoms = {x: eig_states(entity, e, full - {x}) for x in full}
+        built = StatePropertySystem(entity.states, sps.properties, actual, labels, coatoms, full)
+        assert (sps.actual, sps.labels, sps._coatoms) == (built.actual, built.labels, built._coatoms)
+        assert sps == built
+        assert validate_sps(sps) == validate_sps(built)
+        for scoped in (eigen_closure_system(entity, "states", e), eigen_closure_system(entity, "states")):
+            assert is_cartan_family(sps, scoped) == is_cartan_family(built, scoped)
+
+
 # property tokens of mixed types; each pair of TWINS ties under _prop_key
 TWINS = {1: "1", None: "None", frozenset({1}): frozenset({"1"})}
 PROPERTY_TOKENS = [*TWINS, *TWINS.values(), 2, "a", (1,), frozenset(), frozenset("ab")]
@@ -333,6 +411,83 @@ def test_lattice_queries_match_the_scans(sps, data):
         assert outcome(sps.join, props) == outcome(join, props)
 
 
+def _validate_sps_state_by_state(sps):
+    """validate_sps as it checked xi.meet_stability before: one record per
+    state of every pair, stopping at a pair's first failing state."""
+    diag = Diagnostics()
+    try:
+        top = sps.top
+        diag.record("lattice.top", True)
+        diag.record("lattice.top_actual_everywhere", all(top in sps.actual[p] for p in sps.states))
+    except ContractError as err:
+        diag.record("lattice.top", False, str(err))
+    try:
+        bottom = sps.bottom
+        diag.record("lattice.bottom", True)
+        diag.record("lattice.bottom_actual_nowhere", not any(bottom in sps.actual[p] for p in sps.states))
+    except ContractError as err:
+        diag.record("lattice.bottom", False, str(err))
+    props = sorted(sps.properties, key=_prop_key)
+    states = sorted(sps.states)
+    meets_ok = True
+    for i, a in enumerate(props):
+        for b in props[i:]:
+            try:
+                m = sps.meet([a, b])
+            except ContractError:
+                diag.record("lattice.binary_meets", False, f"no meet of {a!r} and {b!r}")
+                meets_ok = False
+                break
+            for p in states:
+                both = a in sps.actual[p] and b in sps.actual[p]
+                if not diag.record("xi.meet_stability", both == (m in sps.actual[p]),
+                                   f"state {p!r}, properties {a!r}, {b!r}"):
+                    break
+        if not meets_ok:
+            break
+    diag.checks.setdefault("lattice.binary_meets", True)
+    diag.checks.setdefault("xi.meet_stability", True)
+    equivalent = first_equivalent_pair(props, sps.cartan)
+    if equivalent is not None:
+        a, b = equivalent
+        diag.record("lattice.identified", False, f"{a!r} and {b!r} are equivalent but distinct")
+    diag.checks.setdefault("lattice.identified", True)
+    return diag
+
+
+@SETTINGS
+@given(state_property_systems())
+def test_meet_stability_once_per_pair_matches_the_state_loop(sps):
+    """validate_sps checks xi.meet_stability once per pair of properties; its
+    checks (in order), failures and overflow equal those of the loop over
+    states, on systems that are not meet-stable, not lattices or not
+    identified."""
+    got, want = validate_sps(sps), _validate_sps_state_by_state(sps)
+    assert list(got.checks.items()) == list(want.checks.items())
+    assert (got.failures, got._overflow) == (want.failures, want._overflow)
+
+
+def test_meet_stability_overflow_matches_the_state_loop():
+    """The pairs of two-state properties sharing one state have the empty
+    meet, which is not their intersection: 12 failures, 2 beyond the cap."""
+    states = "stuv"
+    images = [frozenset(pair) for pair in product(states, repeat=2) if pair[0] < pair[1]]
+    images += [frozenset(), frozenset(states)]
+    sps = StatePropertySystem(states, images, {p: {F for F in images if p in F} for p in states})
+    got, want = validate_sps(sps), _validate_sps_state_by_state(sps)
+    assert got._overflow == 2
+    assert list(got.checks.items()) == list(want.checks.items())
+    assert (got.failures, got._overflow) == (want.failures, want._overflow)
+
+
+def test_meet_stability_names_the_least_state_where_the_meet_differs():
+    """a and b share the states t and u, but their meet is the bottom."""
+    actual = {"s": {"1", "a"}, "t": {"1", "a", "b"}, "u": {"1", "a", "b"}, "v": {"1", "b"}}
+    sps = StatePropertySystem("stuv", {"0", "1", "a", "b"}, actual)
+    assert validate_sps(sps).failures == ["xi.meet_stability: state 't', properties 'a', 'b'"]
+    assert validate_sps(sps) == _validate_sps_state_by_state(sps)
+
+
 NAMES = st.text(min_size=1, max_size=3)
 
 
@@ -411,6 +566,28 @@ def test_equality_agrees_with_members_when_generators_overlap(drawn, data):
     extra = data.draw(st.lists(st.frozensets(pool), max_size=2))
     other, _ = _generated(ground, kept + extra)
     assert (first == other) == (other == first) == (first.members == other.members)
+
+
+@SETTINGS
+@given(systems(), st.data())
+def test_mask_equality_and_closure_hold_across_item_orders(drawn, data):
+    """The same system held over another order of its ground equals it and
+    closes every set as the frozenset definition does; `==` against a second
+    system agrees with comparing members, on grounds of names and of couples."""
+    ground = drawn[0]
+    system, generators = _generated(*drawn)
+    members = brute_intersection_closure(ground, [generators])
+    order = _Order(data.draw(st.permutations(sorted(ground))), system.ground)
+    moved = ClosureSystem._of_masks(order, set(map(order.mask, generators)))
+    assert moved == system and system == moved
+    assert moved.generators == system.generators == frozenset(map(frozenset, generators))
+    other, _ = _generated(*data.draw(systems(ground)))
+    expected = other.members == members
+    assert (moved == other) == (other == moved) == (system == other) == expected
+    for _ in range(3):
+        K = data.draw(st.frozensets(st.sampled_from(sorted(ground)))) if ground else frozenset()
+        assert moved.closure_of(K) == system.closure_of(K) == brute_smallest_member(members, K)
+        assert moved.is_closed(K) == system.is_closed(K) == (K in members)
 
 
 @SETTINGS
