@@ -119,15 +119,13 @@ def _cross_check(name: str, condition: bool) -> None:
         raise ConsistencyError(f"classification cross-check failed: {name} (kernel bug)")
 
 
-def classify(entity: Entity, *, _eigen=None) -> ClassificationReport:
+def classify(entity: Entity) -> ClassificationReport:
     """Full classification report.
 
     Internally re-derives every flag through the corresponding separation
     axiom of the eigen closure systems and asserts the equivalences, the
     atomic-implies-determined implications, and the deterministic-entity
-    consequences; any mismatch raises ConsistencyError. A caller that has
-    built the central, state and experiment eigen closure systems of the
-    entity already passes them, in that order, as `_eigen`.
+    consequences; any mismatch raises ConsistencyError.
     """
     found = {name: search(entity) for name, search in _SEARCHES}
     report = ClassificationReport(
@@ -136,9 +134,7 @@ def classify(entity: Entity, *, _eigen=None) -> ClassificationReport:
     )
     flag = report.flags()
 
-    if _eigen is None:
-        _eigen = tuple(eigen_closure_system(entity, on) for on in ("central", "states", "experiments"))
-    central, states, experiments = _eigen
+    central, states, experiments = (eigen_closure_system(entity, on) for on in ("central", "states", "experiments"))
     # (determination, atomicity and system name, eigen closure system)
     scopes = (("outcome", "central", central), ("state", "state", states), ("experiment", "experiment", experiments))
     for det, on, system in scopes:

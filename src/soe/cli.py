@@ -374,7 +374,7 @@ def cmd_verify(args) -> int:
     systems = _closure_checks(doc.entity, diag, rng)
     _statprop_checks(doc.entity, diag, systems)
     # raises ConsistencyError on any cross-check failure
-    classify(doc.entity, _eigen=(systems["central_eigen"], systems["state_eigen"], systems["experiment_eigen"]))
+    classify(doc.entity)
     diag.record("classification.cross_checks", True)
     for name in sorted(doc.measures):
         measure_diag = validate_measure(doc.entity, doc.measures[name])

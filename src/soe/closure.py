@@ -176,25 +176,21 @@ def closure_of(system: ClosureSystem, K) -> frozenset:
 
 def intersection_closure(ground, generators) -> frozenset:
     """All intersections of subfamilies of `generators` (the empty
-    intersection contributes the ground set), swept over bit masks of the
-    sorted ground: starting from the ground, each distinct generator g adds
-    A & g for every set A found so far, so the cost is |generators| x
-    |members| ANDs.
-    """
-    order = _Order(sorted(ground, key=str))
-    found = {order.full}
-    for g in set(map(order.mask, generators)):
-        found |= {A & g for A in found}
-    return frozenset(map(order.decode, found))
+    intersection contributes the ground set), listed by `_member_sets` over
+    bit masks of the str-sorted ground. A generator outside the ground
+    raises ContractError."""
+    ground, generators = _family(ground, generators)
+    order = _Order(sorted(ground, key=str), ground)
+    return frozenset(_member_sets(order, map(order.mask, generators)).values())
 
 
 def _member_sets(order: _Order, generators) -> dict:
     """Every intersection of the generator masks over `order` (the empty one
-    is the ground), as {mask: set}. The same sweep as `intersection_closure`,
-    but each member's set is stored when the member is found, as one
+    is the ground), as {mask: set}: starting from the ground, each generator
+    g adds A & g for every member A found so far, |generators| x |members|
+    ANDs in all. Each new member's set is stored when it is found, as one
     intersection F & G with the generator that found it, so only the
-    generators are decoded. That pays on families of a few dozen members; on
-    families of thousands, the plain sweep and one decoding are faster.
+    generators are decoded from masks.
     """
     found = {order.full: order.ground}
     for g in generators:

@@ -35,9 +35,11 @@ class StatePropertySystem:
     (a below b iff every state making a actual makes b actual), which for
     identified systems coincides with inclusion of Cartan images.
 
-    A testable system (`testable_sps`) keeps the masks of its properties and
-    the holder masks of its row, and derives `actual`, `labels` and
-    `_coatoms` from them on first use.
+    A system built from a closure family (`testable_sps`,
+    `global_testable_sps`, `closure_to_sps`) keeps the masks of its
+    properties and derives `actual` from them on first use; a testable one
+    also keeps the holder masks of its row, from which `labels` and
+    `_coatoms` are derived.
     """
 
     __slots__ = (
@@ -48,6 +50,9 @@ class StatePropertySystem:
     def __init__(self, states, properties, actual, labels=None, _coatoms=None, _full_outcomes=None):
         states = frozenset(states)
         properties = frozenset(properties)
+        stray = actual.keys() - states
+        if stray:
+            raise ContractError(f"actual-property map lists states outside the state set: {sorted(map(str, stray))}")
         fixed = {}
         for p in states:
             if p not in actual:
@@ -61,14 +66,14 @@ class StatePropertySystem:
                    dict(_coatoms) if _coatoms else None)
 
     @classmethod
-    def _testable(cls, order, has) -> "StatePropertySystem":
-        """The testable system of one experiment's row, given as the order of
-        its items (the states) and the holder masks has[x] of its outcomes.
-        The coatom of x is full & ~has[x], and the properties are the storing
-        sweep of the coatoms (`_member_sets`), whose masks the system keeps."""
-        found = _member_sets(order, {order.full & ~h for h in has.values()})
+    def _of_masks(cls, order, found, has=None) -> "StatePropertySystem":
+        """The identified system whose properties are the sets of `found`,
+        {mask over order: set}, a closure family on the items of `order` (the
+        states). For a testable system, `has` holds the holder masks has[x]
+        of its row's outcomes, and the coatom of x is full & ~has[x]."""
+        full_outcomes, labels = (None, {}) if has is None else (frozenset(has), None)
         sps = object.__new__(cls)
-        sps._init(found[order.full], frozenset(found.values()), frozenset(has), (order, has, found), None, None, None)
+        sps._init(order.ground, frozenset(found.values()), full_outcomes, (order, has, found), None, labels, None)
         return sps
 
     def _init(self, states, properties, full_outcomes, masks, actual, labels, coatoms):
@@ -81,10 +86,12 @@ class StatePropertySystem:
 
     @property
     def actual(self) -> dict:
-        """{state: the properties actual in it}; a testable system's comes
-        from one pass over its properties."""
+        """{state: the properties actual in it}; for kept masks, the
+        properties whose mask holds the state's bit."""
         if self._actual is None:
-            actual = {p: frozenset(F) for p, F in _actual(self._masks[0].items, self.properties).items()}
+            order, _, found = self._masks
+            masks, sets = list(found), list(found.values())
+            actual = {p: frozenset(compress(sets, map(b.__and__, masks))) for p, b in zip(order.items, order.bits)}
             object.__setattr__(self, "_actual", actual)
         return self._actual
 
@@ -102,7 +109,7 @@ class StatePropertySystem:
     def _coatoms(self):
         """{outcome x: the property of mask full & ~has[x]} of a testable
         system, else None."""
-        if self._coatom_sets is None and self._masks is not None:
+        if self._coatom_sets is None and self._full_outcomes is not None and self._masks is not None:
             order, has, found = self._masks
             object.__setattr__(self, "_coatom_sets", {x: found[order.full & ~h] for x, h in has.items()})
         return self._coatom_sets
@@ -235,16 +242,8 @@ def testable_sps(entity: Entity, e) -> StatePropertySystem:
     """
     entity.require_experiment(e)
     index = _holder_index(entity)
-    return StatePropertySystem._testable(index.states, index.rows("states")[e])
-
-
-def _actual(states, members) -> dict:
-    """The members holding each state, in one pass over the members."""
-    actual = {p: [] for p in states}
-    for F in members:
-        for p in F:
-            actual[p].append(F)
-    return actual
+    order, has = index.states, index.rows("states")[e]
+    return StatePropertySystem._of_masks(order, _member_sets(order, {order.full & ~h for h in has.values()}), has)
 
 
 def sps_to_closure(sps: StatePropertySystem) -> ClosureSystem:
@@ -260,9 +259,9 @@ def is_cartan_family(sps: StatePropertySystem, system: ClosureSystem) -> bool:
     Over the masks of system, the images must hold the ground, each be closed
     in system, and stay images when cut by any generator of system. Every
     member of system is the ground cut by some of its generators, so the
-    images then hold every member, and hold nothing else. A testable system
-    gives the masks it keeps; other systems encode their Cartan images. The
-    cost is |images| x |generators| mask operations.
+    images then hold every member, and hold nothing else. A system built
+    from a closure family gives the masks it keeps; other systems encode
+    their Cartan images. The cost is |images| x |generators| mask operations.
     """
     if sps.states != system.ground:
         return False
@@ -281,11 +280,13 @@ def is_cartan_family(sps: StatePropertySystem, system: ClosureSystem) -> bool:
 def closure_to_sps(ground, system: ClosureSystem) -> StatePropertySystem:
     """The state-property system of a closure system: properties are the
     closed sets ordered by inclusion, and a state's actual properties are the
-    closed sets containing it."""
+    closed sets containing it. The system keeps the members' masks over the
+    closure system's own order."""
     ground = frozenset(ground)
     if ground != system.ground:
         raise ContractError("ground set does not match the closure system")
-    return StatePropertySystem(ground, system.members, _actual(ground, system.members))
+    order = system._order
+    return StatePropertySystem._of_masks(order, {order.mask(F): F for F in system.members})
 
 
 def indistinguishable_pair(entity: Entity):
@@ -348,7 +349,7 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
         if S not in meeting:
             meeting[S] = sum(compress(row.bits, map(S.__and__, mixtures)))
         has[x] = meeting[S]
-    return StatePropertySystem._testable(row, has)
+    return StatePropertySystem._of_masks(row, _member_sets(row, {row.full & ~h for h in has.values()}), has)
 
 
 def validate_sps(sps: StatePropertySystem) -> Diagnostics:

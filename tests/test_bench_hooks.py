@@ -10,7 +10,7 @@ import pytest
 import soe.classify
 import soe.closure
 import soe.statprop
-from soe.examples import three_by_three
+from soe.examples import deterministic_pair, three_by_three
 
 
 @pytest.fixture
@@ -51,3 +51,23 @@ def test_listed_families_and_testable_systems_stay_traced(spans):
     assert tracer.counts["closure.intersection_closure.calls"] == 1
     assert tracer.counts["statprop.testable_sps.calls"] == 1
     assert "statprop.testable_sps" in {span[0] for span in tracer.spans}
+
+
+def test_members_counter_counts_only_closure_system_listings(spans):
+    """Testable systems sweep their coatoms without listing a ClosureSystem,
+    so `closure.members` does not count them; `closure_to_sps` lists the
+    members of its closure system once, through `intersection_closure`."""
+    entity = deterministic_pair()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        soe.statprop.testable_sps(entity, "h")
+        soe.statprop.global_testable_sps(entity)
+        assert tracer.counts["closure.intersection_closure.calls"] == 0
+        assert tracer.counts["closure.members"] == 0
+        system = soe.closure.eigen_closure_system(three_by_three(), "states")
+        sps = soe.statprop.closure_to_sps(system.ground, system)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["closure.intersection_closure.calls"] == 1
+    assert tracer.counts["closure.members"] == len(sps.properties) > 0

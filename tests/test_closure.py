@@ -488,7 +488,7 @@ class TestValidateAxioms:
             ClosureSystem({"a", "b", "c"}, members)
 
     def test_a_member_outside_the_ground_is_refused(self):
-        for build in (ClosureSystem, ClosureSystem.generated, validate_closure_axioms):
+        for build in (ClosureSystem, ClosureSystem.generated, validate_closure_axioms, intersection_closure):
             with pytest.raises(ContractError, match=r"^family member \['d'\] is not a subset of the ground set$"):
                 build({"a", "b", "c"}, [set(), {"d"}, {"a", "b", "c"}])
 

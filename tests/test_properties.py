@@ -7,7 +7,8 @@ the eigen systems and the ortho spaces against the brute-force oracles and
 the relation engine, the mask engine of the closure layer against the
 frozenset definitions, the full mixed entity against its cell-by-cell
 definition, the lattice queries of state-property systems against their
-scans, and the text format against its emitter and against arbitrary text.
+scans, the systems `closure_to_sps` builds against their closure systems,
+and the text format against its emitter and against arbitrary text.
 """
 
 from itertools import product
@@ -57,6 +58,7 @@ from soe.mixture import (
 from soe.statprop import (
     StatePropertySystem,
     _prop_key,
+    closure_to_sps,
     global_testable_sps,
     is_cartan_family,
     is_distinguishable,
@@ -537,6 +539,47 @@ def test_intersection_closure_matches_the_oracle(drawn, data):
     empties = data.draw(st.lists(st.just(frozenset()), max_size=1))
     generators = data.draw(st.permutations(generators + repeats + empties))
     assert intersection_closure(ground, generators) == brute_intersection_closure(ground, [generators])
+
+
+@st.composite
+def closure_families(draw):
+    """An eigen or ortho system of a random entity, over states, experiments
+    or couples, or a listed `ClosureSystem(ground, members)` over strings,
+    couples or ints."""
+    kind = draw(st.sampled_from(["eigen", "ortho", "listed"]))
+    if kind == "listed":
+        ints = st.frozensets(st.integers(-3, 9), max_size=6)
+        ground, generators = draw(st.one_of(systems(), ints.flatmap(systems)))
+        return ClosureSystem(ground, brute_intersection_closure(ground, [generators + [frozenset()]]))
+    entity = draw(entities(side=3))
+    on, scope, _ = draw(st.sampled_from(_scopes(entity)))
+    if kind == "eigen":
+        return eigen_closure_system(entity, on, scope)
+    return ortho_closure_system(entity_ortho_space(entity, on, scope))
+
+
+@SETTINGS
+@given(closure_families())
+def test_closure_to_sps_keeps_the_members_of_its_system(system):
+    """The properties are the members, a state's actual properties the
+    members holding it, no property is labeled or testable, and the
+    Cartan images are the system's family."""
+    sps = closure_to_sps(system.ground, system)
+    members = system.members
+    assert sps.properties == members
+    assert sps.actual == {p: frozenset(F for F in members if p in F) for p in system.ground}
+    assert sps.labels == {}
+    with pytest.raises(ContractError, match="not built from testable properties"):
+        sps.testable_property(frozenset())
+    assert is_cartan_family(sps, system)
+
+
+@SETTINGS
+@given(entities())
+def test_testable_properties_are_the_listed_eigen_family(entity):
+    for e in sorted(entity.experiments):
+        generators = eigen_closure_system(entity, "states", e).generators
+        assert testable_sps(entity, e).properties == intersection_closure(entity.states, generators)
 
 
 @SETTINGS

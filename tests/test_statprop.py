@@ -339,6 +339,12 @@ class TestGlobalTestable:
 
 
 class TestValidateAbstractSps:
+    def test_a_state_outside_the_states_is_refused(self):
+        with pytest.raises(ContractError, match=r"^actual-property map lists states outside the state set: \['t'\]$"):
+            StatePropertySystem({"s"}, {"I"}, {"s": {"I"}, "t": {"I"}})
+        with pytest.raises(ContractError, match="missing state 's'"):
+            StatePropertySystem({"s", "t"}, {"I"}, {"t": {"I"}})
+
     def test_accepts_valid_abstract_system(self):
         # a hand-made identified system: two properties, top and bottom
         sps = StatePropertySystem(
