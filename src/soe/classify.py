@@ -54,7 +54,7 @@ def satisfies_T0(system: ClosureSystem):
 
 def satisfies_T1(system: ClosureSystem):
     """Every singleton is closed."""
-    witness = next((w for w in sorted(system.ground, key=str) if system.closure_of({w}) != {w}), None)
+    witness = next((w for w in sorted(system.ground, key=str) if not system.is_closed({w})), None)
     return (witness is None, witness)
 
 

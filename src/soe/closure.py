@@ -23,29 +23,29 @@ from .entity import Entity, RelationKind, relation_views
 from .errors import CapacityError, ContractError
 
 GROUND_CAP = 24  # full-family materialization refuses larger ground sets
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digit -> compress flag
 
 
 class _Order:
     """An order of items for bit masks: bit i stands for items[i]."""
 
-    __slots__ = ("items", "ground", "bits", "full", "_bit")
+    __slots__ = ("items", "ground", "full", "_position")
 
     def __init__(self, items, ground=None):
         self.items = tuple(items)
         self.ground = frozenset(self.items) if ground is None else ground
-        self.bits = [1 << i for i in range(len(self.items))]
         self.full = (1 << len(self.items)) - 1
-        self._bit = None
+        self._position = None
 
     def mask(self, K) -> int:
-        """The mask of K, a set of items."""
-        if self._bit is None:
-            self._bit = dict(zip(self.items, self.bits))
-        return sum(map(self._bit.__getitem__, K))
+        """The mask of K, a set of items: 1 << i ORed over their positions."""
+        if self._position is None:
+            self._position = {a: i for i, a in enumerate(self.items)}
+        return reduce(or_, map((1).__lshift__, map(self._position.__getitem__, K)), 0)
 
     def decode(self, A) -> frozenset:
-        """The items of mask A."""
-        return frozenset(compress(self.items, map(A.__and__, self.bits)))
+        """The items of mask A, read in one pass over its binary digits."""
+        return frozenset(compress(self.items, bin(A)[:1:-1].encode().translate(_DIGIT_FLAGS)))
 
     def same(self, other) -> bool:
         return self is other or self.items == other.items
@@ -350,7 +350,7 @@ class OrthoSpace:
         ground = frozenset(ground)
         for a in set(perp) - ground:
             raise ContractError(f"orthocomplement given for {a!r}, which lies outside the ground set")
-        order = _Order(ground, ground)
+        order = _Order(sorted(ground, key=str), ground)
         given = {a: frozenset(perp.get(a, ())) for a in order.items}
         masks = {}  # one mask per distinct orthocomplement
         for a, p in given.items():
@@ -368,16 +368,13 @@ class OrthoSpace:
         return space
 
     def _init(self, order, perp):
-        groups = {}  # orthocomplement mask -> [its points, their mask]
-        for a, bit in zip(order.items, order.bits):
-            group = groups.get(perp[a])
-            if group is None:
-                groups[perp[a]] = group = [[], 0]
-            group[0].append(a)
-            group[1] |= bit
+        groups = {}  # orthocomplement mask -> its points, in item order
+        for a in order.items:
+            groups.setdefault(perp[a], []).append(a)
+        groups = {p: (points, order.mask(points)) for p, points in groups.items()}
         for p, (points, mask) in groups.items():
             if p & mask:
-                a = next(a for a, bit in zip(order.items, order.bits) if p & mask & bit)
+                a = next(a for a in points if p & order.mask((a,)))
                 raise ContractError(f"orthogonality must be anti-reflexive; got ({a!r}, {a!r})")
             for q, (others, others_mask) in groups.items():
                 # every b of others inside p needs every a of points inside q

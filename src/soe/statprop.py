@@ -8,8 +8,6 @@ testable property is kept as a label so reports can cite a test.
 
 from __future__ import annotations
 
-from itertools import compress
-
 from .closure import ClosureSystem, _closure_mask, _holder_index, _member_sets, _Order
 from .diagnostics import Diagnostics
 from .entity import Entity, RelationKind, first_equivalent_pair, first_pair
@@ -86,13 +84,15 @@ class StatePropertySystem:
 
     @property
     def actual(self) -> dict:
-        """{state: the properties actual in it}; for kept masks, the
-        properties whose mask holds the state's bit."""
+        """{state: the properties actual in it}; for kept masks, the kept
+        member sets holding the state, listed in one pass over them."""
         if self._actual is None:
             order, _, found = self._masks
-            masks, sets = list(found), list(found.values())
-            actual = {p: frozenset(compress(sets, map(b.__and__, masks))) for p, b in zip(order.items, order.bits)}
-            object.__setattr__(self, "_actual", actual)
+            actual = {p: [] for p in order.items}
+            for F in found.values():
+                for p in F:
+                    actual[p].append(F)
+            object.__setattr__(self, "_actual", {p: frozenset(props) for p, props in actual.items()})
         return self._actual
 
     @property
@@ -337,8 +337,7 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
     index = _holder_index(entity)
     states = index.states
     mixtures = range(1, 2 ** len(states.items))  # mixture P is a mask over the sorted states
-    # no identifier holds '+', so the sorted base identifiers joined are mixture_id
-    row = _Order(["+".join(compress(states.items, map(P.__and__, states.bits))) for P in mixtures])
+    row = _Order([mixture_id(states.decode(P)) for P in mixtures])
     held = {}  # x -> S_x, from the rows of the holder index
     for has in index.rows("states").values():
         for x, S in has.items():
@@ -347,7 +346,7 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
     has = {}
     for x, S in held.items():
         if S not in meeting:
-            meeting[S] = sum(compress(row.bits, map(S.__and__, mixtures)))
+            meeting[S] = int("".join(["01"[P & S > 0] for P in reversed(mixtures)]), 2)  # mixture P is bit P - 1
         has[x] = meeting[S]
     return StatePropertySystem._of_masks(row, _member_sets(row, {row.full & ~h for h in has.values()}), has)
 

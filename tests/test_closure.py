@@ -1,10 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import soe
 from soe.closure import (
     ClosureSystem,
     OrthoSpace,
+    _Order,
     closure_of,
     eig_central,
     eig_experiments,
@@ -320,6 +327,25 @@ class TestOrthoClosure:
         with pytest.raises(ContractError, match="anti-reflexive"):
             OrthoSpace({"a"}, {"a": {"a"}})
 
+    def test_refusal_witnesses_do_not_depend_on_the_hash_seed(self):
+        script = (
+            "from soe.closure import OrthoSpace\n"
+            "for ground, perp in [('abc', {'a': 'a', 'b': 'b', 'c': 'c'}), ('abcd', {'a': 'b', 'c': 'd'})]:\n"
+            "    try:\n"
+            "        OrthoSpace(set(ground), perp)\n"
+            "    except Exception as err:\n"
+            "        print(err)\n"
+        )
+        src = str(Path(soe.__file__).resolve().parents[1])
+        expected = (
+            "orthogonality must be anti-reflexive; got ('a', 'a')\n"
+            "orthogonality must be symmetric; ('b', 'a') missing\n"
+        )
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+            assert (run.stdout, run.stderr) == (expected, ""), seed
+
     def test_points_outside_the_ground_rejected(self):
         with pytest.raises(ContractError, match="'c', which lies outside the ground set"):
             OrthoSpace({"a", "b"}, {"a": {"b"}, "b": {"a"}, "c": set()})
@@ -510,3 +536,20 @@ class TestValidateAxioms:
             shuffled = list(gens)
             rng.shuffle(shuffled)
             assert intersection_closure(ground, shuffled) == reference
+
+
+def test_an_order_and_one_round_trip_allocate_linear_memory():
+    """Building an order of 5 * 10^4 couples, encoding half of them and
+    decoding the mask stays within 256 bytes per item; one int per item
+    (bit i as its own int) would take n^2 / 16 bytes, over ten times that."""
+    n = 50_000
+    items = [(f"e{i // 100}", f"p{i % 100}") for i in range(n)]
+    ground, K = frozenset(items), items[::2]
+    tracemalloc.start()
+    try:
+        order = _Order(items, ground)
+        assert order.decode(order.mask(K)) == frozenset(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * n < n * n / 16 / 10

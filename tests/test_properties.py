@@ -2,10 +2,11 @@
 
 The mixed relations are checked against their definitions written out from
 `mixed_outcome_set`, every witness of `classify` and of `satisfies_T0` against
-the least violating pair found by enumerating all pairs, the closure engine,
-the eigen systems and the ortho spaces against the brute-force oracles and
-the relation engine, the mask engine of the closure layer against the
-frozenset definitions, the full mixed entity against its cell-by-cell
+the least violating pair found by enumerating all pairs (and of `satisfies_T1`
+against the least violating point), the closure engine, the eigen systems and
+the ortho spaces against the brute-force oracles and the relation engine, the
+mask engine of the closure layer against the frozenset definitions and its bit
+codec against its own inverse, the full mixed entity against its cell-by-cell
 definition, the lattice queries of state-property systems against their
 scans, the systems `closure_to_sps` builds against their closure systems,
 and the text format against its emitter and against arbitrary text.
@@ -26,6 +27,7 @@ from soe.classify import (
     is_state_atomic,
     is_state_determined,
     satisfies_T0,
+    satisfies_T1,
 )
 from soe.closure import (
     ClosureSystem,
@@ -641,6 +643,33 @@ def test_T0_witness_is_the_least_pair_with_equal_closures(drawn):
     cl = lambda w: system.closure_of({w})  # noqa: E731
     violations = [(v, w) for v in points for w in points if v < w and cl(v) == cl(w)]
     assert satisfies_T0(system) == (not violations, min(violations, default=None))
+
+
+@SETTINGS
+@given(systems())
+def test_T1_witness_is_the_least_point_whose_singleton_is_not_closed(drawn):
+    system, _ = _generated(*drawn)
+    unclosed = [w for w in sorted(system.ground, key=str) if system.closure_of({w}) != {w}]
+    assert satisfies_T1(system) == (not unclosed, unclosed[0] if unclosed else None)
+
+
+@SETTINGS
+@given(st.lists(st.one_of(NAMES, st.tuples(NAMES, NAMES)), unique=True, max_size=70), st.data())
+def test_mask_and_decode_invert_each_other(items, data):
+    """On orders mixing names and (experiment, state) couples, the empty one
+    included, `decode` inverts `mask` and `mask` inverts `decode`: on a drawn
+    set and a drawn mask, on one item and its bit, on nothing and 0, and on
+    every item and `full`."""
+    order = _Order(items)
+    pool = st.sampled_from(items) if items else st.nothing()
+    K = data.draw(st.frozensets(pool))
+    A = data.draw(st.integers(0, order.full))
+    assert order.decode(order.mask(K)) == K
+    assert order.mask(order.decode(A)) == A
+    assert order.mask(()) == 0 and order.decode(0) == frozenset()
+    assert order.mask(items) == order.full and order.decode(order.full) == frozenset(items)
+    for i, a in enumerate(items):
+        assert order.mask({a}) == 1 << i and order.decode(1 << i) == {a}
 
 
 @st.composite
