@@ -340,51 +340,48 @@ def eigen_closure_system(entity: Entity, on: str, scoped_to=None) -> ClosureSyst
 
 class OrthoSpace:
     """A finite set with a symmetric anti-reflexive orthogonality relation,
-    held as the orthocomplement of each point a, a mask over one item order;
-    `perp[a]` is its read-only frozenset form (a point missing from the given
-    map is orthogonal to nothing)."""
+    held as its distinct orthocomplements, masks over one item order, each
+    with its points; `perp[a]` is the frozenset form of a's (a point missing
+    from the given map is orthogonal to nothing). The public constructor
+    checks its input point by point in `str` order, in linear time, for one
+    fault class after another: a point outside the ground, a pair outside it,
+    a point orthogonal to itself, a one-sided pair. A refusal names the
+    least offending point, then the least partner."""
 
-    __slots__ = ("ground", "_order", "_perp", "_perps")
+    __slots__ = ("ground", "_order", "_groups", "_perp", "_perps")
 
     def __init__(self, ground, perp):
         ground = frozenset(ground)
-        for a in set(perp) - ground:
+        for a in sorted(set(perp) - ground, key=str):
             raise ContractError(f"orthocomplement given for {a!r}, which lies outside the ground set")
         order = _Order(sorted(ground, key=str), ground)
         given = {a: frozenset(perp.get(a, ())) for a in order.items}
-        masks = {}  # one mask per distinct orthocomplement
         for a, p in given.items():
-            if p not in masks:
-                for b in p - ground:
-                    raise ContractError(f"orthogonal pair ({a!r}, {b!r}) lies outside the ground set")
-                masks[p] = order.mask(p)
-        self._init(order, {a: masks[p] for a, p in given.items()})
+            for b in sorted(p - ground, key=str):
+                raise ContractError(f"orthogonal pair ({a!r}, {b!r}) lies outside the ground set")
+        for a, p in given.items():
+            if a in p:
+                raise ContractError(f"orthogonality must be anti-reflexive; got ({a!r}, {a!r})")
+        groups = {}  # orthocomplement -> its points
+        for a, p in given.items():
+            missing = [b for b in p if a not in given[b]]
+            if missing:
+                raise ContractError(f"orthogonality must be symmetric; ({min(missing, key=str)!r}, {a!r}) missing")
+            groups.setdefault(p, []).append(a)
+        self._init(order, {order.mask(p): points for p, points in groups.items()})
 
     @classmethod
-    def _of_masks(cls, order: _Order, perp: dict) -> "OrthoSpace":
-        """The space whose point a has the orthocomplement mask perp[a]."""
+    def _of_masks(cls, order: _Order, groups: dict) -> "OrthoSpace":
+        """The space in which the points groups[P] have the orthocomplement mask P."""
         space = object.__new__(cls)
-        space._init(order, perp)
+        space._init(order, groups)
         return space
 
-    def _init(self, order, perp):
-        groups = {}  # orthocomplement mask -> its points, in item order
-        for a in order.items:
-            groups.setdefault(perp[a], []).append(a)
-        groups = {p: (points, order.mask(points)) for p, points in groups.items()}
-        for p, (points, mask) in groups.items():
-            if p & mask:
-                a = next(a for a in points if p & order.mask((a,)))
-                raise ContractError(f"orthogonality must be anti-reflexive; got ({a!r}, {a!r})")
-            for q, (others, others_mask) in groups.items():
-                # every b of others inside p needs every a of points inside q
-                if p & others_mask and mask & ~q:
-                    b = next(b for b in others if p & order.mask((b,)))
-                    a = next(a for a in points if not q & order.mask((a,)))
-                    raise ContractError(f"orthogonality must be symmetric; ({b!r}, {a!r}) missing")
+    def _init(self, order, groups):
         object.__setattr__(self, "ground", order.ground)
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_perp", perp)
+        object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "_perp", {a: P for P, points in groups.items() for a in points})
         object.__setattr__(self, "_perps", None)
 
     def __setattr__(self, name, value):
@@ -394,8 +391,8 @@ class OrthoSpace:
     def perp(self) -> MappingProxyType:
         """{a: the orthocomplement of a}, decoded on first use."""
         if self._perps is None:
-            sets = {P: self._order.decode(P) for P in set(self._perp.values())}
-            object.__setattr__(self, "_perps", MappingProxyType({a: sets[P] for a, P in self._perp.items()}))
+            decoded = ((self._order.decode(P), points) for P, points in self._groups.items())
+            object.__setattr__(self, "_perps", MappingProxyType({a: S for S, points in decoded for a in points}))
         return self._perps
 
     def orthogonal(self, a, b) -> bool:
@@ -420,49 +417,51 @@ def ortho_closure(space: OrthoSpace, K) -> frozenset:
 
 
 def ortho_closure_system(space: OrthoSpace) -> ClosureSystem:
-    """The system of ortho closed sets, generated by the orthocomplements of
-    the points: (K^perp)^perp is the intersection of the perps of K^perp."""
-    return ClosureSystem._of_masks(space._order, set(space._perp.values()))
+    """The ortho closed sets, generated by the space's distinct perps."""
+    return ClosureSystem._of_masks(space._order, set(space._groups))
 
 
 def entity_ortho_space(entity: Entity, on: str, scoped_to=None) -> OrthoSpace:
-    """The orthogonality space of an entity for the requested relation kind.
-
-    Two points are orthogonal when their cells are disjoint in some scope
-    (one experiment, one state, or every one for the global kinds). For
-    states, experiments and couples the perp of a point is therefore the OR,
-    over the scopes, of ~OR has[x] over the outcomes x of its cell there, read
-    from the holder index, once per distinct view. Outcome orthogonality
-    compares the views of `relation_views`.
+    """The orthogonality space of an entity: on='states', 'experiments' or
+    'central' as in `eigen_closure_system`, or 'outcomes' with scoped_to None
+    or an (experiment, state) pair. Items are orthogonal when their cells are
+    disjoint in some scope: the perp of each distinct view of `relation_views`
+    is full & ~(AND over the scopes of OR has[x] over its cell there).
+    Distinct outcomes are orthogonal when a cell in scope holds both: the perp
+    of x ORs the masks of those cells, less x. Both relations are symmetric,
+    and anti-reflexive as no cell is empty: no check is run.
     """
+    groups = {}  # perp mask -> its points
     if on == "outcomes":
-        kind = RelationKind.outcome_for(*scoped_to) if scoped_to is not None else RelationKind.outcome_global()
-        view, orthogonal = relation_views(entity, kind)
-        points = {}
-        for a in entity.outcomes:
-            points.setdefault(view(a), []).append(a)
-        perps = {u: frozenset(b for v, bs in points.items() if orthogonal(u, v) for b in bs) for u in points}
-        return OrthoSpace(entity.outcomes, {a: perps[u] for u, group in points.items() for a in group})
-    order, rows = _scoped_rows(entity, on, scoped_to, "orthogonality", "orthogonality")
-    table, scopes, holders = entity._table, list(rows), list(rows.values())
-    if on == "states":
-        view = lambda a: tuple([table[(s, a)] for s in scopes])  # noqa: E731
-    elif on == "experiments":
-        view = lambda a: tuple([table[(a, s)] for s in scopes])  # noqa: E731
+        if scoped_to is None:
+            cells = set(entity._table.values())
+        elif isinstance(scoped_to, tuple) and len(scoped_to) == 2:
+            cells = [entity.outcome_set(*scoped_to)]
+        else:
+            raise ContractError(f"an outcome scope is an (experiment, state) pair, got {scoped_to!r}")
+        order = _Order(sorted(entity.outcomes), entity.outcomes)
+        shared = dict.fromkeys(order.items, 0)  # x -> the outcomes sharing a cell in scope with x
+        for cell in cells:
+            mask = order.mask(cell)
+            for x in cell:
+                shared[x] |= mask
+        for i, (x, mask) in enumerate(shared.items()):
+            groups.setdefault(mask & ~(1 << i), []).append(x)
     else:
-        view = lambda a: (table[a],)  # noqa: E731
-    full = order.full
-    perps, perp = {}, {}  # view -> perp mask, point -> perp mask
-    for a in order.items:
-        u = view(a)
-        P = perps.get(u)
-        if P is None:
-            meets = full  # the points whose cell meets a's in every scope
-            for cell, has in zip(u, holders):
+        order, rows = _scoped_rows(entity, on, scoped_to, "orthogonality", "orthogonality")
+        kind = {"states": RelationKind("state", experiment=scoped_to),
+                "experiments": RelationKind("experiment", state=scoped_to)}.get(on, RelationKind.central())
+        view, _ = relation_views(entity, kind)
+        views = {}  # view -> its points
+        for a in order.items:
+            views.setdefault(view(a), []).append(a)
+        full = order.full
+        for u, points in views.items():
+            meets = full  # the points whose cell meets the view's in every scope
+            for cell, has in zip(u, rows.values()):
                 meets &= reduce(or_, map(has.__getitem__, cell))
-            perps[u] = P = full & ~meets
-        perp[a] = P
-    return OrthoSpace._of_masks(order, perp)
+            groups.setdefault(full & ~meets, []).extend(points)
+    return OrthoSpace._of_masks(order, groups)
 
 
 # -- trace of a couple system on the states -----------------------------------

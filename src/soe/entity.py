@@ -263,20 +263,20 @@ def _some_member_disjoint(u: tuple, v: tuple) -> bool:
 def relation_views(entity: Entity, kind: RelationKind):
     """`(view, orthogonal)` for one relation kind.
 
-    `view(item)` reads a plain item's view from the table without checking
-    it: a state's cells over the experiments in scope, an experiment's cells
-    over the states in scope, the one cell of a couple, or the one-outcome
-    event of an outcome. Views imply by `view_implies`; `orthogonal(u, v)`
-    holds when some member of u is disjoint from the matching member of v,
-    and for events when both also lie inside one cell in scope.
+    `view(item)` reads a plain item's view from the table unchecked: a
+    state's cells over the experiments in scope, an experiment's over the
+    states in scope (all of them, sorted, for a global kind), a couple's one
+    cell, or an outcome's one-outcome event. Views imply by `view_implies`;
+    `orthogonal(u, v)` holds when some member of u is disjoint from the
+    matching member of v, and for events when both lie inside one cell in scope.
     """
     _validate_kind(entity, kind)
     table = entity._table
     if kind.on == "state":
-        scope = (kind.experiment,) if kind.experiment is not None else tuple(entity.experiments)
+        scope = (kind.experiment,) if kind.experiment is not None else tuple(sorted(entity.experiments))
         return (lambda p: tuple([table[(e, p)] for e in scope])), _some_member_disjoint
     if kind.on == "experiment":
-        scope = (kind.state,) if kind.state is not None else tuple(entity.states)
+        scope = (kind.state,) if kind.state is not None else tuple(sorted(entity.states))
         return (lambda e: tuple([table[(e, p)] for p in scope])), _some_member_disjoint
     if kind.on == "central":
         return (lambda couple: (table[couple],)), _some_member_disjoint

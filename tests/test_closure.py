@@ -352,6 +352,27 @@ class TestOrthoClosure:
         with pytest.raises(ContractError, match=r"pair \('a', 'c'\) lies outside"):
             OrthoSpace({"a", "b"}, {"a": {"c"}})
 
+    def test_several_faults_name_the_earliest_class(self):
+        # each input holds every later fault too; a one-sided pair at 'a'
+        # precedes the self-orthogonal 'c' in point order, not in class order
+        ground = {"a", "b", "c"}
+        cases = [
+            ({"a": {"b"}, "c": {"c", "z"}, "d": set()}, "orthocomplement given for 'd', which lies outside"),
+            ({"a": {"b"}, "c": {"c", "z"}}, r"orthogonal pair \('c', 'z'\) lies outside"),
+            ({"a": {"b"}, "c": {"c"}}, r"anti-reflexive; got \('c', 'c'\)"),
+            ({"a": {"b"}}, r"symmetric; \('b', 'a'\) missing"),
+        ]
+        for perp, message in cases:
+            with pytest.raises(ContractError, match=message):
+                OrthoSpace(ground, perp)
+
+    def test_outcome_scope_must_be_an_experiment_state_pair(self):
+        entity = Entity({"p", "1"}, {"e"}, {("e", "p"): {"x", "y"}, ("e", "1"): {"y"}})
+        for scope in ("ep", "e1", ("e", "p", "x")):
+            with pytest.raises(ContractError, match=r"an \(experiment, state\) pair, got"):
+                entity_ortho_space(entity, "outcomes", scope)
+        assert entity_ortho_space(entity, "outcomes", ("e", "p")).perp["x"] == {"y"}
+
     def test_a_point_left_out_is_orthogonal_to_nothing(self):
         space = OrthoSpace({"a", "b", "c"}, {"a": {"b"}, "b": {"a"}})
         assert space.perp["c"] == frozenset()

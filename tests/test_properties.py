@@ -304,8 +304,11 @@ def test_mask_coatoms_and_perps_match_the_definitions(entity, data):
 def test_derived_fields_equal_their_eager_forms(entity, data):
     """A testable system's derived actual, labels and coatoms, and the
     decoded generators and perps, equal the forms built eagerly from
-    frozensets through the public constructors, and answer the same checks."""
-    on, scope, _ = data.draw(st.sampled_from(_scopes(entity)))
+    frozensets through the public constructors, and answer the same checks;
+    the public constructor's check accepts every entity-built ortho space."""
+    couple = data.draw(st.sampled_from(entity.couples()))
+    scopes = [(on, scope) for on, scope, _ in _scopes(entity)] + [("outcomes", None), ("outcomes", couple)]
+    on, scope = data.draw(st.sampled_from(scopes))
     space = entity_ortho_space(entity, on, scope)
     eager_space = OrthoSpace(space.ground, {a: set(p) for a, p in space.perp.items()})
     assert eager_space.perp == space.perp
@@ -325,6 +328,69 @@ def test_derived_fields_equal_their_eager_forms(entity, data):
         assert validate_sps(sps) == validate_sps(built)
         for scoped in (eigen_closure_system(entity, "states", e), eigen_closure_system(entity, "states")):
             assert is_cartan_family(sps, scoped) == is_cartan_family(built, scoped)
+
+
+@st.composite
+def ortho_inputs(draw):
+    """A string ground of up to 5 points and a perp map whose pairs start in
+    the ground and may end at y or z outside it; by chance the pairs inside
+    are symmetrized, the others dropped, and one more key, perhaps y or z,
+    is given an empty orthocomplement."""
+    ground = draw(st.frozensets(st.sampled_from("abcde"), max_size=5))
+    points = st.sampled_from(sorted(ground) + ["y", "z"])
+    pairs = draw(st.sets(st.tuples(st.sampled_from(sorted(ground)), points), max_size=8)) if ground else set()
+    if draw(st.booleans()):
+        pairs |= {(b, a) for a, b in pairs if b in ground}
+    if draw(st.booleans()):
+        pairs = {(a, b) for a, b in pairs if b in ground and a != b}
+    perp = {a: set() for a in draw(st.sets(points, max_size=1))}
+    for a, b in pairs:
+        perp.setdefault(a, set()).add(b)
+    return ground, perp
+
+
+def _first_ortho_fault(ground, perp):
+    """The refusal OrthoSpace(ground, perp) documents, by brute force: the
+    first class of fault in the order outside point, outside pair,
+    self-orthogonal point, one-sided pair, at its least point and partner."""
+    given = lambda a: perp.get(a, set())  # noqa: E731
+    for a in sorted(set(perp) - ground):
+        return f"orthocomplement given for {a!r}, which lies outside the ground set"
+    for a in sorted(ground):
+        for b in sorted(given(a) - ground):
+            return f"orthogonal pair ({a!r}, {b!r}) lies outside the ground set"
+    for a in sorted(ground):
+        if a in given(a):
+            return f"orthogonality must be anti-reflexive; got ({a!r}, {a!r})"
+    for a in sorted(ground):
+        for b in sorted(given(a)):
+            if a not in given(b):
+                return f"orthogonality must be symmetric; ({b!r}, {a!r}) missing"
+    return None
+
+
+@SETTINGS
+@given(ortho_inputs())
+def test_ortho_space_accepts_exactly_the_symmetric_antireflexive_relations(drawn):
+    ground, perp = drawn
+    related = {(a, b) for a, bs in perp.items() for b in bs}
+    lawful = (
+        set(perp) <= ground
+        and all(a in ground and b in ground for a, b in related)
+        and all((a, a) not in related for a in ground)
+        and all(((a, b) in related) == ((b, a) in related) for a in ground for b in ground)
+    )
+    fault = _first_ortho_fault(ground, perp)
+    assert lawful == (fault is None)
+    if fault is not None:
+        with pytest.raises(ContractError) as refused:
+            OrthoSpace(ground, perp)
+        assert str(refused.value) == fault
+        return
+    space = OrthoSpace(ground, perp)
+    assert space.perp == {a: frozenset(perp.get(a, ())) for a in ground}
+    assert all(space.orthogonal(a, b) == ((a, b) in related) for a in ground for b in ground)
+    assert ortho_closure_system(space).generators == frozenset(space.perp.values())
 
 
 # property tokens of mixed types; each pair of TWINS ties under _prop_key
