@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .closure import ClosureSystem, eigen_closure_system, entity_ortho_space, ortho_closure_system
-from .entity import Entity, RelationKind, first_equivalent_pair, first_pair, relation_views, view_implies
+from .closure import ClosureSystem, _holder_masks, eigen_closure_system, entity_ortho_space, ortho_closure_system
+from .entity import Entity, RelationKind, first_equivalent_pair, natural_order, relation_views
 from .errors import ConsistencyError
 from .statprop import indistinguishable_pair
 
@@ -20,11 +20,30 @@ def _determined(entity: Entity, kind: RelationKind, items):
     return (pair is None, pair)
 
 
-def _atomic(entity: Entity, kind: RelationKind, items):
-    """No item implies a distinct one. Returns (flag, least implying pair)."""
-    view, _ = relation_views(entity, kind)
-    pair = first_pair(items, view, view_implies)
-    return (pair is None, pair)
+def _atomic(entity: Entity, members, items):
+    """No item implies a distinct one, an item's view being its cells under
+    the scoped kinds `members`. Returns (flag, least implying pair).
+
+    The items that a implies are the AND, over the members, of the holder
+    masks of a's outcomes there, less a. Bit i is items[i], so the first a
+    with a nonzero mask, and its lowest bit, are the least pair. A member is
+    read when the scan first reaches it; the scan leaves a once its mask is 0."""
+    columns = []  # (cells of the items, their holder masks) per member reached
+    for i in range(len(items)):
+        above = ~(1 << i)  # every item but a; the first AND makes it a mask
+        for j, kind in enumerate(members):
+            if j == len(columns):
+                view, _ = relation_views(entity, kind)
+                cells = [view(b)[0] for b in items]
+                columns.append((cells, _holder_masks(cells)))
+            cells, has = columns[j]
+            for x in cells[i]:
+                above &= has[x]
+            if not above:
+                break
+        if above:
+            return (False, (items[i], items[(above & -above).bit_length() - 1]))
+    return (True, None)
 
 
 def is_outcome_determined(entity: Entity):
@@ -48,7 +67,7 @@ def satisfies_T0(system: ClosureSystem):
     equal closures exactly when they lie in the same generators. Returns
     (flag, least pair of points with equal closures)."""
     generators = list(system.generators)
-    pair = first_equivalent_pair(sorted(system.ground), lambda w: tuple([w in g for g in generators]))
+    pair = first_equivalent_pair(natural_order(system.ground), lambda w: tuple([w in g for g in generators]))
     return (pair is None, pair)
 
 
@@ -60,15 +79,15 @@ def satisfies_T1(system: ClosureSystem):
 
 def is_central_atomic(entity: Entity):
     """No couple strictly implies another."""
-    return _atomic(entity, RelationKind.central(), entity.couples())
+    return _atomic(entity, [RelationKind.central()], entity.couples())
 
 
 def is_state_atomic(entity: Entity):
-    return _atomic(entity, RelationKind.state_global(), sorted(entity.states))
+    return _atomic(entity, [RelationKind.state_for(e) for e in sorted(entity.experiments)], sorted(entity.states))
 
 
 def is_experiment_atomic(entity: Entity):
-    return _atomic(entity, RelationKind.experiment_global(), sorted(entity.experiments))
+    return _atomic(entity, [RelationKind.experiment_for(p) for p in sorted(entity.states)], sorted(entity.experiments))
 
 
 def _d_classical_witness(entity: Entity):
@@ -148,13 +167,14 @@ def classify(entity: Entity) -> ClassificationReport:
 
     if report.d_classical:
         for name, kind, pool in (
-            ("states", RelationKind.state_global(), sorted(entity.states)),
-            ("experiments", RelationKind.experiment_global(), sorted(entity.experiments)),
+            ("states", RelationKind.state_global(), entity.states),
+            ("experiments", RelationKind.experiment_global(), entity.experiments),
         ):
             view, orthogonal = relation_views(entity, kind)
+            views = list(dict.fromkeys(map(view, pool)))  # each distinct view once
             _cross_check(
                 f"deterministic {name} are equivalent or orthogonal",
-                first_pair(pool, view, lambda u, v: u != v and not orthogonal(u, v), ordered=False) is None,
+                all(orthogonal(u, v) for i, u in enumerate(views) for v in views[i + 1:]),
             )
         _cross_check(
             "deterministic entities have matching eigen and ortho central closures",

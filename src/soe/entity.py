@@ -7,7 +7,6 @@ Everything else in this package is computed from that table.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -289,19 +288,6 @@ def relation_views(entity: Entity, kind: RelationKind):
     return (lambda x: (frozenset((x,)),)), events_orthogonal
 
 
-def first_pair(items, view, test, ordered: bool = True):
-    """The first pair (a, b) of distinct `items` in scan order with
-    test(view(a), view(b)), or None; over sorted items, the least such pair.
-    Unless `ordered`, only pairs with a before b are tried."""
-    view = functools.cache(view)
-    for i, a in enumerate(items):
-        u = view(a)
-        for b in items if ordered else items[i + 1:]:
-            if b is not a and test(u, view(b)):
-                return a, b
-    return None
-
-
 def first_equivalent_pair(items, view):
     """The first pair (a, b) of `items`, a before b, with equal views, or
     None; over sorted items, the least such pair. O(n)."""
@@ -312,6 +298,15 @@ def first_equivalent_pair(items, view):
         if i != j and (best is None or i < best[0]):
             best = (i, j)
     return None if best is None else (items[best[0]], items[best[1]])
+
+
+def natural_order(items) -> list:
+    """`items` sorted, or by (type name, repr) when mixed types have no
+    common order."""
+    try:
+        return sorted(items)
+    except TypeError:
+        return sorted(items, key=lambda item: (type(item).__name__, repr(item)))
 
 
 def _views_of(entity: Entity, kind: RelationKind, a, b):
@@ -356,22 +351,6 @@ class RelationReport:
             if sec.kind == kind_name:
                 return sec
         raise KeyError(kind_name)
-
-    def lines(self) -> list:
-        out = []
-        for sec in self.sections:
-            out.append(f"[{sec.kind}]")
-            for a, b in sec.implications:
-                out.append(f"  {_fmt(a)} < {_fmt(b)}")
-            for a, b in sec.orthogonalities:
-                out.append(f"  {_fmt(a)} | {_fmt(b)}")
-        return out
-
-
-def _fmt(item) -> str:
-    if isinstance(item, tuple):
-        return "(" + ",".join(item) + ")"
-    return item
 
 
 def _scan(entity: Entity, kind: RelationKind, universe) -> ReportSection:

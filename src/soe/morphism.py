@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .closure import eig_states, eigen_closure_system
 from .diagnostics import Diagnostics
-from .entity import Entity, RelationKind, relation_views, view_implies
+from .entity import Entity, RelationKind, natural_order, relation_views, view_implies
 from .errors import ConsistencyError, ContractError
 from .probability import ProbabilisticEntity
 from .statprop import StatePropertySystem, _prop_key
@@ -55,11 +55,7 @@ class SubEntityWitness:
 def _require_total(mapping, domain, what) -> None:
     missing = set(domain) - set(mapping)
     if missing:
-        try:
-            missing = sorted(missing)
-        except TypeError:  # keys of mixed types have no common order
-            missing = sorted(missing, key=lambda key: (type(key).__name__, repr(key)))
-        raise ContractError(f"{what} is not total; missing {missing}")
+        raise ContractError(f"{what} is not total; missing {natural_order(missing)}")
 
 
 def verify_sub_entity(small: Entity, big: Entity, w: SubEntityWitness) -> Diagnostics:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from .closure import ClosureSystem, _closure_mask, _holder_index, _member_sets, _Order
 from .diagnostics import Diagnostics
-from .entity import Entity, RelationKind, first_equivalent_pair, first_pair
+from .entity import Entity, first_equivalent_pair, natural_order
 from .errors import CapacityError, ContractError, UnknownIdentifierError
-from .mixture import MixedState, full_mixed_entity, mixed_views, mixture_id
+from .mixture import full_mixed_entity, mixture_id
 
 
 TOTAL_ROW_BUDGET = 2**15  # cap on the 2^|states| - 1 mixtures of the row global_testable_sps reads
@@ -291,9 +291,13 @@ def closure_to_sps(ground, system: ClosureSystem) -> StatePropertySystem:
 
 def indistinguishable_pair(entity: Entity):
     """The least pair of distinct experiments that share an outcome, or None:
-    experiments that are not orthogonal in the total mixed state."""
-    view, orthogonal = mixed_views(entity, RelationKind.experiment_for(MixedState(entity.states)))
-    return first_pair(sorted(entity.experiments), view, lambda u, v: not orthogonal(u, v), ordered=False)
+    experiments that are not orthogonal in the total mixed state: the least
+    of the first two of each outcome's sorted producing experiments."""
+    producers = {}
+    for e in sorted(entity.experiments):
+        for x in entity.experiment_outcomes(e):
+            producers.setdefault(x, []).append(e)
+    return min((tuple(es[:2]) for es in producers.values() if len(es) > 1), default=None)
 
 
 def is_distinguishable(entity: Entity) -> bool:
@@ -374,7 +378,7 @@ def validate_sps(sps: StatePropertySystem) -> Diagnostics:
         diag.record("lattice.bottom", False, str(err))
 
     props = sorted(sps.properties, key=_prop_key)
-    states = sorted(sps.states)
+    states = natural_order(sps.states)
     meets_ok = True
     for i, a in enumerate(props):
         for b in props[i:]:

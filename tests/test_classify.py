@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import soe.classify
 from soe.classify import (
     ClassificationReport,
     classify,
@@ -19,8 +20,8 @@ from soe.classify import (
 from soe.cli import main
 from soe.closure import ClosureSystem, eigen_closure_system
 from soe.entity import Entity
-from soe.errors import CapacityError
-from soe.formats import parse_entity
+from soe.errors import CapacityError, ConsistencyError
+from soe.formats import emit_entity, parse_entity
 from soe.mixture import full_mixed_entity
 
 from conftest import random_d_classical_entity, random_entity
@@ -83,6 +84,15 @@ class TestSeparationAxioms:
         flag, witness = satisfies_T0(indiscrete)
         assert not flag and witness == ("a", "b")
         assert not satisfies_T1(indiscrete)[0]
+
+    def test_T0_orders_points_of_mixed_types(self):
+        # 1 and 'a' lie in the same generators; ints and strs have no common
+        # order, so the points go by (type name, repr)
+        system = ClosureSystem.generated({1, "a", 2}, [set(), {1, "a"}])
+        assert satisfies_T0(system) == (False, (1, "a"))
+        assert satisfies_T1(system) == (False, 1)
+        # where a natural order exists it is kept: 9 before 10
+        assert satisfies_T0(ClosureSystem.generated({10, 9, 2}, [set(), {10, 9}])) == (False, (9, 10))
 
 
 class TestAtomicity:
@@ -180,6 +190,40 @@ class TestClassify:
         rng = random.Random(54)
         for _ in range(50):
             classify(random_entity(rng, 4, 4, 6))  # must not raise ConsistencyError
+
+
+class TestCrossChecksFire:
+    """A kernel that contradicts a theorem makes classify raise
+    ConsistencyError naming the check, and `soe classify` exit 3."""
+
+    def test_T1_that_disagrees_with_atomicity(self, worked, monkeypatch):
+        real = soe.classify.satisfies_T1
+        monkeypatch.setattr("soe.classify.satisfies_T1", lambda system: (not real(system)[0], None))
+        with pytest.raises(ConsistencyError, match="central atomicity is T1 of the central system"):
+            classify(worked)
+
+    def test_T0_that_disagrees_with_determination(self, worked, monkeypatch):
+        real = soe.classify.satisfies_T0
+        monkeypatch.setattr("soe.classify.satisfies_T0", lambda system: (not real(system)[0], None))
+        with pytest.raises(ConsistencyError, match="outcome determination is T0 of the central system"):
+            classify(worked)
+
+    def test_distinct_deterministic_states_that_are_not_orthogonal(self, dpair, tmp_path, monkeypatch, capsys):
+        # s and t differ under h, so their views are distinct
+        real = soe.classify.relation_views
+
+        def never_orthogonal(entity, kind):
+            view, _ = real(entity, kind)
+            return view, lambda u, v: False
+
+        monkeypatch.setattr("soe.classify.relation_views", never_orthogonal)
+        message = "deterministic states are equivalent or orthogonal"
+        with pytest.raises(ConsistencyError, match=message):
+            classify(dpair)
+        path = tmp_path / "dpair.soe"
+        path.write_text(emit_entity(dpair))
+        assert main(["classify", str(path)]) == 3
+        assert message in capsys.readouterr().err
 
 
 FIVE_BY_FIVE = Path(__file__).parent / "fixtures" / "five_by_five.soe"

@@ -219,7 +219,7 @@ class TestRelationReport:
             assert list(central.orthogonalities) == expected_orth
 
     def test_deterministic(self, worked):
-        assert relation_report(worked).lines() == relation_report(worked).lines()
+        assert relation_report(worked) == relation_report(worked)
 
 
 class TestRelationAxioms:

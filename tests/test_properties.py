@@ -3,7 +3,8 @@
 The mixed relations are checked against their definitions written out from
 `mixed_outcome_set`, every witness of `classify` and of `satisfies_T0` against
 the least violating pair found by enumerating all pairs (and of `satisfies_T1`
-against the least violating point), the closure engine, the eigen systems and
+against the least violating point), `indistinguishable_pair` against the least
+pair of experiments not orthogonal in the total mixed state, the closure engine, the eigen systems and
 the ortho spaces against the brute-force oracles and the relation engine, the
 mask engine of the closure layer against the frozenset definitions and its bit
 codec against its own inverse, the full mixed entity against its cell-by-cell
@@ -12,7 +13,7 @@ scans, the systems `closure_to_sps` builds against their closure systems,
 and the text format against its emitter and against arbitrary text.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +63,7 @@ from soe.statprop import (
     _prop_key,
     closure_to_sps,
     global_testable_sps,
+    indistinguishable_pair,
     is_cartan_family,
     is_distinguishable,
     testable_sps,
@@ -88,6 +90,39 @@ def entities(draw, side=4):
     outcomes = [f"x{i}" for i in range(draw(st.integers(1, 5)))]
     cell = st.frozensets(st.sampled_from(outcomes), min_size=1)
     return Entity(states, experiments, {(e, p): draw(cell) for e in experiments for p in states})
+
+
+def _is_identifier(token) -> bool:
+    try:
+        check_identifier("any", token)
+    except EntityValidationError:
+        return False
+    return True
+
+
+IDENTIFIERS = st.text(min_size=1, max_size=3).filter(_is_identifier)
+
+
+@st.composite
+def named_entities(draw):
+    """Entities over arbitrary identifiers the identifier rule accepts."""
+    states = draw(st.lists(IDENTIFIERS, min_size=1, max_size=3, unique=True))
+    experiments = draw(st.lists(IDENTIFIERS, min_size=1, max_size=3, unique=True))
+    outcomes = draw(st.lists(IDENTIFIERS, min_size=1, max_size=4, unique=True))
+    cell = st.frozensets(st.sampled_from(outcomes), min_size=1)
+    return Entity(states, experiments, {(e, p): draw(cell) for e in experiments for p in states})
+
+
+@st.composite
+def atomic_entities(draw, side=4):
+    """Entities whose couples hold distinct 2-subsets of seven outcomes: no
+    cell lies inside another, so no item implies a distinct one and every
+    atomicity search scans all its items without finding a witness."""
+    states = [f"p{i}" for i in range(draw(st.integers(1, side)))]
+    experiments = [f"e{i}" for i in range(draw(st.integers(1, side)))]
+    cells = draw(st.permutations(list(combinations([f"x{i}" for i in range(7)], 2))))
+    couples = [(e, p) for e in experiments for p in states]
+    return Entity(states, experiments, dict(zip(couples, map(frozenset, cells))))
 
 
 def subsets(pool):
@@ -166,7 +201,7 @@ def _brute_witnesses(entity):
 
 
 @SETTINGS
-@given(entities())
+@given(st.one_of(entities(), named_entities(), atomic_entities()))
 def test_classify_witnesses_are_the_least_violating_pairs(entity):
     expected = _brute_witnesses(entity)
     predicates = {
@@ -183,6 +218,18 @@ def test_classify_witnesses_are_the_least_violating_pairs(entity):
     report = classify(entity)
     assert report.witnesses == {name: w for name, w in expected.items() if w is not None}
     assert all(report.flags()[name] == (w is None) for name, w in expected.items())
+
+
+@SETTINGS
+@given(st.one_of(entities(), named_entities()))
+def test_indistinguishable_pair_is_the_least_pair_not_orthogonal_in_the_total_mixed_state(entity):
+    total = RelationKind.experiment_for(MixedState(entity.states))
+    expected = _least(
+        (e, f)
+        for e, f in combinations(sorted(entity.experiments), 2)
+        if not mixed_orthogonal(entity, total, MixedExperiment({e}), MixedExperiment({f}))
+    )
+    assert indistinguishable_pair(entity) == expected
 
 
 @SETTINGS
@@ -837,27 +884,6 @@ def test_global_testable_sps_matches_the_definition(entity):
 
     definition = lambda e: testable_sps(full_mixed_entity(e), mixture_id(e.experiments))  # noqa: E731
     assert outcome(global_testable_sps) == outcome(definition)
-
-
-def _is_identifier(token) -> bool:
-    try:
-        check_identifier("any", token)
-    except EntityValidationError:
-        return False
-    return True
-
-
-IDENTIFIERS = st.text(min_size=1, max_size=3).filter(_is_identifier)
-
-
-@st.composite
-def named_entities(draw):
-    """Entities over arbitrary identifiers the identifier rule accepts."""
-    states = draw(st.lists(IDENTIFIERS, min_size=1, max_size=3, unique=True))
-    experiments = draw(st.lists(IDENTIFIERS, min_size=1, max_size=3, unique=True))
-    outcomes = draw(st.lists(IDENTIFIERS, min_size=1, max_size=4, unique=True))
-    cell = st.frozensets(st.sampled_from(outcomes), min_size=1)
-    return Entity(states, experiments, {(e, p): draw(cell) for e in experiments for p in states})
 
 
 @SETTINGS

@@ -355,6 +355,21 @@ class TestValidateAbstractSps:
         diag = validate_sps(sps)
         assert diag.passed, diag.failures
 
+    def test_accepts_states_of_mixed_types(self):
+        sps = StatePropertySystem({1, "a"}, {"I", "0"}, {1: {"I"}, "a": {"I"}})
+        diag = validate_sps(sps)
+        assert diag.passed, diag.failures
+
+    def test_names_the_least_state_of_mixed_types(self):
+        # A and B are both actual in 1 and 'a', but their meet is 0; ints and
+        # strs have no common order, so the states go by (type name, repr)
+        sps = StatePropertySystem(
+            {1, "a", "s", "t"},
+            {"I", "A", "B", "0"},
+            {1: {"I", "A", "B"}, "a": {"I", "A", "B"}, "s": {"I", "A"}, "t": {"I", "B"}},
+        )
+        assert validate_sps(sps).failures == ["xi.meet_stability: state 1, properties 'A', 'B'"]
+
     def test_flags_equivalent_distinct_properties(self):
         sps = StatePropertySystem(
             {"s"},
