@@ -72,9 +72,20 @@ def satisfies_T0(system: ClosureSystem):
 
 
 def satisfies_T1(system: ClosureSystem):
-    """Every singleton is closed."""
-    witness = next((w for w in sorted(system.ground, key=str) if not system.is_closed({w})), None)
-    return (witness is None, witness)
+    """Every singleton is closed. Returns (flag, first point whose singleton
+    is not closed), points going by `str`, then by type name and `repr`, so
+    that the witness does not depend on the hash seed."""
+    order = sorted(system.ground, key=str)
+    first = next((i for i, w in enumerate(order) if not system.is_closed({w})), None)
+    if first is None:
+        return (True, None)
+    # only the points sharing the witness's str can tie with it; they follow
+    # it in set order, and every earlier point is closed
+    text, end = str(order[first]), first + 1
+    while end < len(order) and str(order[end]) == text:
+        end += 1
+    tied = (w for w in order[first:end] if not system.is_closed({w}))
+    return (False, min(tied, key=lambda w: (type(w).__name__, repr(w))))
 
 
 def is_central_atomic(entity: Entity):

@@ -259,9 +259,9 @@ def cmd_qmachine(args) -> int:
 
 
 def _relation_axiom_checks(entity: Entity, diag: Diagnostics, rng: random.Random) -> None:
-    couples = entity.couples()
+    cells = dict(entity.cells())
+    couples = list(cells)
     central = RelationKind.central()
-    cells = {c: entity.outcome_set(*c) for c in couples}
     for a in couples:
         diag.record("relations.reflexive", implies(entity, central, a, a), lambda: _fmt_item(a))
         diag.record("relations.antireflexive", not orthogonal(entity, central, a, a), lambda: _fmt_item(a))
@@ -282,14 +282,14 @@ def _relation_axiom_checks(entity: Entity, diag: Diagnostics, rng: random.Random
                     not orthogonal(entity, central, a, b),
                     lambda: f"{_fmt_item(a)} < {_fmt_item(b)}",
                 )
-            for c in pool:
-                if below[a, b] and below[b, c]:
-                    diag.record(
-                        "relations.transitive",
-                        below[a, c],
-                        lambda: f"{_fmt_item(a)} < {_fmt_item(b)} < {_fmt_item(c)}",
-                    )
-    for (e, p), cell in entity.cells():
+                for c in pool:
+                    if below[b, c]:
+                        diag.record(
+                            "relations.transitive",
+                            below[a, c],
+                            lambda: f"{_fmt_item(a)} < {_fmt_item(b)} < {_fmt_item(c)}",
+                        )
+    for (e, p), cell in cells.items():
         diag.record(
             "relations.eigen_iff_singleton",
             (eigen_outcome(entity, e, p) is not None) == (len(cell) == 1),
@@ -320,11 +320,12 @@ def _closure_checks(entity: Entity, diag: Diagnostics, rng: random.Random) -> di
     for name, system in systems.items():
         # a generated system is intersection closed by construction; its
         # generators and its own operator are what can still be wrong
-        axioms = f"closures.axioms.{name}"
+        axioms, idempotent = f"closures.axioms.{name}", f"closures.idempotent.{name}"
         diag.record(axioms, all(g <= system.ground for g in system.generators), "a generator leaves the ground set")
         diag.record(axioms, not system.closure_of(frozenset()), "empty: cl({}) is not empty")
+        ground = sorted(system.ground, key=str)
         for _ in range(5):
-            K = frozenset(rng.sample(sorted(system.ground, key=str), rng.randint(0, len(system.ground))))
+            K = frozenset(rng.sample(ground, rng.randint(0, len(ground))))
             closed = system.closure_of(K)
             diag.record(axioms, K <= closed, lambda: f"extensive: K = {_fmt_member(K)}")
             if K:
@@ -334,19 +335,15 @@ def _closure_checks(entity: Entity, diag: Diagnostics, rng: random.Random) -> di
                     system.closure_of(K - {least}) <= closed,
                     lambda: f"monotone: K = {_fmt_member(K)} less {_fmt_item(least)}",
                 )
-            diag.record(
-                f"closures.idempotent.{name}",
-                system.closure_of(closed) == closed,
-                lambda: _fmt_member(K),
-            )
+            diag.record(idempotent, system.closure_of(closed) == closed, lambda: _fmt_member(K))
     outcomes = sorted(entity.outcomes)
+    cells = list(entity.cells())
     for _ in range(10):
         A = frozenset(rng.sample(outcomes, rng.randint(0, len(outcomes))))
         interior = outcome_interior(entity, A)
         diag.record(
             "closures.outcome_interior_invisible_to_eig",
-            frozenset(c for c, cell in entity.cells() if cell <= A)
-            == frozenset(c for c, cell in entity.cells() if cell <= interior),
+            frozenset(c for c, cell in cells if cell <= A) == frozenset(c for c, cell in cells if cell <= interior),
             lambda: _fmt_member(A),
         )
         clA = outcome_closure(entity, A)

@@ -493,7 +493,7 @@ def outcome_closure(entity: Entity, A) -> frozenset:
     stray = A - entity.outcomes
     if stray:
         raise ContractError(f"unknown outcomes: {sorted(stray)}")
-    covered = frozenset().union(frozenset(), *(cell for _, cell in entity.cells() if not cell & A))
+    covered = frozenset().union(*(cell for cell in entity._table.values() if not cell & A))
     return entity.outcomes - covered
 
 
@@ -503,7 +503,7 @@ def outcome_interior(entity: Entity, A) -> frozenset:
     stray = A - entity.outcomes
     if stray:
         raise ContractError(f"unknown outcomes: {sorted(stray)}")
-    return frozenset().union(frozenset(), *(cell for _, cell in entity.cells() if cell <= A))
+    return frozenset().union(*(cell for cell in entity._table.values() if cell <= A))
 
 
 def is_outcome_open(entity: Entity, B) -> bool:

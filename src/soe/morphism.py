@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closure import eig_states, eigen_closure_system
+from .closure import _holder_masks, eig_states, eigen_closure_system
 from .diagnostics import Diagnostics
 from .entity import Entity, RelationKind, natural_order, relation_views, view_implies
 from .errors import ConsistencyError, ContractError
@@ -90,15 +90,16 @@ def verify_sub_entity(small: Entity, big: Entity, w: SubEntityWitness) -> Diagno
     if not diag.passed:
         return diag
 
+    experiments = sorted(small.experiments)
     for p_big in sorted(big.states):
-        for e in sorted(small.experiments):
+        for e in experiments:
             small_cell = small.outcome_set(e, w.m[p_big])
             big_cell = big.outcome_set(w.n[e], p_big)
             image = {w.l[x] for x in small_cell}
             diag.record(
                 "covariance.cell_bijection",
                 image == big_cell,
-                f"l(O({e}, {w.m[p_big]})) = {sorted(image)} but O({w.n[e]}, {p_big}) = {sorted(big_cell)}",
+                lambda: f"l(O({e}, {w.m[p_big]})) = {sorted(image)} but O({w.n[e]}, {p_big}) = {sorted(big_cell)}",
             )
     diag.checks.setdefault("covariance.cell_bijection", True)
     if not diag.passed:
@@ -109,24 +110,31 @@ def verify_sub_entity(small: Entity, big: Entity, w: SubEntityWitness) -> Diagno
 
 
 def _assert_transports(small: Entity, big: Entity, w: SubEntityWitness) -> None:
-    # the core checks passed, so the maps only send identifiers to declared ones
-    kind = RelationKind.outcome_global()
-    (small_view, small_orth), (big_view, big_orth) = relation_views(small, kind), relation_views(big, kind)
-    for x in sorted(small.outcomes):
-        for y in sorted(small.outcomes):
-            if small_orth(small_view(x), small_view(y)) and not big_orth(big_view(w.l[x]), big_view(w.l[y])):
+    # the core checks passed, so the maps only send identifiers to declared
+    # ones, and l is injective. Distinct outcomes are orthogonal when some
+    # cell holds both: when their holder masks over the cells meet.
+    small_has, big_has = _holder_masks(small._table.values()), _holder_masks(big._table.values())
+    outcomes = sorted(small.outcomes)
+    for x in outcomes:
+        for y in outcomes:
+            if x != y and small_has[x] & small_has[y] and not big_has[w.l[x]] & big_has[w.l[y]]:
                 raise ConsistencyError(f"outcome orthogonality not transported at ({x}, {y})")
     kind = RelationKind.state_global()
     (small_view, _), (big_view, _) = relation_views(small, kind), relation_views(big, kind)
-    for p in sorted(big.states):
-        for q in sorted(big.states):
-            if view_implies(big_view(p), big_view(q)) and not view_implies(small_view(w.m[p]), small_view(w.m[q])):
+    # each item's two views are read once, then compared pair by pair
+    states = sorted(big.states)
+    views = [(p, big_view(p), small_view(w.m[p])) for p in states]
+    for p, u, u_small in views:
+        for q, v, v_small in views:
+            if view_implies(u, v) and not view_implies(u_small, v_small):
                 raise ConsistencyError(f"state implication not transported at ({p}, {q})")
     kind = RelationKind.experiment_global()
     (small_view, small_orth), (big_view, big_orth) = relation_views(small, kind), relation_views(big, kind)
-    for e in sorted(small.experiments):
-        for f in sorted(small.experiments):
-            if small_orth(small_view(e), small_view(f)) and not big_orth(big_view(w.n[e]), big_view(w.n[f])):
+    experiments = sorted(small.experiments)
+    views = [(e, small_view(e), big_view(w.n[e])) for e in experiments]
+    for e, u, u_big in views:
+        for f, v, v_big in views:
+            if small_orth(u, v) and not big_orth(u_big, v_big):
                 raise ConsistencyError(f"experiment orthogonality not transported at ({e}, {f})")
     kind = RelationKind.central()
     (small_view, small_orth), (big_view, big_orth) = relation_views(small, kind), relation_views(big, kind)
@@ -147,10 +155,10 @@ def _assert_transports(small: Entity, big: Entity, w: SubEntityWitness) -> None:
     distinct = set(views.values())
     if not any(mismatch(a, b) for a in distinct for b in distinct):
         return
-    for p in sorted(big.states):
-        for q in sorted(big.states):
-            for e in sorted(small.experiments):
-                for f in sorted(small.experiments):
+    for p in states:
+        for q in states:
+            for e in experiments:
+                for f in experiments:
                     relation = mismatch(views[e, p], views[f, q])
                     if relation is not None:
                         raise ConsistencyError(f"couple {relation} not equivalent at (({e},{p}), ({f},{q}))")
@@ -314,16 +322,19 @@ def verify_probabilistic_sub_entity(
         all(images[i] != images[j] for i in range(len(images)) for j in range(i + 1, len(images))),
         "two measures transported to the same image",
     )
+    experiments = sorted(small.entity.experiments)
+    states = sorted(big.entity.states)
+    outcomes = sorted(small.entity.outcomes)
     for index, (mu, mu_big) in enumerate(k.pairs):
-        for e in sorted(small.entity.experiments):
-            for p_big in sorted(big.entity.states):
-                for x in sorted(small.entity.outcomes):
+        for e in experiments:
+            for p_big in states:
+                for x in outcomes:
                     lhs = mu(e, w.m[p_big], x)
                     rhs = mu_big(w.n[e], p_big, w.l[x])
                     diag.record(
                         "k.transport_identity",
                         abs(lhs - rhs) <= tol,
-                        f"pair {index}, ({e}, {p_big}, {x}): {lhs:.12g} vs {rhs:.12g}",
+                        lambda: f"pair {index}, ({e}, {p_big}, {x}): {lhs:.12g} vs {rhs:.12g}",
                     )
     diag.checks.setdefault("k.transport_identity", True)
     return diag

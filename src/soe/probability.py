@@ -90,13 +90,13 @@ def validate_measure(entity: Entity, table: ProbabilityTable, tol: float = NORMA
         diag.record(
             "normalization.cell_sums_to_one",
             abs(total - 1.0) <= tol,
-            f"({e}, {p}) sums to {total:.12g}",
+            lambda: f"({e}, {p}) sums to {total:.12g}",
         )
-        for x in sorted(cell):
+        ordered = sorted(cell)
+        for x in ordered:
             if table(e, p, x) == 0.0:
                 zero_warnings.append(f"({e}, {p}, {x})")
         # additivity across a two-block partition of the cell
-        ordered = sorted(cell)
         block = frozenset(ordered[: max(1, len(ordered) // 2)])
         rest = cell - block
         lhs = event_probability(entity, table, e, p, Event(cell))
@@ -106,7 +106,7 @@ def validate_measure(entity: Entity, table: ProbabilityTable, tol: float = NORMA
         diag.record(
             "additivity.partition",
             abs(lhs - rhs) <= tol,
-            f"({e}, {p}): {lhs:.12g} != {rhs:.12g}",
+            lambda: f"({e}, {p}): {lhs:.12g} != {rhs:.12g}",
         )
     if zero_warnings:
         diag.details["zero_probability_possible_outcomes"] = zero_warnings

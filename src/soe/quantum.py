@@ -13,6 +13,7 @@ Outcome indices are 1-based: outcome k names the k-th projection of a family.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -427,10 +428,19 @@ def random_ket(rng, n: int) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
+def _random_densities(rng, n: int, count: int) -> np.ndarray:
+    """A (count, n, n) stack of Ginibre densities G G* / tr(G G*) from one
+    draw of normals. Matrix i takes the next 2 n^2 normals, its real parts
+    then its imaginary parts, so the stack equals `count` calls of
+    `random_density` on the same generator, bit for bit."""
+    D = rng.normal(size=(count, 2, n, n))
+    G = D[:, 0] + 1j * D[:, 1]
+    W = G @ np.swapaxes(G.conj(), -2, -1)
+    return W / np.real(np.trace(W, axis1=-2, axis2=-1))[:, None, None]
+
+
 def random_density(rng, n: int) -> np.ndarray:
-    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    W = G @ G.conj().T
-    return W / np.real(np.trace(W))
+    return _random_densities(rng, n, 1)[0]
 
 
 def random_spectral_family(rng, n: int) -> SpectralFamily:
@@ -484,11 +494,17 @@ def finite_standard_entity(kets, families, tol: float = PROBABILITY_TOL):
     return finite_completed_entity([density_from_ray(c) for c in kets], families, tol)
 
 
+@functools.cache
+def _pauli_axis_families() -> tuple:
+    axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    return tuple(sphere_experiment_family(SphereExperiment(axis)) for axis in axes)
+
+
 def pauli_axis_families() -> list:
     """Spectral families of the three coordinate axes of the two-dimensional
-    case; the canonical probes for ray searches."""
-    axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-    return [sphere_experiment_family(SphereExperiment(axis)) for axis in axes]
+    case; the canonical probes for ray searches. The families, which are
+    immutable, are built once per process; each call returns a new list."""
+    return list(_pauli_axis_families())
 
 
 def verify_cq_sub_entity(
@@ -510,23 +526,25 @@ def verify_cq_sub_entity(
     verification on a sampled finite entity pair, and, for the two-qubit case,
     searches `ray_candidates` grid rays for one reproducing the reduced
     probabilities of the antisymmetric ray state (none comes close: the
-    minimal residual found is reported).
+    minimal residual found is reported). `samples` must be at least 1, or
+    at least 0 in the two-qubit case, which always adds the antisymmetric
+    ray state; anything less is refused before any draw.
     """
     if n_sys * n_env > 16:
         raise CapacityError("sampled verification is limited to composite dimension 16")
+    two_qubits = n_sys == n_env == 2
+    least = 0 if two_qubits else 1
+    if samples < least:
+        raise ContractError(f"samples must be at least {least} for {n_sys} x {n_env}, got {samples}")
     rng = np.random.default_rng(seed)
     diag = Diagnostics()
 
     probes = pauli_axis_families() if n_sys == 2 else []
     families = [random_spectral_family(rng, n_sys) for _ in range(3)] + probes
     lifted_families = [lift_experiment(f, n_env) for f in families]
-    big_states = [random_density(rng, n_sys * n_env) for _ in range(samples)]
-    if n_sys == n_env == 2:
-        big_states.append(singlet_density())
-
-    # reshape keeps a sample of no states a (0, dim, dim) stack
-    dim = n_sys * n_env
-    big = np.array(big_states, dtype=complex).reshape(-1, dim, dim)
+    big = _random_densities(rng, n_sys * n_env, samples)
+    if two_qubits:
+        big = np.concatenate([big, singlet_density()[None]])
     reduced = partial_trace(big, (n_sys, n_env))
     # one column per (family, outcome); rows are the states, so the failures
     # below come out in (state, family, outcome) order
@@ -547,11 +565,11 @@ def verify_cq_sub_entity(
         )
     diag.checks.setdefault("completed.trace_identity", True)
     diag.details["completed_max_residual"] = float(np.max(residuals, initial=0.0))
-    diag.details["samples"] = len(big_states)
+    diag.details["samples"] = len(big)
 
     # the finite-entity harness: a handful of sampled states is enough to
     # exercise the morphism contract end to end
-    harness = min(6, len(big_states))
+    harness = min(6, len(big))
     big_entity, big_measure = finite_completed_entity(big[:harness], lifted_families)
     small_entity, small_measure = finite_completed_entity(reduced[:harness], families)
     witness = SubEntityWitness(
@@ -572,7 +590,7 @@ def verify_cq_sub_entity(
     )
     diag.record("completed.morphism_contract", contract.passed, "; ".join(contract.failures))
 
-    if n_sys == n_env == 2:
+    if two_qubits:
         # the probes are the last families; each (projection, target) pair
         # is one probe outcome and the probability the singlet gives it
         target = singlet_density()

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,8 @@ from soe.mixture import full_mixed_entity
 
 from conftest import random_d_classical_entity, random_entity
 from oracles import powerset as subsets
+
+SRC = str(Path(soe.classify.__file__).resolve().parents[1])
 
 
 class TestDetermination:
@@ -93,6 +98,20 @@ class TestSeparationAxioms:
         assert satisfies_T1(system) == (False, 1)
         # where a natural order exists it is kept: 9 before 10
         assert satisfies_T0(ClosureSystem.generated({10, 9, 2}, [set(), {10, 9}])) == (False, (9, 10))
+
+
+    def test_T1_witness_ignores_the_hash_seed(self):
+        # 1 and '1' have the same str; the type name breaks the tie
+        code = (
+            "from soe.classify import satisfies_T1\n"
+            "from soe.closure import ClosureSystem\n"
+            "print(satisfies_T1(ClosureSystem.generated({1, '1', 'b'}, [set(), {'b'}])))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        for seed in range(6):
+            env["PYTHONHASHSEED"] = str(seed)
+            result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+            assert result.stdout == "(False, 1)\n", (seed, result.stderr)
 
 
 class TestAtomicity:

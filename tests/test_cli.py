@@ -209,6 +209,18 @@ class TestVerifyCommand:
         assert "verify.closures.axioms.state_trace_of_central = pass" in rows
         assert "verify.verdict = pass" in rows
 
+    def test_report_ignores_the_hash_seed(self, tmp_path):
+        rng = random.Random(46)
+        outcomes = [f"x{i}" for i in range(8)]
+        table = {(f"e{i}", f"p{j}"): rng.sample(outcomes, rng.randint(1, 3)) for i in range(6) for j in range(4)}
+        medium = tmp_path / "medium.soe"
+        medium.write_text(emit_entity(Entity({p for _, p in table}, {e for e, _ in table}, table)), encoding="utf-8")
+        for path in (Path(__file__).parent / "fixtures" / "three_by_three.soe", medium):
+            runs = [soe_subprocess(["verify", str(path), "--structured"], PYTHONHASHSEED=str(seed)) for seed in range(4)]
+            assert runs[0].returncode == 0, runs[0].stderr
+            assert "verify.verdict = pass" in runs[0].stdout.splitlines()
+            assert all(run.stdout == runs[0].stdout for run in runs[1:])
+
     def test_axioms_ask_the_kernel_operator(self, worked_file, capsys, monkeypatch):
         # drop an element of K from the closure of every K of two or more
         # elements; the singleton closures that classify reads stay intact

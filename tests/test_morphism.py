@@ -16,7 +16,7 @@ from soe.morphism import (
     verify_sps_morphism,
     verify_sub_entity,
 )
-from soe.probability import ProbabilisticEntity, d_classical_measure
+from soe.probability import ProbabilisticEntity, ProbabilityTable, d_classical_measure
 from soe.statprop import StatePropertySystem, closure_to_sps, testable_sps
 
 from conftest import random_entity
@@ -72,6 +72,21 @@ class TestVerifySubEntity:
         diag = verify_sub_entity(worked, big, SubEntityWitness(bad_m, witness.n, witness.l))
         assert not diag.checks["covariance.cell_bijection"]
         assert any("S.q" in line or "S.r" in line for line in diag.failures)
+
+    def test_cell_bijection_witnesses_name_each_failing_cell(self):
+        # each witness is built when its cell fails, from that cell's values
+        entity = Entity(
+            {"p", "q"},
+            {"e", "f"},
+            {("e", "p"): {"x", "y"}, ("e", "q"): {"x"}, ("f", "p"): {"z"}, ("f", "q"): {"z", "w"}},
+        )
+        swapped = SubEntityWitness({"p": "q", "q": "p"}, {"e": "e", "f": "f"}, {x: x for x in entity.outcomes})
+        assert verify_sub_entity(entity, entity, swapped).failures == [
+            "covariance.cell_bijection: l(O(e, q)) = ['x'] but O(e, p) = ['x', 'y']",
+            "covariance.cell_bijection: l(O(f, q)) = ['w', 'z'] but O(f, p) = ['z']",
+            "covariance.cell_bijection: l(O(e, p)) = ['x', 'y'] but O(e, q) = ['x']",
+            "covariance.cell_bijection: l(O(f, p)) = ['z'] but O(f, q) = ['w', 'z']",
+        ]
 
     def test_partial_maps_rejected(self, worked):
         with pytest.raises(ContractError):
@@ -139,6 +154,33 @@ class TestTransportedCouples:
                     relations.add(expected.split()[1])
                 monkeypatch.setattr(soe.morphism, "relation_views", real)
         assert relations == {"implication", "orthogonality"}
+
+
+class TestTransportedOutcomes:
+    def test_forced_failure_names_the_first_outcome_pair(self, worked, monkeypatch):
+        # the big entity's holder mask of X.x2 is emptied, so X.x2 is
+        # orthogonal to nothing there
+        big, witness = relabeled_copy(worked)
+        real = soe.morphism._holder_masks
+
+        def tampered(cells):
+            cells = list(cells)
+            has = real(cells)
+            if cells == list(big._table.values()):
+                has["X.x2"] = 0
+            return has
+
+        cells = list(worked._table.values())
+        expected = next(
+            (x, y)
+            for x in sorted(worked.outcomes)
+            for y in sorted(worked.outcomes)
+            if x != y and any({x, y} <= cell for cell in cells) and "X.x2" in (witness.l[x], witness.l[y])
+        )
+        monkeypatch.setattr(soe.morphism, "_holder_masks", tampered)
+        with pytest.raises(ConsistencyError) as err:
+            verify_sub_entity(worked, big, witness)
+        assert str(err.value) == f"outcome orthogonality not transported at ({expected[0]}, {expected[1]})"
 
 
 class TestNegativeCovariance:
@@ -332,6 +374,30 @@ class TestProbabilisticSubEntity:
             ProbabilityCorrespondence([(small_measure, bad_big)]),
         )
         assert not diag.checks["k.transport_identity"]
+
+    def test_transport_witnesses_name_each_failing_triple(self):
+        # each witness is built when its row fails, from that row's values
+        entity = Entity(
+            {"p", "q"},
+            {"e", "f"},
+            {("e", "p"): {"x", "y"}, ("e", "q"): {"x"}, ("f", "p"): {"z"}, ("f", "q"): {"z", "w"}},
+        )
+        mu = ProbabilityTable({("e", "p", "x"): 0.25, ("e", "p", "y"): 0.75, ("e", "q", "x"): 1,
+                               ("f", "p", "z"): 1, ("f", "q", "z"): 0.5, ("f", "q", "w"): 0.5})
+        nu = ProbabilityTable({("e", "p", "x"): 0.5, ("e", "p", "y"): 0.5, ("e", "q", "x"): 1,
+                               ("f", "p", "z"): 1, ("f", "q", "z"): 0.1, ("f", "q", "w"): 0.9})
+        diag = verify_probabilistic_sub_entity(
+            ProbabilisticEntity(entity, (mu,)),
+            ProbabilisticEntity(entity, (nu,)),
+            SubEntityWitness.identity(entity),
+            ProbabilityCorrespondence([(mu, nu)]),
+        )
+        assert diag.failures == [
+            "k.transport_identity: pair 0, (e, p, x): 0.25 vs 0.5",
+            "k.transport_identity: pair 0, (e, p, y): 0.75 vs 0.5",
+            "k.transport_identity: pair 0, (f, q, w): 0.5 vs 0.9",
+            "k.transport_identity: pair 0, (f, q, z): 0.5 vs 0.1",
+        ]
 
     def test_incomplete_correspondence_rejected(self, dpair):
         big, witness = relabeled_copy(dpair)

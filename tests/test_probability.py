@@ -52,6 +52,20 @@ class TestValidateMeasure:
         diag = validate_measure(entity, bad)
         assert not diag.checks["normalization.cell_sums_to_one"]
 
+    def test_normalization_witnesses_name_each_failing_cell(self):
+        # each witness is built when its cell fails, from that cell's sum
+        entity = Entity(
+            {"p", "q"},
+            {"e", "f"},
+            {("e", "p"): {"x", "y"}, ("e", "q"): {"x"}, ("f", "p"): {"z"}, ("f", "q"): {"z", "w"}},
+        )
+        bad = ProbabilityTable({("e", "p", "x"): 0.25, ("e", "q", "x"): 1, ("f", "p", "z"): 1,
+                                ("f", "q", "z"): 0.3, ("f", "q", "w"): 0.3})
+        assert validate_measure(entity, bad).failures == [
+            "normalization.cell_sums_to_one: (e, p) sums to 0.25",
+            "normalization.cell_sums_to_one: (f, q) sums to 0.6",
+        ]
+
     def test_off_support_mass_fails(self):
         entity = Entity({"s"}, {"h"}, {("h", "s"): {"o1"}})
         bad = ProbabilityTable({("h", "s", "o1"): 1.0, ("h", "s", "ghost"): 0.25})

@@ -767,6 +767,18 @@ def test_T1_witness_is_the_least_point_whose_singleton_is_not_closed(drawn):
 
 
 @SETTINGS
+@given(st.sets(st.sampled_from([1, "1", 2, "2", (1,), "(1,)", "b"]), min_size=1), st.data())
+def test_T1_witness_breaks_str_ties_by_type_then_repr(ground, data):
+    """Points with equal str, such as 1 and '1', go by type name, then repr."""
+    points = sorted(ground, key=repr)
+    generators = data.draw(st.lists(st.sets(st.sampled_from(points)), max_size=4)) + [set()]
+    system = ClosureSystem.generated(ground, generators)
+    unclosed = [w for w in ground if system.closure_of({w}) != {w}]
+    least = min(unclosed, key=lambda w: (str(w), type(w).__name__, repr(w)), default=None)
+    assert satisfies_T1(system) == (not unclosed, least)
+
+
+@SETTINGS
 @given(st.lists(st.one_of(NAMES, st.tuples(NAMES, NAMES)), unique=True, max_size=70), st.data())
 def test_mask_and_decode_invert_each_other(items, data):
     """On orders mixing names and (experiment, state) couples, the empty one

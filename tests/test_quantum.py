@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import soe.quantum
 from soe.classify import classify
 from soe.entity import RelationKind, orthogonal
 from soe.errors import CapacityError, ContractError
@@ -18,6 +21,7 @@ from soe.quantum import (
     is_extremal,
     lift_experiment,
     opnorm,
+    _random_densities,
     partial_trace,
     pauli_axis_families,
     qmachine_probability,
@@ -570,6 +574,42 @@ class TestSubEntityDemonstration:
             "completed.morphism_contract": False,
             "standard.no_ray_reproduces_entangled_state": True,
         }
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 5))
+    def test_batched_draws_equal_sequential_draws(self, seed, n, count):
+        # the reference is the one-at-a-time Ginibre draw, written out
+        rng = np.random.default_rng(seed)
+        expected = []
+        for _ in range(count):
+            G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            W = G @ G.conj().T
+            expected.append(W / np.real(np.trace(W)))
+        batch = _random_densities(np.random.default_rng(seed), n, count)
+        assert batch.shape == (count, n, n)
+        assert all(np.array_equal(W, V) for W, V in zip(batch, expected))
+
+    def test_too_few_samples_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr(soe.quantum, "random_spectral_family", no_draw)
+        monkeypatch.setattr(soe.quantum, "_random_densities", no_draw)
+        for n_sys, n_env, samples in ((2, 2, -1), (2, 3, -3), (2, 3, 0), (3, 2, 0)):
+            with pytest.raises(ContractError, match="samples"):
+                verify_cq_sub_entity(n_sys, n_env, samples=samples)
+
+    def test_no_samples_runs_on_the_singlet_alone(self):
+        diag = verify_cq_sub_entity(2, 2, samples=0, seed=5, ray_candidates=400)
+        assert diag.passed, diag.failures
+        assert diag.details["samples"] == 1
+
+    def test_pauli_probes_are_a_fresh_list(self):
+        first = pauli_axis_families()
+        expected = list(first)
+        first.clear()
+        assert pauli_axis_families() == expected
+        assert len(expected) == 3
 
     def test_residuals_are_pinned(self):
         diag = verify_cq_sub_entity(2, 2, seed=42, ray_candidates=10_000)
