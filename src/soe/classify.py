@@ -5,9 +5,10 @@ run as internal cross-checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .closure import ClosureSystem, _holder_masks, eigen_closure_system, entity_ortho_space, ortho_closure_system
+from .closure import ClosureSystem, _closure_mask, _holder_masks, eigen_closure_system, entity_ortho_space, ortho_closure_system
 from .entity import Entity, RelationKind, first_equivalent_pair, natural_order, relation_views
 from .errors import ConsistencyError
 from .statprop import indistinguishable_pair
@@ -62,29 +63,27 @@ def is_experiment_determined(entity: Entity):
 
 
 def satisfies_T0(system: ClosureSystem):
-    """Distinct points have distinct singleton closures. The closure of {w}
-    is the ground cut by the generators containing w, so two points have
-    equal closures exactly when they lie in the same generators. Returns
-    (flag, least pair of points with equal closures)."""
-    generators = list(system.generators)
-    pair = first_equivalent_pair(natural_order(system.ground), lambda w: tuple([w in g for g in generators]))
+    """Distinct points have distinct singleton closures: the generators
+    missing them differ ("clarifying" a formal context groups the points by
+    those). Returns (flag, least pair with equal closures, in `natural_order`)."""
+    pair = first_equivalent_pair(natural_order(system.ground), system._missed_by().__getitem__)
     return (pair is None, pair)
 
 
 def satisfies_T1(system: ClosureSystem):
-    """Every singleton is closed. Returns (flag, first point whose singleton
-    is not closed), points going by `str`, then by type name and `repr`, so
-    that the witness does not depend on the hash seed."""
-    order = sorted(system.ground, key=str)
-    first = next((i for i, w in enumerate(order) if not system.is_closed({w})), None)
-    if first is None:
+    """Every singleton is closed. Returns (flag, least point whose singleton
+    is not closed, by `str`, then type name and `repr`, whatever the hash
+    seed). No point of a T0 class with two points is closed; a one-point
+    class compares its one closure mask with its bit."""
+    missed, full, gens = system._missed_by(), system._order.full, system._gens
+    shared = Counter(missed.values())
+    unclosed = [
+        w for i, (w, key) in enumerate(missed.items()) if shared[key] > 1 or _closure_mask(full, gens, 1 << i) != 1 << i
+    ]
+    if not unclosed:
         return (True, None)
-    # only the points sharing the witness's str can tie with it; they follow
-    # it in set order, and every earlier point is closed
-    text, end = str(order[first]), first + 1
-    while end < len(order) and str(order[end]) == text:
-        end += 1
-    tied = (w for w in order[first:end] if not system.is_closed({w}))
+    least = min(map(str, unclosed))
+    tied = (w for w in unclosed if str(w) == least)
     return (False, min(tied, key=lambda w: (type(w).__name__, repr(w))))
 
 

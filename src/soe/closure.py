@@ -19,7 +19,7 @@ from operator import or_
 from types import MappingProxyType
 
 from .diagnostics import Diagnostics
-from .entity import Entity, RelationKind, relation_views
+from .entity import Entity, RelationKind, natural_order, relation_views
 from .errors import CapacityError, ContractError
 
 GROUND_CAP = 24  # full-family materialization refuses larger ground sets
@@ -66,7 +66,7 @@ class ClosureSystem:
     the ground cut by every generator containing K. A listed family must pass
     `validate_closure_axioms`."""
 
-    __slots__ = ("ground", "_order", "_gens", "_generators", "_members")
+    __slots__ = ("ground", "_order", "_gens", "_generators", "_members", "_missed")
 
     def __init__(self, ground, members):
         ground, members = _family(ground, members)
@@ -99,6 +99,7 @@ class ClosureSystem:
         object.__setattr__(self, "_gens", gens)
         object.__setattr__(self, "_generators", generators)
         object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_missed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClosureSystem is immutable")
@@ -144,11 +145,24 @@ class ClosureSystem:
     def sorted_members(self) -> list:
         return sorted(self.members, key=lambda m: (len(m), tuple(sorted(m))))
 
+    def _missed_by(self) -> dict:
+        """{point: the indices of the generators missing it}, built on first use from
+        one read of each generator's complement's bits; no generator is decoded."""
+        if self._missed is None:
+            order = self._order
+            points = range(len(order.items))
+            missed = [[] for _ in points]
+            for j, g in enumerate(self._gens):
+                for i in compress(points, bin(order.full & ~g)[:1:-1].encode().translate(_DIGIT_FLAGS)):
+                    missed[i].append(j)
+            object.__setattr__(self, "_missed", dict(zip(order.items, map(tuple, missed))))
+        return self._missed
+
     def closure_of(self, K) -> frozenset:
         """The smallest member containing K."""
         K = frozenset(K)
         if not K <= self.ground:
-            raise ContractError(f"{sorted(K - self.ground)} lie outside the ground set")
+            raise ContractError(f"{natural_order(K - self.ground)} lie outside the ground set")
         order = self._order
         return order.decode(_closure_mask(order.full, self._gens, order.mask(K)))
 
@@ -166,7 +180,7 @@ def _family(ground, members) -> tuple:
     members = frozenset(map(frozenset, members))
     for m in members:
         if not m <= ground:
-            raise ContractError(f"family member {sorted(m)} is not a subset of the ground set")
+            raise ContractError(f"family member {natural_order(m)} is not a subset of the ground set")
     return ground, members
 
 
@@ -293,7 +307,7 @@ def eig_states(entity: Entity, e, A) -> frozenset:
     """States certain to yield an outcome in A under experiment e."""
     A = frozenset(A)
     if not A <= entity.experiment_outcomes(e):
-        raise ContractError(f"outcome set {sorted(A)} is not a subset of O({e})")
+        raise ContractError(f"outcome set {natural_order(A)} is not a subset of O({e})")
     return frozenset(p for p in entity.states if entity.outcome_set(e, p) <= A)
 
 
@@ -301,7 +315,7 @@ def eig_experiments(entity: Entity, p, A) -> frozenset:
     """Experiments certain to yield an outcome in A when the entity is in state p."""
     A = frozenset(A)
     if not A <= entity.state_outcomes(p):
-        raise ContractError(f"outcome set {sorted(A)} is not a subset of O({p})")
+        raise ContractError(f"outcome set {natural_order(A)} is not a subset of O({p})")
     return frozenset(e for e in entity.experiments if entity.outcome_set(e, p) <= A)
 
 
@@ -310,7 +324,7 @@ def eig_central(entity: Entity, A) -> frozenset:
     A = frozenset(A)
     stray = A - entity.outcomes
     if stray:
-        raise ContractError(f"unknown outcomes: {sorted(stray)}")
+        raise ContractError(f"unknown outcomes: {natural_order(stray)}")
     return frozenset(couple for couple, cell in entity.cells() if cell <= A)
 
 
@@ -403,7 +417,7 @@ def orth_complement(space: OrthoSpace, K) -> frozenset:
     """K^perp: the elements orthogonal to every element of K."""
     K = frozenset(K)
     if not K <= space.ground:
-        raise ContractError(f"{sorted(K - space.ground)} lie outside the ground set")
+        raise ContractError(f"{natural_order(K - space.ground)} lie outside the ground set")
     order = space._order
     perp = order.full
     for q in K:
@@ -492,7 +506,7 @@ def outcome_closure(entity: Entity, A) -> frozenset:
     A = frozenset(A)
     stray = A - entity.outcomes
     if stray:
-        raise ContractError(f"unknown outcomes: {sorted(stray)}")
+        raise ContractError(f"unknown outcomes: {natural_order(stray)}")
     covered = frozenset().union(*(cell for cell in entity._table.values() if not cell & A))
     return entity.outcomes - covered
 
@@ -502,7 +516,7 @@ def outcome_interior(entity: Entity, A) -> frozenset:
     A = frozenset(A)
     stray = A - entity.outcomes
     if stray:
-        raise ContractError(f"unknown outcomes: {sorted(stray)}")
+        raise ContractError(f"unknown outcomes: {natural_order(stray)}")
     return frozenset().union(*(cell for cell in entity._table.values() if cell <= A))
 
 

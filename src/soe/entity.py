@@ -69,7 +69,7 @@ class Entity:
                 cells[(e, p)] = cell
         extra = set(table) - set(cells)
         if extra:
-            raise EntityValidationError(f"table has cells outside E x Sigma: {sorted(extra)}")
+            raise EntityValidationError(f"table has cells outside E x Sigma: {natural_order(extra)}")
 
         # each distinct outcome is checked once, not once per cell it is in
         union = frozenset().union(*cells.values())
@@ -310,6 +310,21 @@ def natural_order(items) -> list:
 
 
 def _views_of(entity: Entity, kind: RelationKind, a, b):
+    """(view of a, view of b, orthogonality of views), read straight from the table
+    for a well-scoped state, experiment or central kind over items of the entity;
+    anything else takes the checks of `relation_views` and `_require_item`."""
+    on, e, p, table = kind.on, kind.experiment, kind.state, entity._table
+    try:
+        if on == "central" and e is p is None and type(a) is type(b) is tuple:
+            return (table[a],), (table[b],), _some_member_disjoint
+        if on == "state" and p is None:
+            scope = entity.experiments if e is None else (e,)
+            return tuple([table[x, a] for x in scope]), tuple([table[x, b] for x in scope]), _some_member_disjoint
+        if on == "experiment" and e is None:
+            scope = entity.states if p is None else (p,)
+            return tuple([table[a, x] for x in scope]), tuple([table[b, x] for x in scope]), _some_member_disjoint
+    except (KeyError, TypeError):
+        pass
     view, orthogonal_views = relation_views(entity, kind)
     _require_item(entity, kind, a)
     _require_item(entity, kind, b)
@@ -329,7 +344,8 @@ def orthogonal(entity: Entity, kind: RelationKind, a, b) -> bool:
 
 
 def equivalent(entity: Entity, kind: RelationKind, a, b) -> bool:
-    return implies(entity, kind, a, b) and implies(entity, kind, b, a)
+    u, v, _ = _views_of(entity, kind, a, b)
+    return view_implies(u, v) and view_implies(v, u)
 
 
 # -- full relation report ----------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .entity import Entity, RelationKind, relation_views, view_implies
+from .entity import Entity, RelationKind, natural_order, relation_views, view_implies
 from .errors import CapacityError, ContractError, EntityValidationError
 
 FULL_MIXED_BUDGET = 2**16  # cap on 2^|states| * 2^|experiments|
@@ -24,7 +24,7 @@ def _as_base(entity_set, sub, what, mixture_type) -> frozenset:
         raise ContractError(f"a mixed {what} needs a nonempty base set")
     stray = base - entity_set
     if stray:
-        raise ContractError(f"mixed {what} base contains unknown identifiers: {sorted(stray)}")
+        raise ContractError(f"mixed {what} base contains unknown identifiers: {natural_order(stray)}")
     return base
 
 

@@ -176,7 +176,10 @@ def _density_residuals(W: np.ndarray) -> tuple:
     """Hermitian residual (operator norm of W - W*), lowest eigenvalue of the
     Hermitian part and real trace, of one matrix or of each of a stack."""
     W_adj = np.swapaxes(W.conj(), -2, -1)
-    herm = np.linalg.norm(W - W_adj, 2, axis=(-2, -1))
+    diff = W - W_adj
+    odd = diff.any(axis=(-2, -1))  # only these need an SVD: an exactly Hermitian W has residual 0
+    herm = np.zeros(odd.shape)
+    herm[odd] = np.linalg.norm(diff[odd], 2, axis=(-2, -1))
     lowest = np.linalg.eigvalsh((W + W_adj) / 2)[..., 0]
     return herm, lowest, np.real(np.trace(W, axis1=-2, axis2=-1))
 
@@ -387,8 +390,9 @@ def lift_experiment(family: SpectralFamily, dim_env: int) -> SpectralFamily:
         raise ContractError("the second factor needs dimension at least 1")
     if family.dimension * dim_env > DIMENSION_CAP:
         raise CapacityError(f"lifted dimension {family.dimension * dim_env} exceeds the cap")
-    identity = np.eye(dim_env)
-    return SpectralFamily([np.kron(P, identity) for P in family.projections], family.eigenvalues)
+    n = family.dimension * dim_env  # P kron I for every P: the products np.kron forms, in one broadcast
+    lifted = np.stack(family.projections)[:, :, None, :, None] * np.eye(dim_env)[:, None, :]
+    return SpectralFamily(lifted.reshape(-1, n, n), family.eigenvalues)
 
 
 def partial_trace(W_big, dims: tuple) -> np.ndarray:
@@ -451,11 +455,6 @@ def random_spectral_family(rng, n: int) -> SpectralFamily:
 # -- finite entities sampled from quantum models --------------------------------
 
 
-def _unit_interval(value: float) -> float:
-    # traces of projected densities can overshoot [0, 1] by float epsilon
-    return min(1.0, max(0.0, value))
-
-
 def finite_completed_entity(densities, families, tol: float = PROBABILITY_TOL):
     """Build a finite entity and its measure from sampled density-operator
     states and experiments: states s1..sN, experiments e1..eM, outcomes
@@ -471,22 +470,20 @@ def finite_completed_entity(densities, families, tol: float = PROBABILITY_TOL):
             if W.shape[0] != family.dimension:
                 raise ContractError(f"state dimension {W.shape[0]} != family dimension {family.dimension}")
     stack = np.array(densities)
+    states = [f"s{j}" for j in range(1, len(densities) + 1)]
+    experiments = [f"e{i}" for i in range(1, len(families) + 1)]
     table = {}
     entries = {}
-    for i, family in enumerate(families, start=1):
+    for e, family in zip(experiments, families):
+        outcomes = [f"{e}:o{k}" for k in range(1, len(family) + 1)]
         # one Born contraction per outcome over every state; row j is state j
         probabilities = np.stack([_born(stack, P) for P in family.projections], axis=-1)
-        for j, row in enumerate(probabilities.tolist(), start=1):
-            outcome_indices = [k for k, value in enumerate(row, start=1) if abs(value) > tol]
-            table[(f"e{i}", f"s{j}")] = {f"e{i}:o{k}" for k in outcome_indices}
-            for k in outcome_indices:
-                entries[(f"e{i}", f"s{j}", f"e{i}:o{k}")] = _unit_interval(row[k - 1])
-    entity = Entity(
-        {f"s{j}" for j in range(1, len(densities) + 1)},
-        {f"e{i}" for i in range(1, len(families) + 1)},
-        table,
-    )
-    return entity, ProbabilityTable(entries)
+        for p, row in zip(states, probabilities.tolist()):
+            possible = [(x, value) for x, value in zip(outcomes, row) if abs(value) > tol]
+            table[(e, p)] = {x for x, _ in possible}
+            for x, value in possible:  # a trace can overshoot [0, 1] by float epsilon
+                entries[(e, p, x)] = min(1.0, max(0.0, value))
+    return Entity(set(states), set(experiments), table), ProbabilityTable(entries)
 
 
 def finite_standard_entity(kets, families, tol: float = PROBABILITY_TOL):

@@ -211,7 +211,7 @@ class StatePropertySystem:
             raise ContractError("this system was not built from testable properties")
         A = frozenset(outcome_set)
         if not A <= self._full_outcomes:
-            raise ContractError(f"{sorted(A - self._full_outcomes)} are not outcomes of this experiment")
+            raise ContractError(f"{natural_order(A - self._full_outcomes)} are not outcomes of this experiment")
         prop = self.states
         for x in self._full_outcomes - A:
             prop = prop & self._coatoms[x]

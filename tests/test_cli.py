@@ -12,10 +12,12 @@ from soe.closure import ClosureSystem
 from soe.entity import Entity, RelationKind, orthogonal
 from soe.examples import deterministic_pair, three_by_three
 from soe.formats import emit_entity
+from soe.probability import ProbabilityTable
 
 from oracles import brute_ortho_closed_sets
 
 SRC = str(Path(soe.__file__).resolve().parents[1])
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def soe_subprocess(argv, **env):
@@ -232,10 +234,14 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(ClosureSystem, "closure_of", broken)
         code = main(["verify", worked_file, "--structured"])
-        rows = capsys.readouterr().out.splitlines()
+        out = capsys.readouterr().out
+        rows = out.splitlines()
         assert code == 1
         assert any(row.startswith("verify.closures.axioms.") and row.endswith(" = fail") for row in rows)
         assert any(row.startswith("verify.failure.") and "= closures.axioms." in row for row in rows)
+        # every check row, listed failure and the suppressed count, as before
+        # the checks recorded only their failing instances
+        assert out == (FIXTURES / "verify_broken_closure_of.txt").read_text(encoding="utf-8")
 
     def test_transitivity_asks_the_kernel_relation(self, worked_file, capsys, monkeypatch):
         # (e,p) < (e,q) < (e,r) but not (e,p) < (e,r): reflexive, not transitive
@@ -243,10 +249,12 @@ class TestVerifyCommand:
         a, b, c = ((worked.outcome_set("e", p),) for p in "pqr")
         monkeypatch.setattr("soe.cli.view_implies", lambda u, v: u == v or (u, v) in {(a, b), (b, c)})
         code = main(["verify", worked_file, "--structured"])
-        rows = capsys.readouterr().out.splitlines()
+        out = capsys.readouterr().out
+        rows = out.splitlines()
         assert code == 1
         assert "verify.relations.transitive = fail" in rows
         assert "verify.relations.reflexive = pass" in rows
+        assert out == (FIXTURES / "verify_broken_transitivity.txt").read_text(encoding="utf-8")
 
 
 class TestSubentityCommand:
@@ -358,6 +366,31 @@ class TestProbabilisticSubentity:
         assert code == 0
         assert "verdict: pass" in out
         assert "k.transport_identity" in out
+
+    def test_broken_measure_lists_every_failing_triple(self, tmp_path, capsys):
+        # the two measures differ on four triples; each failure names its
+        # triple and values, in (experiment, state, outcome) order
+        entity = Entity(
+            {"p", "q"},
+            {"e", "f"},
+            {("e", "p"): {"x", "y"}, ("e", "q"): {"x"}, ("f", "p"): {"z"}, ("f", "q"): {"z", "w"}},
+        )
+        mu = ProbabilityTable({("e", "p", "x"): 0.25, ("e", "p", "y"): 0.75, ("e", "q", "x"): 1,
+                               ("f", "p", "z"): 1, ("f", "q", "z"): 0.5, ("f", "q", "w"): 0.5})
+        nu = ProbabilityTable({("e", "p", "x"): 0.5, ("e", "p", "y"): 0.5, ("e", "q", "x"): 1,
+                               ("f", "p", "z"): 1, ("f", "q", "z"): 0.1, ("f", "q", "w"): 0.9})
+        small_path, big_path, witness_path = (tmp_path / name for name in ("small.soe", "big.soe", "w.soe"))
+        small_path.write_text(emit_entity(entity, {"mu": mu}) + "[witness]\nk mu = nu\n", encoding="utf-8")
+        big_path.write_text(emit_entity(entity, {"nu": nu}), encoding="utf-8")
+        witness_path.write_text(
+            "[witness]\nm p = p\nm q = q\nn e = e\nn f = f\n" + "".join(f"l {x} = {x}\n" for x in "wxyz"),
+            encoding="utf-8",
+        )
+        argv = ["subentity", str(small_path), str(big_path), "--witness", str(witness_path), "--probabilistic"]
+        code = main([*argv, "--structured"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out == (FIXTURES / "subentity_broken_measure.txt").read_text(encoding="utf-8")
 
 
 class TestQuantumEntityEndToEnd:

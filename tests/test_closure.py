@@ -31,6 +31,8 @@ from soe.closure import (
 )
 from soe.entity import Entity
 from soe.errors import CapacityError, ContractError, UnknownIdentifierError
+from soe.mixture import mixed_outcome_set
+from soe.statprop import testable_sps
 
 from conftest import random_distinguishable_entity, random_entity
 from oracles import (
@@ -256,6 +258,60 @@ class TestClosureOf:
         y = eigen_closure_system(worked, "states")
         with pytest.raises(ContractError):
             closure_of(y, {"zz"})
+
+
+SMALL = ClosureSystem.generated({"a", "b"}, [set(), {"a"}])
+
+
+class TestRefusalsNamingItemsOfMixedTypes:
+    """A refusal lists its stray items in `natural_order`: sorted when they
+    compare, else by type name and repr, never a bare TypeError from sorting."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda worked: SMALL.closure_of({1, "z"}), "[1, 'z'] lie outside the ground set"),
+            (lambda worked: SMALL.closure_of({"z", "y"}), "['y', 'z'] lie outside the ground set"),
+            (lambda worked: ClosureSystem.generated({"a"}, [set(), {1, "z"}]),
+             "family member [1, 'z'] is not a subset of the ground set"),
+            (lambda worked: ClosureSystem({"a"}, [set(), {"a"}, {1, "z"}]),
+             "family member [1, 'z'] is not a subset of the ground set"),
+            (lambda worked: intersection_closure({"a"}, [{("e", "p"), "z"}]),
+             "family member ['z', ('e', 'p')] is not a subset of the ground set"),
+            (lambda worked: eig_states(worked, "e", {1, "x1"}), "outcome set [1, 'x1'] is not a subset of O(e)"),
+            (lambda worked: eig_experiments(worked, "p", {1, "x1"}), "outcome set [1, 'x1'] is not a subset of O(p)"),
+            (lambda worked: eig_central(worked, {1, "zz"}), "unknown outcomes: [1, 'zz']"),
+            (lambda worked: outcome_closure(worked, {1, "zz"}), "unknown outcomes: [1, 'zz']"),
+            (lambda worked: outcome_interior(worked, {1, "zz"}), "unknown outcomes: [1, 'zz']"),
+            (lambda worked: outcome_interior(worked, {"zz", "yy"}), "unknown outcomes: ['yy', 'zz']"),
+            (lambda worked: orth_complement(entity_ortho_space(worked, "states"), {1, "zz"}),
+             "[1, 'zz'] lie outside the ground set"),
+            (lambda worked: mixed_outcome_set(worked, "e", {1, "zz"}),
+             "mixed state base contains unknown identifiers: [1, 'zz']"),
+            (lambda worked: testable_sps(worked, "e").testable_property({1, "zz"}),
+             "[1, 'zz'] are not outcomes of this experiment"),
+        ],
+        ids=[
+            "closure_of",
+            "closure_of_comparable",
+            "generated",
+            "listed",
+            "intersection_closure",
+            "eig_states",
+            "eig_experiments",
+            "eig_central",
+            "outcome_closure",
+            "outcome_interior",
+            "outcome_interior_comparable",
+            "orth_complement",
+            "mixed_outcome_set",
+            "testable_property",
+        ],
+    )
+    def test_the_typed_refusal_names_the_items(self, worked, call, message):
+        with pytest.raises(ContractError) as refused:
+            call(worked)
+        assert str(refused.value) == message
 
 
 class TestOrthoClosure:

@@ -5,6 +5,8 @@ import pytest
 from soe.entity import (
     Entity,
     RelationKind,
+    _require_item,
+    _validate_kind,
     eigen_outcome,
     equivalent,
     implies,
@@ -36,6 +38,14 @@ class TestConstruction:
             outcome_set(worked, "e", "zz")
         with pytest.raises(UnknownIdentifierError, match="h"):
             outcome_set(worked, "h", "p")
+
+    def test_stray_cells_of_mixed_types_are_a_typed_refusal(self):
+        table = {("e", "p"): {"x"}, "junk": {"x"}, ("f", 1): {"x"}}
+        with pytest.raises(EntityValidationError) as refused:
+            Entity({"p"}, {"e"}, table)
+        assert str(refused.value) == "table has cells outside E x Sigma: ['junk', ('f', 1)]"
+        with pytest.raises(EntityValidationError, match=r"outside E x Sigma: \[\('f', 'p'\), \('g', 'p'\)\]"):
+            Entity({"p"}, {"e"}, {("e", "p"): {"x"}, ("g", "p"): {"x"}, ("f", "p"): {"x"}})
 
     def test_missing_cell_rejected(self):
         with pytest.raises(EntityValidationError, match=r"\(h, t\)"):
@@ -98,6 +108,60 @@ class TestImplication:
             implies(worked, RelationKind("nonsense"), "p", "q")
         with pytest.raises(ContractError):
             implies(worked, RelationKind("state", state="p"), "p", "q")
+
+
+def _reference_refusal(entity, kind, a, b):
+    """The refusal of the checks `relation_views` and `_require_item` run, in
+    their order: the kind, then a, then b."""
+    try:
+        _validate_kind(entity, kind)
+        _require_item(entity, kind, a)
+        _require_item(entity, kind, b)
+    except Exception as err:  # noqa: BLE001 - the type is what is compared
+        return type(err), str(err)
+    return None
+
+
+BAD_QUERIES = [
+    (STATE, "zz", "p"),
+    (STATE, "p", "zz"),
+    (RelationKind.state_for("e"), "p", "zz"),
+    (RelationKind.state_for("zz"), "p", "q"),
+    (EXPERIMENT, "zz", "e"),
+    (RelationKind.experiment_for("p"), "e", "zz"),
+    (RelationKind.experiment_for("zz"), "e", "f"),
+    (OUTCOME, "x1", "zz"),
+    (RelationKind.outcome_for("e", "p"), "zz", "x1"),
+    (CENTRAL, ("e", "zz"), ("e", "p")),
+    (CENTRAL, ("e", "p"), ("zz", "p")),
+    (CENTRAL, ("e",), ("e", "p")),
+    (CENTRAL, ("e", "p"), ("e", "p", "q")),
+    (CENTRAL, ["e", "p"], ("e", "p")),
+    (CENTRAL, "e", ("e", "p")),
+    (CENTRAL, "p", "q"),
+    (RelationKind("central", experiment="zz"), ("e", "p"), ("e", "q")),
+    (RelationKind("state", state="p"), "p", "q"),
+    (RelationKind("experiment", experiment="e"), "e", "f"),
+    (RelationKind("outcome", experiment="e"), "x1", "x2"),
+    (RelationKind("nonsense"), "p", "q"),
+]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("kind, a, b", BAD_QUERIES)
+    def test_each_query_refuses_as_the_engine_checks_do(self, worked, kind, a, b):
+        expected = _reference_refusal(worked, kind, a, b)
+        assert expected is not None
+        for relation in (implies, orthogonal, equivalent):
+            with pytest.raises(Exception) as refused:
+                relation(worked, kind, a, b)
+            assert (type(refused.value), str(refused.value)) == expected
+
+    def test_scoped_central_kinds_still_answer(self, worked):
+        # a central kind ignores a scope that names known items, as the engine does
+        kind = RelationKind("central", experiment="e", state="p")
+        assert _reference_refusal(worked, kind, ("g", "q"), ("e", "p")) is None
+        assert implies(worked, kind, ("g", "q"), ("e", "p")) == implies(worked, CENTRAL, ("g", "q"), ("e", "p"))
 
 
 class TestOrthogonality:

@@ -45,7 +45,18 @@ from soe.closure import (
     state_trace,
 )
 from soe.diagnostics import Diagnostics
-from soe.entity import Entity, RelationKind, check_identifier, first_equivalent_pair, orthogonal
+from soe.entity import (
+    Entity,
+    RelationKind,
+    check_identifier,
+    equivalent,
+    first_equivalent_pair,
+    implies,
+    natural_order,
+    orthogonal,
+    relation_views,
+    view_implies,
+)
 from soe.errors import ContractError, EntityValidationError, ParseError, SoeError
 from soe.formats import emit_entity, parse_entity, parse_witness
 from soe.mixture import (
@@ -174,6 +185,30 @@ def test_mixed_relations_match_the_definitions(entity, data):
     B = (pick("experiments"), pick("states"))
     expected = _expected(entity, central, A, B)
     assert (mixed_implies(entity, central, A, B), mixed_orthogonal(entity, central, A, B)) == expected
+
+
+@SETTINGS
+@given(entities(), st.data())
+def test_plain_relations_agree_with_relation_views(entity, data):
+    """`implies`, `orthogonal` and `equivalent` read two views as the relation
+    engine does, for all seven kinds, on items drawn from each kind's pool."""
+    e = data.draw(st.sampled_from(sorted(entity.experiments)))
+    p = data.draw(st.sampled_from(sorted(entity.states)))
+    for kind, pool in (
+        (RelationKind.state_global(), entity.states),
+        (RelationKind.state_for(e), entity.states),
+        (RelationKind.experiment_global(), entity.experiments),
+        (RelationKind.experiment_for(p), entity.experiments),
+        (RelationKind.central(), entity.couples()),
+        (RelationKind.outcome_global(), entity.outcomes),
+        (RelationKind.outcome_for(e, p), entity.outcomes),
+    ):
+        a, b = (data.draw(st.sampled_from(sorted(pool))) for _ in range(2))
+        view, orthogonal_views = relation_views(entity, kind)
+        below, above = view_implies(view(a), view(b)), view_implies(view(b), view(a))
+        assert implies(entity, kind, a, b) == below
+        assert orthogonal(entity, kind, a, b) == orthogonal_views(view(a), view(b))
+        assert equivalent(entity, kind, a, b) == (below and above)
 
 
 def _least(pairs):
@@ -776,6 +811,49 @@ def test_T1_witness_breaks_str_ties_by_type_then_repr(ground, data):
     unclosed = [w for w in ground if system.closure_of({w}) != {w}]
     least = min(unclosed, key=lambda w: (str(w), type(w).__name__, repr(w)), default=None)
     assert satisfies_T1(system) == (not unclosed, least)
+
+
+# str order and natural_order disagree on these: 1 beside '1', '10' before
+# '2', and ints, strings and tuples have no common order
+MIXED_POINTS = [1, "1", 2, "2", "10", "b", (1,), "(1,)", ("e", "p"), ("e", "q")]
+
+
+@st.composite
+def mixed_systems(draw):
+    """Generated and listed systems over grounds of mixed types."""
+    ground = draw(st.frozensets(st.sampled_from(MIXED_POINTS), min_size=1))
+    points = sorted(ground, key=repr)
+    generators = draw(st.lists(st.frozensets(st.sampled_from(points)), max_size=5)) + [frozenset()]
+    if draw(st.booleans()):
+        return ClosureSystem.generated(ground, generators)
+    return ClosureSystem(ground, brute_intersection_closure(ground, [generators]))
+
+
+def _separation_by_closure_of(system):
+    """(T0, T1) from `closure_of`: the least pair of points with equal
+    singleton closures in `natural_order`, and the least point whose singleton
+    is not closed by str, then type name and repr."""
+    points = natural_order(system.ground)
+    cl = [system.closure_of({w}) for w in points]
+    pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points)) if cl[i] == cl[j]]
+    unclosed = [w for w, closed in zip(points, cl) if closed != {w}]
+    least = min(unclosed, key=lambda w: (str(w), type(w).__name__, repr(w)), default=None)
+    pair = min(pairs, default=None)
+    return (not pairs, pair and (points[pair[0]], points[pair[1]])), (not unclosed, least)
+
+
+@SETTINGS
+@given(st.one_of(mixed_systems(), systems().map(lambda drawn: _generated(*drawn)[0])))
+def test_T0_and_T1_witnesses_match_closure_of_on_any_ground(system):
+    assert (satisfies_T0(system), satisfies_T1(system)) == _separation_by_closure_of(system)
+
+
+@SETTINGS
+@given(st.one_of(entities(), atomic_entities()), st.sampled_from(["central", "states", "experiments"]))
+def test_T0_and_T1_witnesses_match_closure_of_on_eigen_systems(entity, on):
+    """Entities with and without a witness: atomic ones satisfy T0 and T1."""
+    system = eigen_closure_system(entity, on)
+    assert (satisfies_T0(system), satisfies_T1(system)) == _separation_by_closure_of(system)
 
 
 @SETTINGS

@@ -9,6 +9,7 @@ from soe.entity import RelationKind, orthogonal
 from soe.errors import CapacityError, ContractError
 from soe.probability import validate_measure
 from soe.quantum import (
+    DIMENSION_CAP,
     BallState,
     SpectralFamily,
     SphereExperiment,
@@ -304,6 +305,17 @@ class TestLifting:
         assert lifted.dimension == 4
         assert all(int(round(np.real(np.trace(P)))) == 2 for P in lifted.projections)
         assert validate_spectral_family(lifted).passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8))
+    def test_lift_is_the_kronecker_product_bit_for_bit(self, seed, n, m):
+        assert n * m <= DIMENSION_CAP
+        family = random_spectral_family(np.random.default_rng(seed), n)
+        lifted = lift_experiment(family, m)
+        assert lifted.eigenvalues == family.eigenvalues
+        assert len(lifted) == len(family)
+        for P, lifted_P in zip(family.projections, lifted.projections):
+            assert np.array_equal(lifted_P, np.kron(P, np.eye(m)))
 
     def test_product_state_probabilities(self):
         rng = np.random.default_rng(94)
