@@ -73,16 +73,20 @@ def satisfies_T0(system: ClosureSystem):
 def satisfies_T1(system: ClosureSystem):
     """Every singleton is closed. Returns (flag, least point whose singleton
     is not closed, by `str`, then type name and `repr`, whatever the hash
-    seed). No point of a T0 class with two points is closed; a one-point
-    class compares its one closure mask with its bit."""
+    seed). No point of a T0 class with two points is closed; the one-point
+    classes go in `str` order until one is unclosed or they pass the least."""
     missed, full, gens = system._missed_by(), system._order.full, system._gens
     shared = Counter(missed.values())
-    unclosed = [
-        w for i, (w, key) in enumerate(missed.items()) if shared[key] > 1 or _closure_mask(full, gens, 1 << i) != 1 << i
-    ]
+    unclosed = [w for w, key in missed.items() if shared[key] > 1]
+    least = min(map(str, unclosed), default=None)
+    for text, i, w in sorted((str(w), i, w) for i, (w, key) in enumerate(missed.items()) if shared[key] == 1):
+        if least is not None and text > least:
+            break
+        if _closure_mask(full, gens, 1 << i) != 1 << i:
+            unclosed.append(w)
+            least = text
     if not unclosed:
         return (True, None)
-    least = min(map(str, unclosed))
     tied = (w for w in unclosed if str(w) == least)
     return (False, min(tied, key=lambda w: (type(w).__name__, repr(w))))
 

@@ -43,9 +43,13 @@ class _Order:
             self._position = {a: i for i, a in enumerate(self.items)}
         return reduce(or_, map((1).__lshift__, map(self._position.__getitem__, K)), 0)
 
+    def entries(self, A, seq=None):
+        """The entries of `seq` (default: the items) at mask A's set bits, in one pass over its digits."""
+        return compress(self.items if seq is None else seq, bin(A)[:1:-1].encode().translate(_DIGIT_FLAGS))
+
     def decode(self, A) -> frozenset:
-        """The items of mask A, read in one pass over its binary digits."""
-        return frozenset(compress(self.items, bin(A)[:1:-1].encode().translate(_DIGIT_FLAGS)))
+        """The items of mask A."""
+        return frozenset(self.entries(A))
 
     def same(self, other) -> bool:
         return self is other or self.items == other.items
@@ -153,7 +157,7 @@ class ClosureSystem:
             points = range(len(order.items))
             missed = [[] for _ in points]
             for j, g in enumerate(self._gens):
-                for i in compress(points, bin(order.full & ~g)[:1:-1].encode().translate(_DIGIT_FLAGS)):
+                for i in order.entries(order.full & ~g, points):
                     missed[i].append(j)
             object.__setattr__(self, "_missed", dict(zip(order.items, map(tuple, missed))))
         return self._missed

@@ -311,20 +311,13 @@ def natural_order(items) -> list:
 
 def _views_of(entity: Entity, kind: RelationKind, a, b):
     """(view of a, view of b, orthogonality of views), read straight from the table
-    for a well-scoped state, experiment or central kind over items of the entity;
-    anything else takes the checks of `relation_views` and `_require_item`."""
-    on, e, p, table = kind.on, kind.experiment, kind.state, entity._table
-    try:
-        if on == "central" and e is p is None and type(a) is type(b) is tuple:
-            return (table[a],), (table[b],), _some_member_disjoint
-        if on == "state" and p is None:
-            scope = entity.experiments if e is None else (e,)
-            return tuple([table[x, a] for x in scope]), tuple([table[x, b] for x in scope]), _some_member_disjoint
-        if on == "experiment" and e is None:
-            scope = entity.states if p is None else (p,)
-            return tuple([table[a, x] for x in scope]), tuple([table[b, x] for x in scope]), _some_member_disjoint
-    except (KeyError, TypeError):
-        pass
+    for two couples of the entity under the central kind; anything else takes the
+    checks of `relation_views` and `_require_item`."""
+    if kind.on == "central" and kind.experiment is kind.state is None and type(a) is type(b) is tuple:
+        try:
+            return (entity._table[a],), (entity._table[b],), _some_member_disjoint
+        except (KeyError, TypeError):
+            pass
     view, orthogonal_views = relation_views(entity, kind)
     _require_item(entity, kind, a)
     _require_item(entity, kind, b)
