@@ -525,7 +525,10 @@ def verify_cq_sub_entity(
     probabilities of the antisymmetric ray state (none comes close: the
     minimal residual found is reported). `samples` must be at least 1, or
     at least 0 in the two-qubit case, which always adds the antisymmetric
-    ray state; anything less is refused before any draw.
+    ray state; anything less is refused before any draw. In the two-qubit
+    case `ray_candidates` must be at least 1, also before any draw: 0 would
+    search no ray and pass the ray check vacuously, and a negative count has
+    no grid of rays.
     """
     if n_sys * n_env > 16:
         raise CapacityError("sampled verification is limited to composite dimension 16")
@@ -533,6 +536,8 @@ def verify_cq_sub_entity(
     least = 0 if two_qubits else 1
     if samples < least:
         raise ContractError(f"samples must be at least {least} for {n_sys} x {n_env}, got {samples}")
+    if two_qubits and ray_candidates < 1:
+        raise ContractError(f"ray_candidates must be at least 1 for 2 x 2, got {ray_candidates}")
     rng = np.random.default_rng(seed)
     diag = Diagnostics()
 

@@ -291,18 +291,46 @@ def closure_to_sps(ground, system: ClosureSystem) -> StatePropertySystem:
 
 def indistinguishable_pair(entity: Entity):
     """The least pair of distinct experiments that share an outcome, or None:
-    experiments that are not orthogonal in the total mixed state: the least
-    of the first two of each outcome's sorted producing experiments."""
-    producers = {}
-    for e in sorted(entity.experiments):
-        for x in entity.experiment_outcomes(e):
-            producers.setdefault(x, []).append(e)
-    return min((tuple(es[:2]) for es in producers.values() if len(es) > 1), default=None)
+    experiments that are not orthogonal in the total mixed state. Each
+    experiment's outcomes are the keys of its row in the holder index, read
+    in sorted experiment order; an outcome met again pairs the experiment
+    that first produced it with the current one, and the least such pair
+    is the least of the first two of each outcome's producers."""
+    first = {}  # outcome -> the least experiment producing it
+    rows = _holder_index(entity).rows("states")
+    pairs = [(first.setdefault(x, e), e) for e, has in rows.items() for x in has]
+    return min((pair for pair in pairs if pair[0] != pair[1]), default=None)
 
 
 def is_distinguishable(entity: Entity) -> bool:
     """Whether all distinct experiments have disjoint total outcome sets."""
     return indistinguishable_pair(entity) is None
+
+
+def _total_row(states) -> _Order:
+    """The order of the total mixed row over the sorted `states`, none of
+    which contains '+': mixture P, a nonempty mask over them, is item P - 1,
+    named `mixture_id` of its states. The name of P is the name of P without
+    its highest state, then '+', then that state (that state alone when it
+    is all of P), so each state doubles the names listed so far at the cost
+    of one concatenation per new name."""
+    names = []
+    for p in states:
+        suffix = "+" + p
+        names += [p, *[name + suffix for name in names]]
+    return _Order(names)
+
+
+def _meeting_mask(full, n, S) -> int:
+    """The mask, over the total mixed row of n states (`_total_row`, mixture
+    P is bit P - 1), of the mixtures that meet the state mask S. Those that
+    avoid S are the subsets of its complement: their indicator over every
+    P < 2^n starts at the empty mixture and doubles once per state outside S."""
+    avoiding = 1  # bit P for each subset P of the states outside S seen so far
+    for i in range(n):
+        if not S >> i & 1:
+            avoiding |= avoiding << (1 << i)
+    return full & ~(avoiding >> 1)
 
 
 def global_testable_sps(entity: Entity) -> StatePropertySystem:
@@ -313,8 +341,9 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
     a mixture P is the union of O(p) over p in P, so P holds outcome x
     exactly when P meets the states S_x whose O(p) holds x (the OR of x's
     holder masks in the entity's holder index), and has[x] is computed once
-    per distinct S_x over the 2^|states| - 1 mixtures. No cell
-    is built. The result equals
+    per distinct S_x by subset doubling (`_meeting_mask`). The mixtures are
+    named by one concatenation each (`_total_row`). No cell is built. The
+    result equals
     `testable_sps(full_mixed_entity(entity), mixture_id(entity.experiments))`.
     The row is refused (`CapacityError`) beyond TOTAL_ROW_BUDGET cells, so up
     to 15 states whatever the number of experiments. When an identifier
@@ -339,9 +368,8 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
             f"total mixed row of 2^{len(entity.states)} - 1 = {cells} cells exceeds budget {TOTAL_ROW_BUDGET}"
         )
     index = _holder_index(entity)
-    states = index.states
-    mixtures = range(1, 2 ** len(states.items))  # mixture P is a mask over the sorted states
-    row = _Order([mixture_id(states.decode(P)) for P in mixtures])
+    states = index.states.items
+    row = _total_row(states)
     held = {}  # x -> S_x, from the rows of the holder index
     for has in index.rows("states").values():
         for x, S in has.items():
@@ -350,7 +378,7 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
     has = {}
     for x, S in held.items():
         if S not in meeting:
-            meeting[S] = int("".join(["01"[P & S > 0] for P in reversed(mixtures)]), 2)  # mixture P is bit P - 1
+            meeting[S] = _meeting_mask(row.full, len(states), S)
         has[x] = meeting[S]
     return StatePropertySystem._of_masks(row, _member_sets(row, {row.full & ~h for h in has.values()}), has)
 

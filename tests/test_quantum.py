@@ -611,6 +611,26 @@ class TestSubEntityDemonstration:
             with pytest.raises(ContractError, match="samples"):
                 verify_cq_sub_entity(n_sys, n_env, samples=samples)
 
+    def test_no_ray_candidates_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr(soe.quantum, "random_spectral_family", no_draw)
+        monkeypatch.setattr(soe.quantum, "_random_densities", no_draw)
+        for count in (0, -4):
+            with pytest.raises(ContractError) as err:
+                verify_cq_sub_entity(2, 2, ray_candidates=count)
+            assert str(err.value) == f"ray_candidates must be at least 1 for 2 x 2, got {count}"
+
+    def test_one_ray_candidate_is_searched(self):
+        diag = verify_cq_sub_entity(2, 2, samples=0, seed=5, ray_candidates=1)
+        assert diag.details["ray_candidates"] == 1
+        assert np.isfinite(diag.details["standard_ray_min_residual"])
+
+    def test_ray_candidates_are_unused_beyond_two_qubits(self):
+        diag = verify_cq_sub_entity(2, 3, samples=2, seed=8, ray_candidates=0)
+        assert "ray_candidates" not in diag.details
+
     def test_no_samples_runs_on_the_singlet_alone(self):
         diag = verify_cq_sub_entity(2, 2, samples=0, seed=5, ray_candidates=400)
         assert diag.passed, diag.failures

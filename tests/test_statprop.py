@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from soe.closure import ClosureSystem, eig_states, eigen_closure_system, intersection_closure
+from soe.closure import ClosureSystem, _Order, eig_states, eigen_closure_system, intersection_closure
 from soe.entity import Entity, RelationKind, implies
 from soe.errors import CapacityError, ContractError, EntityValidationError, UnknownIdentifierError
 from soe.examples import deterministic_pair, three_by_three
@@ -10,6 +10,8 @@ from soe.mixture import full_mixed_entity, mixture_id
 from soe.statprop import (
     TOTAL_ROW_BUDGET,
     StatePropertySystem,
+    _meeting_mask,
+    _total_row,
     cartan,
     closure_to_sps,
     global_testable_sps,
@@ -298,6 +300,26 @@ class TestGlobalTestable:
             "rename base identifiers containing '+'"
         )
 
+    def test_minted_row_matches_its_definition(self):
+        """Every name of the total mixed row is `mixture_id` of its decoded
+        states, and every meeting mask holds exactly the mixtures P with
+        P & S nonzero (mixture P is bit P - 1), on identifiers whose string
+        order differs from their natural one (s10 before s2)."""
+        rng = random.Random(48)
+        names = ["s2", "s10", "s1", "s100", "s20", "s3", "s11", "s9", "s30", "s0"]
+        cases = [sorted(names[:n]) for n in range(1, 11)] + [sorted(f"s{i}" for i in range(15))]
+        for items in cases:
+            n = len(items)
+            states = _Order(items)
+            mixtures = range(1, 2**n)
+            row = _total_row(items)
+            assert row.items == tuple(mixture_id(states.decode(P)) for P in mixtures)
+            assert row.full == 2 ** len(mixtures) - 1
+            every = range(2**n) if n <= 7 else [0, states.full, 1, 1 << (n - 1)] + rng.sample(range(2**n), 12)
+            for S in every:
+                expected = sum(1 << (P - 1) for P in mixtures if P & S)
+                assert _meeting_mask(row.full, n, S) == expected, (items, S)
+
     def test_budget_refusal_is_the_row_budget(self):
         # the 2^|states| - 1 cells of the total mixed row are budgeted, not
         # the full mixed entity, which 9 states and 8 experiments exceed
@@ -316,7 +338,7 @@ class TestGlobalTestable:
                     global_testable_sps(wide)
                 assert str(err.value) == "total mixed row of 2^16 - 1 = 65535 cells exceeds budget 32768"
             else:
-                assert len(global_testable_sps(wide).states) == 2**n - 1
+                assert global_testable_sps(wide).states == {mixture_id(P) for P in powerset(states) if P}
 
     def test_mixed_experiment_eigen_identity(self):
         # eigen sets of a mixed experiment are the intersections of the parts'
