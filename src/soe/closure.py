@@ -24,7 +24,6 @@ from .errors import CapacityError, ContractError
 
 GROUND_CAP = 24  # full-family materialization refuses larger ground sets
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digit -> compress flag
-_WIDE_MASK = 128  # _Order.mask writes sets of this many items or more as a digit string
 
 
 class _Order:
@@ -39,18 +38,10 @@ class _Order:
         self._position = None
 
     def mask(self, K) -> int:
-        """The mask of K, a set of items: 1 << i ORed over their positions.
-        Each OR copies an int as wide as the mask so far, so from _WIDE_MASK
-        items on the mask is read instead from a digit string with a 1 at
-        each position, in time linear in |K| and the number of items."""
+        """The mask of K, a set of items: 1 << i ORed over their positions."""
         if self._position is None:
             self._position = {a: i for i, a in enumerate(self.items)}
-        if len(K) < _WIDE_MASK:
-            return reduce(or_, map((1).__lshift__, map(self._position.__getitem__, K)), 0)
-        digits = bytearray(b"0") * len(self.items)
-        for i in map(self._position.__getitem__, K):
-            digits[~i] = 49  # b"1" at the i-th digit from the right
-        return int(digits, 2)
+        return reduce(or_, map((1).__lshift__, map(self._position.__getitem__, K)), 0)
 
     def entries(self, A, seq=None):
         """The entries of `seq` (default: the items) at mask A's set bits, in one pass over its digits."""

@@ -313,7 +313,9 @@ def _total_row(states) -> _Order:
     named `mixture_id` of its states. The name of P is the name of P without
     its highest state, then '+', then that state (that state alone when it
     is all of P), so each state doubles the names listed so far at the cost
-    of one concatenation per new name."""
+    of one concatenation per new name. The states must come in `str` order,
+    the order in which `mixture_id` joins them (the holder index sorts them
+    so), or the names would not be `mixture_id`'s."""
     names = []
     for p in states:
         suffix = "+" + p

@@ -33,7 +33,6 @@ from soe.classify import (
 from soe.closure import (
     ClosureSystem,
     OrthoSpace,
-    _WIDE_MASK,
     _Order,
     eig_central,
     eig_experiments,
@@ -858,26 +857,17 @@ def test_T0_and_T1_witnesses_match_closure_of_on_eigen_systems(entity, on):
 
 
 @SETTINGS
-@given(
-    st.lists(st.one_of(NAMES, st.tuples(NAMES, NAMES)), unique=True, max_size=70),
-    st.sampled_from([0, _WIDE_MASK - 1, _WIDE_MASK, 3 * _WIDE_MASK]),
-    st.data(),
-)
-def test_mask_and_decode_invert_each_other(items, wide, data):
+@given(st.lists(st.one_of(NAMES, st.tuples(NAMES, NAMES)), unique=True, max_size=70), st.data())
+def test_mask_and_decode_invert_each_other(items, data):
     """On orders mixing names and (experiment, state) couples, the empty one
     included, `decode` inverts `mask` and `mask` inverts `decode`: on a drawn
     set and a drawn mask, on one item and its bit, on nothing and 0, and on
-    every item and `full`. Orders padded with `wide` numbered couples, and a
-    drawn prefix of a shuffled order, take sets on both sides of the size
-    at which `mask` writes a digit string."""
-    items = items + [("wide", i) for i in range(wide)]
+    every item and `full`."""
     order = _Order(items)
     pool = st.sampled_from(items) if items else st.nothing()
     K = data.draw(st.frozensets(pool))
     A = data.draw(st.integers(0, order.full))
-    J = frozenset(data.draw(st.permutations(items))[: data.draw(st.integers(0, len(items)))])
     assert order.decode(order.mask(K)) == K
-    assert order.decode(order.mask(J)) == J
     assert order.mask(order.decode(A)) == A
     assert order.mask(()) == 0 and order.decode(0) == frozenset()
     assert order.mask(items) == order.full and order.decode(order.full) == frozenset(items)

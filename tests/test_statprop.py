@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from soe.closure import ClosureSystem, _Order, eig_states, eigen_closure_system, intersection_closure
+from soe.closure import ClosureSystem, _holder_index, _Order, eig_states, eigen_closure_system, intersection_closure
 from soe.entity import Entity, RelationKind, implies
 from soe.errors import CapacityError, ContractError, EntityValidationError, UnknownIdentifierError
 from soe.examples import deterministic_pair, three_by_three
@@ -303,8 +303,11 @@ class TestGlobalTestable:
     def test_minted_row_matches_its_definition(self):
         """Every name of the total mixed row is `mixture_id` of its decoded
         states, and every meeting mask holds exactly the mixtures P with
-        P & S nonzero (mixture P is bit P - 1), on identifiers whose string
-        order differs from their natural one (s10 before s2)."""
+        P & S nonzero (mixture P is bit P - 1). The names join states in
+        `str` order, as `mixture_id` does, on identifiers whose numeric order
+        differs from it (s10 before s2); the holder index hands
+        `global_testable_sps` its states in that order, which the last
+        assertion pins for an entity built from them unsorted."""
         rng = random.Random(48)
         names = ["s2", "s10", "s1", "s100", "s20", "s3", "s11", "s9", "s30", "s0"]
         cases = [sorted(names[:n]) for n in range(1, 11)] + [sorted(f"s{i}" for i in range(15))]
@@ -319,6 +322,11 @@ class TestGlobalTestable:
             for S in every:
                 expected = sum(1 << (P - 1) for P in mixtures if P & S)
                 assert _meeting_mask(row.full, n, S) == expected, (items, S)
+        entity = Entity(names, {"e"}, {("e", p): {p} for p in names})
+        minted = _total_row(_holder_index(entity).states.items).items
+        states = _Order(sorted(names))
+        assert minted == tuple(mixture_id(states.decode(P)) for P in range(1, 2 ** len(names)))
+        assert global_testable_sps(entity).states == set(minted)
 
     def test_budget_refusal_is_the_row_budget(self):
         # the 2^|states| - 1 cells of the total mixed row are budgeted, not
