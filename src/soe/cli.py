@@ -302,7 +302,7 @@ def _closure_checks(entity: Entity, diag: Diagnostics, rng: random.Random) -> di
     central_orth = ortho_closure_system(entity_ortho_space(entity, "central"))
     diag.record(
         "closures.ortho_inside_eigen",
-        all(map(central_eig.is_closed, central_orth.generators)),
+        central_eig.includes(central_orth),
         "a central ortho closed set is not eigen closed",
     )
     systems = {

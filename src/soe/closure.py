@@ -63,6 +63,11 @@ def _closure_mask(full, generators, k) -> int:
     return full
 
 
+def _all_closed(full, generators, masks) -> bool:
+    """Whether every mask of `masks` is closed under the generators' closure."""
+    return all(_closure_mask(full, generators, k) == k for k in masks)
+
+
 class ClosureSystem:
     """A family of subsets containing the empty set and the ground set and
     closed under intersection, held as the masks of its generators over one
@@ -133,9 +138,17 @@ class ClosureSystem:
         theirs = other._gens if order.same(other._order) else set(map(order.mask, other.generators))
         if self._gens == theirs:
             return True
-        return all(_closure_mask(order.full, self._gens, g) == g for g in theirs) and all(
-            _closure_mask(order.full, theirs, g) == g for g in self._gens
-        )
+        return _all_closed(order.full, self._gens, theirs) and _all_closed(order.full, theirs, self._gens)
+
+    def includes(self, other: "ClosureSystem") -> bool:
+        """Whether every member of `other` is a member of this system: each
+        generator of `other` is closed here, as this family is closed under
+        intersection. Over a shared item order the generator masks are tested
+        as they are; otherwise the generators of `other` are decoded and
+        tested with `is_closed`."""
+        if self._order.same(other._order):
+            return _all_closed(self._order.full, self._gens, other._gens)
+        return all(map(self.is_closed, other.generators))
 
     def __hash__(self):
         return hash(self.ground)

@@ -8,7 +8,7 @@ testable property is kept as a label so reports can cite a test.
 
 from __future__ import annotations
 
-from .closure import ClosureSystem, _closure_mask, _holder_index, _member_sets, _Order
+from .closure import ClosureSystem, _all_closed, _closure_mask, _holder_index, _member_sets, _Order
 from .diagnostics import Diagnostics
 from .entity import Entity, first_equivalent_pair, natural_order
 from .errors import CapacityError, ContractError, UnknownIdentifierError
@@ -33,15 +33,18 @@ class StatePropertySystem:
     (a below b iff every state making a actual makes b actual), which for
     identified systems coincides with inclusion of Cartan images.
 
-    A system built from a closure family (`testable_sps`,
-    `global_testable_sps`, `closure_to_sps`) keeps the masks of its
-    properties and derives `actual` from them on first use; a testable one
-    also keeps the holder masks of its row, from which `labels` and
-    `_coatoms` are derived.
+    A system built from masks (`testable_sps`, `global_testable_sps`,
+    `closure_to_sps`) keeps its order of states and the masks that generate
+    its properties by intersection; a testable one keeps its row's holder
+    masks has[x] and is generated by its coatoms, full & ~has[x]. Its
+    `properties`, `actual` and `labels` come from one sweep of those masks
+    (`_member_sets`), run the first time one of them is asked for, unless
+    the builder handed over the listing; `_coatoms` is decoded from `has`
+    and lists nothing.
     """
 
     __slots__ = (
-        "states", "properties", "_full_outcomes", "_masks", "_actual", "_labels", "_coatom_sets",
+        "states", "_properties", "_full_outcomes", "_masks", "_found", "_actual", "_labels", "_coatom_sets",
         "_images", "_by_image",
     )
 
@@ -60,36 +63,55 @@ class StatePropertySystem:
             if stray:
                 raise ContractError(f"state {p!r} lists unknown properties: {sorted(map(str, stray))}")
             fixed[p] = props
-        self._init(states, properties, _full_outcomes, None, fixed, dict(labels) if labels else {},
+        self._init(states, properties, _full_outcomes, None, None, fixed, dict(labels) if labels else {},
                    dict(_coatoms) if _coatoms else None)
 
     @classmethod
-    def _of_masks(cls, order, found, has=None) -> "StatePropertySystem":
-        """The identified system whose properties are the sets of `found`,
-        {mask over order: set}, a closure family on the items of `order` (the
-        states). For a testable system, `has` holds the holder masks has[x]
-        of its row's outcomes, and the coatom of x is full & ~has[x]."""
-        full_outcomes, labels = (None, {}) if has is None else (frozenset(has), None)
+    def _of_masks(cls, order, has=None, gens=None, found=None) -> "StatePropertySystem":
+        """The identified system whose properties are the intersections of
+        generator masks over `order` (the states), the empty one being every
+        state. A testable system gives `has`, the holder masks has[x] of its
+        row's outcomes, and is generated by its coatoms full & ~has[x];
+        another gives its masks `gens` and, when they are listed, `found`,
+        their intersections as {mask: set}."""
+        if has is None:
+            full_outcomes, labels = None, {}
+        else:
+            full = order.full
+            full_outcomes, labels, gens = frozenset(has), None, {full & ~h for h in has.values()}
         sps = object.__new__(cls)
-        sps._init(order.ground, frozenset(found.values()), full_outcomes, (order, has, found), None, labels, None)
+        sps._init(order.ground, None, full_outcomes, (order, gens, has), found, None, labels, None)
         return sps
 
-    def _init(self, states, properties, full_outcomes, masks, actual, labels, coatoms):
-        for name, value in (
-            ("states", states), ("properties", properties), ("_full_outcomes", full_outcomes), ("_masks", masks),
-            ("_actual", actual), ("_labels", labels), ("_coatom_sets", coatoms), ("_images", None),
-            ("_by_image", None),
-        ):
-            object.__setattr__(self, name, value)
+    def _init(self, states, properties, full_outcomes, masks, found, actual, labels, coatoms):
+        """Set every slot through its descriptor, which takes about half the
+        time of `object.__setattr__` (`__setattr__` refuses)."""
+        values = (states, properties, full_outcomes, masks, found, actual, labels, coatoms, None, None)
+        for set_slot, value in zip(_SLOT_SETTERS, values, strict=True):
+            set_slot(self, value)
+
+    def _listing(self) -> dict:
+        """{mask: set} of every property of a system built from masks, swept
+        from its generator masks on first use."""
+        if self._found is None:
+            order, gens, _ = self._masks
+            object.__setattr__(self, "_found", _member_sets(order, gens))
+        return self._found
+
+    @property
+    def properties(self) -> frozenset:
+        """Every property; for kept masks, the listed member sets."""
+        if self._properties is None:
+            object.__setattr__(self, "_properties", frozenset(self._listing().values()))
+        return self._properties
 
     @property
     def actual(self) -> dict:
-        """{state: the properties actual in it}; for kept masks, the kept
-        member sets holding the state, listed in one pass over them."""
+        """{state: the properties actual in it}; for kept masks, the listed
+        member sets holding the state, in one pass over them."""
         if self._actual is None:
-            order, _, found = self._masks
-            actual = {p: [] for p in order.items}
-            for F in found.values():
+            actual = {p: [] for p in self._masks[0].items}
+            for F in self._listing().values():
                 for p in F:
                     actual[p].append(F)
             object.__setattr__(self, "_actual", {p: frozenset(props) for p, props in actual.items()})
@@ -100,18 +122,18 @@ class StatePropertySystem:
         """{property: its outcome-set label}; a testable property of mask A
         is labeled {x : A & has[x]}."""
         if self._labels is None:
-            _, has, found = self._masks
-            labels = {F: frozenset([x for x, h in has.items() if A & h]) for A, F in found.items()}
+            has = self._masks[2]
+            labels = {F: frozenset([x for x, h in has.items() if A & h]) for A, F in self._listing().items()}
             object.__setattr__(self, "_labels", labels)
         return self._labels
 
     @property
     def _coatoms(self):
         """{outcome x: the property of mask full & ~has[x]} of a testable
-        system, else None."""
+        system, else None; decoded from the holder masks, listing nothing."""
         if self._coatom_sets is None and self._full_outcomes is not None and self._masks is not None:
-            order, has, found = self._masks
-            object.__setattr__(self, "_coatom_sets", {x: found[order.full & ~h] for x, h in has.items()})
+            order, _, has = self._masks
+            object.__setattr__(self, "_coatom_sets", {x: order.decode(order.full & ~h) for x, h in has.items()})
         return self._coatom_sets
 
     def __setattr__(self, name, value):
@@ -222,6 +244,9 @@ class StatePropertySystem:
         return self.labels.get(a)
 
 
+_SLOT_SETTERS = tuple(StatePropertySystem.__dict__[name].__set__ for name in StatePropertySystem.__slots__)
+
+
 def cartan(sps: StatePropertySystem, a) -> frozenset:
     return sps.cartan(a)
 
@@ -243,7 +268,7 @@ def testable_sps(entity: Entity, e) -> StatePropertySystem:
     entity.require_experiment(e)
     index = _holder_index(entity)
     order, has = index.states, index.rows("states")[e]
-    return StatePropertySystem._of_masks(order, _member_sets(order, {order.full & ~h for h in has.values()}), has)
+    return StatePropertySystem._of_masks(order, has)
 
 
 def sps_to_closure(sps: StatePropertySystem) -> ClosureSystem:
@@ -253,21 +278,26 @@ def sps_to_closure(sps: StatePropertySystem) -> ClosureSystem:
 
 def is_cartan_family(sps: StatePropertySystem, system: ClosureSystem) -> bool:
     """Whether the Cartan images of sps are exactly the members of system,
-    that is `sps_to_closure(sps) == system`, decided without listing system
-    and without testing pairs of images.
+    that is `sps_to_closure(sps) == system`, decided without listing system.
 
-    Over the masks of system, the images must hold the ground, each be closed
-    in system, and stay images when cut by any generator of system. Every
-    member of system is the ground cut by some of its generators, so the
-    images then hold every member, and hold nothing else. A system built
-    from a closure family gives the masks it keeps; other systems encode
-    their Cartan images. The cost is |images| x |generators| mask operations.
+    A testable system kept as masks over system's order is generated by its
+    coatoms (`_coatoms`, re-encoded), so the families are equal when each
+    side's generators are closed in the other, as in `ClosureSystem.__eq__`:
+    |coatoms| x |generators| mask operations, listing neither side.
+    Otherwise, over the masks of system, the images (those listed from kept
+    masks, or the encoded Cartan images) must hold the ground, each be closed
+    in system, and stay images when cut by any generator of system: every
+    member of system is the ground cut by some of its generators. That costs
+    |images| x |generators| mask operations.
     """
     if sps.states != system.ground:
         return False
     order, generators = system._order, system._gens
     if sps._masks is not None and sps._masks[0].same(order):
-        images = sps._masks[2].keys()
+        if sps._coatoms is not None:
+            coatoms = set(map(order.mask, sps._coatoms.values()))
+            return _all_closed(order.full, generators, coatoms) and _all_closed(order.full, coatoms, generators)
+        images = sps._listing().keys()
     else:
         images = set(map(order.mask, sps._index()))
     return (
@@ -286,7 +316,7 @@ def closure_to_sps(ground, system: ClosureSystem) -> StatePropertySystem:
     if ground != system.ground:
         raise ContractError("ground set does not match the closure system")
     order = system._order
-    return StatePropertySystem._of_masks(order, {order.mask(F): F for F in system.members})
+    return StatePropertySystem._of_masks(order, gens=system._gens, found={order.mask(F): F for F in system.members})
 
 
 def indistinguishable_pair(entity: Entity):
@@ -382,7 +412,7 @@ def global_testable_sps(entity: Entity) -> StatePropertySystem:
         if S not in meeting:
             meeting[S] = _meeting_mask(row.full, len(states), S)
         has[x] = meeting[S]
-    return StatePropertySystem._of_masks(row, _member_sets(row, {row.full & ~h for h in has.values()}), has)
+    return StatePropertySystem._of_masks(row, has)
 
 
 def validate_sps(sps: StatePropertySystem) -> Diagnostics:

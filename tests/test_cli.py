@@ -8,11 +8,12 @@ import pytest
 
 import soe
 from soe.cli import main
-from soe.closure import ClosureSystem
+from soe.closure import ClosureSystem, _holder_index
 from soe.entity import Entity, RelationKind, orthogonal
 from soe.examples import deterministic_pair, three_by_three
 from soe.formats import emit_entity
 from soe.probability import ProbabilityTable
+from soe.statprop import StatePropertySystem, testable_sps
 
 from oracles import brute_ortho_closed_sets
 
@@ -255,6 +256,29 @@ class TestVerifyCommand:
         assert "verify.relations.transitive = fail" in rows
         assert "verify.relations.reflexive = pass" in rows
         assert out == (FIXTURES / "verify_broken_transitivity.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("mutant", ["drop_coatom", "other_row"])
+    def test_cartan_check_reads_the_testable_system(self, worked_file, capsys, monkeypatch, mutant):
+        # a testable system missing the least outcome's coatom is not the
+        # eigen family of e or f (g's coatom of x1 is also that of y1), and
+        # one read from the next experiment's row is that of no experiment
+        def drop_coatom(entity, e):
+            index = _holder_index(entity)
+            order, has = index.states, dict(index.rows("states")[e])
+            del has[min(has)]
+            return StatePropertySystem._of_masks(order, has)
+
+        def other_row(entity, e):
+            experiments = sorted(entity.experiments)
+            return testable_sps(entity, experiments[(experiments.index(e) + 1) % len(experiments)])
+
+        monkeypatch.setattr("soe.cli.testable_sps", {"drop_coatom": drop_coatom, "other_row": other_row}[mutant])
+        code = main(["verify", worked_file, "--structured"])
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert "verify.properties.cartan_image_is_eigen_family = fail" in rows
+        failed = [row.rsplit(" ", 1)[1] for row in rows if "= properties.cartan_image_is_eigen_family:" in row]
+        assert failed == {"drop_coatom": ["e", "f"], "other_row": ["e", "f", "g"]}[mutant]
 
 
 class TestSubentityCommand:

@@ -9,7 +9,9 @@ the ortho spaces against the brute-force oracles and the relation engine, the
 mask engine of the closure layer against the frozenset definitions and its bit
 codec against its own inverse, the full mixed entity against its cell-by-cell
 definition, the lattice queries of state-property systems against their
-scans, the systems `closure_to_sps` builds against their closure systems,
+scans, kept-mask state-property systems and the Cartan check decided on
+their coatoms against listed families, the systems `closure_to_sps` builds
+against their closure systems,
 and the text format against its emitter and against arbitrary text.
 """
 
@@ -33,6 +35,7 @@ from soe.classify import (
 from soe.closure import (
     ClosureSystem,
     OrthoSpace,
+    _member_sets,
     _Order,
     eig_central,
     eig_experiments,
@@ -77,6 +80,7 @@ from soe.statprop import (
     indistinguishable_pair,
     is_cartan_family,
     is_distinguishable,
+    sps_to_closure,
     testable_sps,
     validate_sps,
 )
@@ -410,6 +414,28 @@ def test_derived_fields_equal_their_eager_forms(entity, data):
         assert validate_sps(sps) == validate_sps(built)
         for scoped in (eigen_closure_system(entity, "states", e), eigen_closure_system(entity, "states")):
             assert is_cartan_family(sps, scoped) == is_cartan_family(built, scoped)
+
+
+@SETTINGS
+@given(entities())
+def test_cartan_check_on_generators_is_equality_of_the_listed_families(entity):
+    """For every experiment e and every state eigen system, that of any
+    experiment f or the global one, the Cartan check of e's testable system,
+    decided on its coatoms without listing it, is the equality of its listed
+    Cartan family with the system; so is the check of the same system rebuilt
+    through the public constructor."""
+    systems = [eigen_closure_system(entity, "states", f) for f in sorted(entity.experiments)]
+    systems.append(eigen_closure_system(entity, "states"))
+    for e in sorted(entity.experiments):
+        listed = testable_sps(entity, e)
+        rebuilt = StatePropertySystem(
+            entity.states, listed.properties, listed.actual, listed.labels, listed._coatoms, listed._full_outcomes
+        )
+        for system in systems:
+            kept = testable_sps(entity, e)
+            assert is_cartan_family(kept, system) == (sps_to_closure(listed) == system)
+            assert kept._found is None
+            assert is_cartan_family(rebuilt, system) == (sps_to_closure(rebuilt) == system)
 
 
 @st.composite
@@ -784,6 +810,26 @@ def test_mask_equality_and_closure_hold_across_item_orders(drawn, data):
 
 
 @SETTINGS
+@given(systems(), st.data())
+def test_inclusion_is_inclusion_of_members(drawn, data):
+    """`includes` agrees with comparing the listed members, for systems over
+    one order (a second system, and the system both generate) and across
+    orders of the ground."""
+    ground = drawn[0]
+    system, generators = _generated(*drawn)
+    other, more = _generated(*data.draw(systems(ground)))
+    order = system._order
+    shared = ClosureSystem._of_masks(order, set(map(order.mask, more)))
+    joined = ClosureSystem._of_masks(order, set(map(order.mask, generators + more)))
+    moved_order = _Order(data.draw(st.permutations(sorted(ground))), system.ground)
+    moved = ClosureSystem._of_masks(moved_order, set(map(moved_order.mask, more)))
+    for big in (system, shared, joined, moved):
+        for small in (system, other, shared, joined, moved):
+            assert big.includes(small) == (small.members <= big.members)
+    assert joined.includes(system) and joined.includes(shared)
+
+
+@SETTINGS
 @given(systems())
 def test_T0_witness_is_the_least_pair_with_equal_closures(drawn):
     system, _ = _generated(*drawn)
@@ -974,6 +1020,30 @@ def test_global_testable_sps_matches_the_definition(entity):
 
     definition = lambda e: testable_sps(full_mixed_entity(e), mixture_id(e.experiments))  # noqa: E731
     assert outcome(global_testable_sps) == outcome(definition)
+
+
+KEPT_FIELDS = ("properties", "actual", "labels", "_coatoms")
+
+
+@SETTINGS
+@given(entities(), st.data())
+def test_kept_mask_systems_list_the_same_whichever_field_is_asked_first(entity, data):
+    """A testable system, of one experiment or of the total mixed experiment,
+    lists nothing when it is built; its properties, actual, labels and
+    coatoms, asked in any order, equal those of the same system listed when
+    built, whose coatoms are read from the listing."""
+    builds = [lambda e=e: testable_sps(entity, e) for e in sorted(entity.experiments)]
+    if is_distinguishable(entity):
+        builds.append(lambda: global_testable_sps(entity))
+    sps = data.draw(st.sampled_from(builds))()
+    assert sps._found is None
+    asked = {name: getattr(sps, name) for name in data.draw(st.permutations(KEPT_FIELDS))}
+    order, gens, has = sps._masks
+    found = _member_sets(order, gens)
+    listed = StatePropertySystem._of_masks(order, has, found=found)
+    assert asked == {name: getattr(listed, name) for name in KEPT_FIELDS}
+    assert asked["_coatoms"] == {x: found[order.full & ~h] for x, h in has.items()}
+    assert sps == listed
 
 
 @SETTINGS
