@@ -141,14 +141,15 @@ class ClosureSystem:
         return _all_closed(order.full, self._gens, theirs) and _all_closed(order.full, theirs, self._gens)
 
     def includes(self, other: "ClosureSystem") -> bool:
-        """Whether every member of `other` is a member of this system: each
-        generator of `other` is closed here, as this family is closed under
-        intersection. Over a shared item order the generator masks are tested
-        as they are; otherwise the generators of `other` are decoded and
-        tested with `is_closed`."""
+        """Whether every member of `other` is a member of this system: the
+        ground of `other` and each of its generators is closed here, as this
+        family is closed under intersection. Over a shared item order, where
+        the grounds are one, the generator masks are tested as they are;
+        otherwise the ground and generators of `other` are tested with
+        `is_closed`."""
         if self._order.same(other._order):
             return _all_closed(self._order.full, self._gens, other._gens)
-        return all(map(self.is_closed, other.generators))
+        return self.is_closed(other.ground) and all(map(self.is_closed, other.generators))
 
     def __hash__(self):
         return hash(self.ground)

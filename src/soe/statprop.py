@@ -84,11 +84,14 @@ class StatePropertySystem:
         return sps
 
     def _init(self, states, properties, full_outcomes, masks, found, actual, labels, coatoms):
-        """Set every slot through its descriptor, which takes about half the
-        time of `object.__setattr__` (`__setattr__` refuses)."""
-        values = (states, properties, full_outcomes, masks, found, actual, labels, coatoms, None, None)
-        for set_slot, value in zip(_SLOT_SETTERS, values, strict=True):
-            set_slot(self, value)
+        """Set each slot by name through its descriptor, which takes about
+        half the time of `object.__setattr__` (`__setattr__` refuses)."""
+        for name, value in (
+            ("states", states), ("_properties", properties), ("_full_outcomes", full_outcomes), ("_masks", masks),
+            ("_found", found), ("_actual", actual), ("_labels", labels), ("_coatom_sets", coatoms),
+            ("_images", None), ("_by_image", None),
+        ):
+            _SLOT_SETTERS[name](self, value)
 
     def _listing(self) -> dict:
         """{mask: set} of every property of a system built from masks, swept
@@ -244,7 +247,7 @@ class StatePropertySystem:
         return self.labels.get(a)
 
 
-_SLOT_SETTERS = tuple(StatePropertySystem.__dict__[name].__set__ for name in StatePropertySystem.__slots__)
+_SLOT_SETTERS = {name: StatePropertySystem.__dict__[name].__set__ for name in StatePropertySystem.__slots__}
 
 
 def cartan(sps: StatePropertySystem, a) -> frozenset:
@@ -280,26 +283,22 @@ def is_cartan_family(sps: StatePropertySystem, system: ClosureSystem) -> bool:
     """Whether the Cartan images of sps are exactly the members of system,
     that is `sps_to_closure(sps) == system`, decided without listing system.
 
-    A testable system kept as masks over system's order is generated by its
-    coatoms (`_coatoms`, re-encoded), so the families are equal when each
-    side's generators are closed in the other, as in `ClosureSystem.__eq__`:
-    |coatoms| x |generators| mask operations, listing neither side.
-    Otherwise, over the masks of system, the images (those listed from kept
-    masks, or the encoded Cartan images) must hold the ground, each be closed
-    in system, and stay images when cut by any generator of system: every
-    member of system is the ground cut by some of its generators. That costs
-    |images| x |generators| mask operations.
+    A system built from masks over system's order keeps the masks that
+    generate its properties, so the families are equal when each side's
+    generators are closed in the other, as in `ClosureSystem.__eq__`:
+    |kept masks| x |generators| mask operations, listing neither side.
+    Otherwise, over the masks of system, the encoded Cartan images must hold
+    the ground, each be closed in system, and stay images when cut by any
+    generator of system: every member of system is the ground cut by some of
+    its generators. That costs |images| x |generators| mask operations.
     """
     if sps.states != system.ground:
         return False
     order, generators = system._order, system._gens
     if sps._masks is not None and sps._masks[0].same(order):
-        if sps._coatoms is not None:
-            coatoms = set(map(order.mask, sps._coatoms.values()))
-            return _all_closed(order.full, generators, coatoms) and _all_closed(order.full, coatoms, generators)
-        images = sps._listing().keys()
-    else:
-        images = set(map(order.mask, sps._index()))
+        kept = sps._masks[1]
+        return _all_closed(order.full, generators, kept) and _all_closed(order.full, kept, generators)
+    images = set(map(order.mask, sps._index()))
     return (
         order.full in images
         and all(_closure_mask(order.full, generators, F) == F for F in images)

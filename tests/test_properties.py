@@ -813,8 +813,8 @@ def test_mask_equality_and_closure_hold_across_item_orders(drawn, data):
 @given(systems(), st.data())
 def test_inclusion_is_inclusion_of_members(drawn, data):
     """`includes` agrees with comparing the listed members, for systems over
-    one order (a second system, and the system both generate) and across
-    orders of the ground."""
+    one order (a second system, and the system both generate), across orders
+    of the ground, and over a smaller ground."""
     ground = drawn[0]
     system, generators = _generated(*drawn)
     other, more = _generated(*data.draw(systems(ground)))
@@ -823,8 +823,10 @@ def test_inclusion_is_inclusion_of_members(drawn, data):
     joined = ClosureSystem._of_masks(order, set(map(order.mask, generators + more)))
     moved_order = _Order(data.draw(st.permutations(sorted(ground))), system.ground)
     moved = ClosureSystem._of_masks(moved_order, set(map(moved_order.mask, more)))
-    for big in (system, shared, joined, moved):
-        for small in (system, other, shared, joined, moved):
+    part = data.draw(st.frozensets(st.sampled_from(sorted(ground)))) if ground else frozenset()
+    smaller, _ = _generated(*data.draw(systems(part)))
+    for big in (system, shared, joined, moved, smaller):
+        for small in (system, other, shared, joined, moved, smaller):
             assert big.includes(small) == (small.members <= big.members)
     assert joined.includes(system) and joined.includes(shared)
 
