@@ -319,9 +319,11 @@ def _closure_checks(entity: Entity, diag: Diagnostics, rng: random.Random) -> di
     checks = diag.checks
     for name, system in systems.items():
         # a generated system is intersection closed by construction; its
-        # generators and its own operator are what can still be wrong
+        # generator masks and its own operator are what can still be wrong.
+        # The masks are tested as kept: decoding drops any bit past the order
         axioms, idempotent = f"closures.axioms.{name}", f"closures.idempotent.{name}"
-        diag.record(axioms, all(g <= system.ground for g in system.generators), "a generator leaves the ground set")
+        full = system._order.full
+        diag.record(axioms, all(g & ~full == 0 for g in system._gens), "a generator leaves the ground set")
         diag.record(axioms, not system.closure_of(frozenset()), "empty: cl({}) is not empty")
         checks.setdefault(idempotent, True)
         ground = sorted(system.ground, key=str)

@@ -4,11 +4,11 @@ Eigen closure systems are the image families of the eigen maps (which states /
 experiments / couples are certain to produce an outcome inside a given set);
 ortho closure systems arise from orthogonality relations via double
 orthocomplement. A closure system is held as the bit masks of its generating
-closed sets over one item order; its closure operator intersects them, and its
-generators and members become frozensets only when asked for. The eigen
-generators and the orthocomplements of an entity come from its holder index:
-for each row of the table, the mask of the items whose cell holds each
-outcome, built once per entity.
+closed sets over one item order, and in no other form: its closure operator
+intersects them, its generators are decoded on each ask, and its members are
+listed on first use. The eigen generators and the orthocomplements of an
+entity come from its holder index: for each row of the table, the mask of the
+items whose cell holds each outcome, built once per entity.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class ClosureSystem:
     the ground cut by every generator containing K. A listed family must pass
     `validate_closure_axioms`."""
 
-    __slots__ = ("ground", "_order", "_gens", "_generators", "_members", "_missed")
+    __slots__ = ("ground", "_order", "_gens", "_members", "_missed")
 
     def __init__(self, ground, members):
         ground, members = _family(ground, members)
@@ -83,7 +83,7 @@ class ClosureSystem:
         if not axioms.passed:
             raise ContractError(f"family is not a closure system: {axioms.failures[0]}")
         order = _Order(ground, ground)
-        self._init(order, set(map(order.mask, members)), members, members)
+        self._init(order, set(map(order.mask, members)), members)
 
     @classmethod
     def generated(cls, ground, generators) -> "ClosureSystem":
@@ -91,22 +91,21 @@ class ClosureSystem:
         construction: only the empty set's membership is checked."""
         ground, generators = _family(ground, generators)
         order = _Order(ground, ground)
-        return cls._of_masks(order, set(map(order.mask, generators)), generators)
+        return cls._of_masks(order, set(map(order.mask, generators)))
 
     @classmethod
-    def _of_masks(cls, order: _Order, gens: set, generators=None) -> "ClosureSystem":
+    def _of_masks(cls, order: _Order, gens: set) -> "ClosureSystem":
         """The system generated by the masks `gens` over `order`."""
         system = object.__new__(cls)
-        system._init(order, gens, generators, None)
+        system._init(order, gens, None)
         if _closure_mask(order.full, gens, 0):
             raise ContractError("a closure system must contain the empty set")
         return system
 
-    def _init(self, order, gens, generators, members):
+    def _init(self, order, gens, members):
         object.__setattr__(self, "ground", order.ground)
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_gens", gens)
-        object.__setattr__(self, "_generators", generators)
         object.__setattr__(self, "_members", members)
         object.__setattr__(self, "_missed", None)
 
@@ -115,10 +114,8 @@ class ClosureSystem:
 
     @property
     def generators(self) -> frozenset:
-        """The generating closed sets, decoded on first use."""
-        if self._generators is None:
-            object.__setattr__(self, "_generators", frozenset(map(self._order.decode, self._gens)))
-        return self._generators
+        """The generating closed sets, decoded from their masks on each ask; none is kept."""
+        return frozenset(map(self._order.decode, self._gens))
 
     @property
     def members(self) -> frozenset:
@@ -134,11 +131,9 @@ class ClosureSystem:
             return NotImplemented
         if self.ground != other.ground:
             return False
-        order = self._order
-        theirs = other._gens if order.same(other._order) else set(map(order.mask, other.generators))
-        if self._gens == theirs:
+        if self._order.same(other._order) and self._gens == other._gens:
             return True
-        return _all_closed(order.full, self._gens, theirs) and _all_closed(order.full, theirs, self._gens)
+        return self.includes(other) and other.includes(self)
 
     def includes(self, other: "ClosureSystem") -> bool:
         """Whether every member of `other` is a member of this system: the

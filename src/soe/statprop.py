@@ -84,14 +84,16 @@ class StatePropertySystem:
         return sps
 
     def _init(self, states, properties, full_outcomes, masks, found, actual, labels, coatoms):
-        """Set each slot by name through its descriptor, which takes about
-        half the time of `object.__setattr__` (`__setattr__` refuses)."""
-        for name, value in (
-            ("states", states), ("_properties", properties), ("_full_outcomes", full_outcomes), ("_masks", masks),
-            ("_found", found), ("_actual", actual), ("_labels", labels), ("_coatom_sets", coatoms),
-            ("_images", None), ("_by_image", None),
-        ):
-            _SLOT_SETTERS[name](self, value)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "_properties", properties)
+        object.__setattr__(self, "_full_outcomes", full_outcomes)
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_found", found)
+        object.__setattr__(self, "_actual", actual)
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_coatom_sets", coatoms)
+        object.__setattr__(self, "_images", None)
+        object.__setattr__(self, "_by_image", None)
 
     def _listing(self) -> dict:
         """{mask: set} of every property of a system built from masks, swept
@@ -245,9 +247,6 @@ class StatePropertySystem:
     def witness(self, a):
         """The outcome-set label of a property, when one is attached."""
         return self.labels.get(a)
-
-
-_SLOT_SETTERS = {name: StatePropertySystem.__dict__[name].__set__ for name in StatePropertySystem.__slots__}
 
 
 def cartan(sps: StatePropertySystem, a) -> frozenset:

@@ -8,7 +8,7 @@ import pytest
 
 import soe
 from soe.cli import main
-from soe.closure import ClosureSystem, _holder_index
+from soe.closure import ClosureSystem, _holder_index, eigen_closure_system, ortho_closure_system
 from soe.entity import Entity, RelationKind, orthogonal
 from soe.examples import deterministic_pair, three_by_three
 from soe.formats import emit_entity
@@ -29,6 +29,16 @@ def soe_subprocess(argv, **env):
     environment["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     environment.update(env)
     return subprocess.run([sys.executable, "-m", "soe.cli", *argv], capture_output=True, text=True, env=environment)
+
+
+def random_12x12_file(tmp_path):
+    """A random 12x12 entity over 16 outcomes, 1-3 per cell, written as a file."""
+    rng = random.Random(12)
+    outcomes = [f"x{i}" for i in range(16)]
+    table = {(f"e{i}", f"p{j}"): rng.sample(outcomes, rng.randint(1, 3)) for i in range(12) for j in range(12)}
+    path = tmp_path / "random.soe"
+    path.write_text(emit_entity(Entity({p for _, p in table}, {e for e, _ in table}, table)), encoding="utf-8")
+    return path
 
 
 @pytest.fixture
@@ -200,11 +210,7 @@ class TestVerifyCommand:
         if source == "five_by_five":
             path = Path(__file__).parent / "fixtures" / "five_by_five.soe"
         else:
-            rng = random.Random(12)
-            outcomes = [f"x{i}" for i in range(16)]
-            table = {(f"e{i}", f"p{j}"): rng.sample(outcomes, rng.randint(1, 3)) for i in range(12) for j in range(12)}
-            path = tmp_path / "random.soe"
-            path.write_text(emit_entity(Entity({p for _, p in table}, {e for e, _ in table}, table)), encoding="utf-8")
+            path = random_12x12_file(tmp_path)
         code = main(["verify", str(path), "--structured"])
         rows = capsys.readouterr().out.splitlines()
         assert code == 0
@@ -243,6 +249,50 @@ class TestVerifyCommand:
         # every check row, listed failure and the suppressed count, as before
         # the checks recorded only their failing instances
         assert out == (FIXTURES / "verify_broken_closure_of.txt").read_text(encoding="utf-8")
+
+    def test_axioms_test_the_generator_masks(self, worked_file, capsys, monkeypatch):
+        # one generator of the global experiment system carries the bit past
+        # its order; every closure is cut by the full mask, so cl({}) stays
+        # empty, and decoding the generator would drop the stray bit
+        eigen = eigen_closure_system
+
+        def stray_bit(entity, on, scoped_to=None):
+            system = eigen(entity, on, scoped_to)
+            if (on, scoped_to) != ("experiments", None):
+                return system
+            order, gens = system._order, set(system._gens)
+            gens.add(gens.pop() | order.full + 1)
+            return ClosureSystem._of_masks(order, gens)
+
+        monkeypatch.setattr("soe.cli.eigen_closure_system", stray_bit)
+        code = main(["verify", worked_file, "--structured"])
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert "verify.closures.axioms.experiment_eigen = fail" in rows
+        failed = [row.split(" = ", 1)[1] for row in rows if row.startswith("verify.failure.")]
+        assert failed == ["closures.axioms.experiment_eigen: a generator leaves the ground set"]
+
+    def test_decodes_only_the_generators_state_trace_reads(self, tmp_path, capsys, monkeypatch):
+        # the central ortho system of a large table has hundreds of generators
+        # of thousands of couples each: verify tests their masks and decodes
+        # none; only state_trace asks the central eigen system for its sets
+        eigen, ortho, generators = eigen_closure_system, ortho_closure_system, ClosureSystem.generators
+        built, asked = {}, []
+
+        def central_eigen(entity, on, scoped_to=None):
+            system = eigen(entity, on, scoped_to)
+            return built.setdefault("eigen", system) if on == "central" else system
+
+        def counted(system):
+            asked.append(system)
+            return generators.fget(system)
+
+        monkeypatch.setattr("soe.cli.eigen_closure_system", central_eigen)
+        monkeypatch.setattr("soe.cli.ortho_closure_system", lambda space: built.setdefault("ortho", ortho(space)))
+        monkeypatch.setattr(ClosureSystem, "generators", property(counted))
+        code = main(["verify", str(random_12x12_file(tmp_path)), "--structured"])
+        assert code == 0, capsys.readouterr().out
+        assert len(asked) == 1 and asked[0] is built["eigen"] is not built["ortho"]
 
     def test_transitivity_asks_the_kernel_relation(self, worked_file, capsys, monkeypatch):
         # (e,p) < (e,q) < (e,r) but not (e,p) < (e,r): reflexive, not transitive
