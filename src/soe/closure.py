@@ -171,20 +171,25 @@ class ClosureSystem:
             object.__setattr__(self, "_missed", dict(zip(order.items, map(tuple, missed))))
         return self._missed
 
+    def _close(self, k) -> int:
+        """The closure operator on masks over the system's order: the mask of
+        the smallest member containing k's items."""
+        return _closure_mask(self._order.full, self._gens, k)
+
     def closure_of(self, K) -> frozenset:
         """The smallest member containing K."""
         K = frozenset(K)
         if not K <= self.ground:
             raise ContractError(f"{natural_order(K - self.ground)} lie outside the ground set")
         order = self._order
-        return order.decode(_closure_mask(order.full, self._gens, order.mask(K)))
+        return order.decode(self._close(order.mask(K)))
 
     def is_closed(self, K) -> bool:
         K = frozenset(K)
         if not K <= self.ground:
             return False
         k = self._order.mask(K)
-        return _closure_mask(self._order.full, self._gens, k) == k
+        return self._close(k) == k
 
 
 def _family(ground, members) -> tuple:

@@ -145,7 +145,8 @@ def spectral_family_from_hermitian(H, cluster_tol: float = CLUSTER_TOL) -> Spect
     """Diagonalize a Hermitian matrix into eigenprojections, clustering
     eigenvalues closer than cluster_tol into one projector."""
     H = _as_matrix(H)
-    if opnorm(H - H.conj().T) > VALIDATION_TOL:
+    diff = H - H.conj().T
+    if diff.any() and opnorm(diff) > VALIDATION_TOL:  # an exactly Hermitian H needs no SVD
         raise ContractError("matrix is not Hermitian within 1e-9")
     values, vectors = np.linalg.eigh((H + H.conj().T) / 2)
     clusters = [[0]]
@@ -521,14 +522,16 @@ def verify_cq_sub_entity(
     the trace identity), checks the trace identity on `samples` random big
     states against random experiments, runs the full probabilistic sub-entity
     verification on a sampled finite entity pair, and, for the two-qubit case,
-    searches `ray_candidates` grid rays for one reproducing the reduced
-    probabilities of the antisymmetric ray state (none comes close: the
-    minimal residual found is reported). `samples` must be at least 1, or
-    at least 0 in the two-qubit case, which always adds the antisymmetric
-    ray state; anything less is refused before any draw. In the two-qubit
-    case `ray_candidates` must be at least 1, also before any draw: 0 would
-    search no ray and pass the ray check vacuously, and a negative count has
-    no grid of rays.
+    searches a grid of rays for one reproducing the reduced probabilities of
+    the antisymmetric ray state (none comes close: the minimal residual found
+    is reported). The grid has round(√ray_candidates) points in θ and as many
+    in φ, so round(√ray_candidates)² rays, the count reported as
+    `details["ray_candidates"]`: 1000 searches 1024 rays and 2 searches one.
+    `samples` must be at least 1, or at least 0 in the two-qubit case, which
+    always adds the antisymmetric ray state; anything less is refused before
+    any draw. In the two-qubit case `ray_candidates` must be at least 1, also
+    before any draw: 0 would search no ray and pass the ray check vacuously,
+    and a negative count has no grid of rays.
     """
     if n_sys * n_env > 16:
         raise CapacityError("sampled verification is limited to composite dimension 16")

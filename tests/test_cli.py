@@ -231,15 +231,16 @@ class TestVerifyCommand:
             assert all(run.stdout == runs[0].stdout for run in runs[1:])
 
     def test_axioms_ask_the_kernel_operator(self, worked_file, capsys, monkeypatch):
-        # drop an element of K from the closure of every K of two or more
-        # elements; the singleton closures that classify reads stay intact
-        closure_of = ClosureSystem.closure_of
+        # the mask operator every closure query asks drops the str-least item
+        # of K from the closure of every K of two or more elements
+        close = ClosureSystem._close
 
-        def broken(system, K):
-            K = frozenset(K)
-            return closure_of(system, K) - {min(K, key=str)} if len(K) > 1 else closure_of(system, K)
+        def broken(system, k):
+            order = system._order
+            K = order.decode(k)
+            return close(system, k) & ~order.mask({min(K, key=str)}) if len(K) > 1 else close(system, k)
 
-        monkeypatch.setattr(ClosureSystem, "closure_of", broken)
+        monkeypatch.setattr(ClosureSystem, "_close", broken)
         code = main(["verify", worked_file, "--structured"])
         out = capsys.readouterr().out
         rows = out.splitlines()

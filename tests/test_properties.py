@@ -11,11 +11,14 @@ codec against its own inverse, the full mixed entity against its cell-by-cell
 definition, the lattice queries of state-property systems against their
 scans, kept-mask state-property systems and the Cartan check decided on
 their coatoms against listed families, the systems `closure_to_sps` builds
-against their closure systems,
+against their closure systems, the sampled closure-axiom checks of `soe
+verify` against their frozenset form,
 and the text format against its emitter and against arbitrary text.
 """
 
+import random
 from itertools import combinations, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,7 @@ from soe.classify import (
     satisfies_T0,
     satisfies_T1,
 )
+from soe.cli import _closure_checks, _fmt_item, _fmt_member, _sampled_axiom_checks
 from soe.closure import (
     ClosureSystem,
     OrthoSpace,
@@ -1046,6 +1050,75 @@ def test_kept_mask_systems_list_the_same_whichever_field_is_asked_first(entity, 
     assert asked == {name: getattr(listed, name) for name in KEPT_FIELDS}
     assert asked["_coatoms"] == {x: found[order.full & ~h] for x, h in has.items()}
     assert sps == listed
+
+
+@st.composite
+def bang_entities(draw):
+    """Entities whose couples sort differently by str than experiment-major:
+    str(("a!", "p")) < str(("a", "p")), as '!' sorts before the quote."""
+    experiments = draw(st.lists(st.sampled_from(["a", "a!", "a!b", "ab", "b"]), min_size=1, max_size=3, unique=True))
+    states = draw(st.lists(st.sampled_from(["p", "p!", "q"]), min_size=1, max_size=3, unique=True))
+    cell = st.frozensets(st.sampled_from(["x0", "x1", "x2", "x3"]), min_size=1)
+    return Entity(states, experiments, {(e, p): draw(cell) for e in experiments for p in states})
+
+
+def _frozenset_axiom_checks(system, name, diag, rng):
+    """The sampled closure-axiom checks of `soe verify` written on frozensets
+    and `closure_of`: the oracle of the mask sampler."""
+    axioms, idempotent = f"closures.axioms.{name}", f"closures.idempotent.{name}"
+    diag.checks.setdefault(idempotent, True)
+    ground = sorted(system.ground, key=str)
+    for _ in range(5):
+        K = frozenset(rng.sample(ground, rng.randint(0, len(ground))))
+        closed = system.closure_of(K)
+        if not K <= closed:
+            diag.record(axioms, False, f"extensive: K = {_fmt_member(K)}")
+        if K:
+            least = min(K, key=str)
+            if not system.closure_of(K - {least}) <= closed:
+                diag.record(axioms, False, f"monotone: K = {_fmt_member(K)} less {_fmt_item(least)}")
+        if system.closure_of(closed) != closed:
+            diag.record(idempotent, False, _fmt_member(K))
+
+
+def _drop_lowest(close):
+    """An operator that loses the lowest bit of every K of two or more items."""
+    return lambda system, k: close(system, k) & ~(k & -k) if k & (k - 1) else close(system, k)
+
+
+def _add_lowest_outside(close):
+    """An operator that adds the lowest item outside each closure."""
+    def grown(system, k):
+        closed = close(system, k)
+        outside = system._order.full & ~closed
+        return closed | outside & -outside
+    return grown
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        bang_entities().map(lambda entity: list(_closure_checks(entity, Diagnostics(), random.Random(0)).items())),
+        st.lists(systems().map(lambda drawn: _generated(*drawn)[0]), min_size=1, max_size=3).map(
+            lambda drawn: [(f"g{i}", system) for i, system in enumerate(drawn)]
+        ),
+    ),
+    st.sampled_from([None, _drop_lowest, _add_lowest_outside]),
+    st.integers(0, 2**32),
+)
+def test_mask_sampler_matches_the_frozenset_sampler(named_systems, mutation, seed):
+    """Same checks, failure lines and RNG state after, on the systems verify
+    builds and on generated ones (items in set iteration order), under a
+    correct operator and under two broken ones."""
+    close = ClosureSystem._close
+    outcomes = []
+    for sampler in (_sampled_axiom_checks, _frozenset_axiom_checks):
+        diag, rng = Diagnostics(cap=25), random.Random(seed)
+        with patch.object(ClosureSystem, "_close", mutation(close) if mutation else close):
+            for name, system in named_systems:
+                sampler(system, name, diag, rng)
+        outcomes.append((diag.checks, diag.failures, diag._overflow, rng.getstate()))
+    assert outcomes[0] == outcomes[1]
 
 
 @SETTINGS

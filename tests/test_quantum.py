@@ -92,6 +92,18 @@ class TestSpectralFamilies:
         with pytest.raises(ContractError):
             spectral_family_from_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_hermitian_check_runs_an_svd_only_on_a_nonzero_residual(self, monkeypatch):
+        norms = []
+        monkeypatch.setattr("soe.quantum.opnorm", lambda M: norms.append(M) or opnorm(M))
+        H = np.array([[1.0, 2 - 1j], [2 + 1j, 3.0]])
+        spectral_family_from_hermitian(H)
+        assert len(norms) == 2  # the reconstruction check alone
+        norms.clear()
+        spectral_family_from_hermitian(H + np.array([[0.0, 1e-12], [0.0, 0.0]]))
+        assert len(norms) == 3  # within 1e-9: measured, then accepted
+        with pytest.raises(ContractError, match="not Hermitian"):
+            spectral_family_from_hermitian(H + np.array([[0.0, 1e-6], [0.0, 0.0]]))
+
     def test_overeager_clustering_rejected(self):
         # a gap tolerance that merges genuinely distinct eigenvalues cannot
         # reconstruct the observable
@@ -626,6 +638,11 @@ class TestSubEntityDemonstration:
         diag = verify_cq_sub_entity(2, 2, samples=0, seed=5, ray_candidates=1)
         assert diag.details["ray_candidates"] == 1
         assert np.isfinite(diag.details["standard_ray_min_residual"])
+
+    def test_ray_candidates_round_to_a_square_grid(self):
+        for asked, searched in ((1000, 1024), (2, 1)):
+            diag = verify_cq_sub_entity(2, 2, samples=0, seed=5, ray_candidates=asked)
+            assert diag.details["ray_candidates"] == searched
 
     def test_ray_candidates_are_unused_beyond_two_qubits(self):
         diag = verify_cq_sub_entity(2, 3, samples=2, seed=8, ray_candidates=0)
