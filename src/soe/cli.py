@@ -30,7 +30,7 @@ from .closure import (
     state_trace,
 )
 from .diagnostics import Diagnostics
-from .entity import Entity, RelationKind, eigen_outcome, implies, orthogonal, relation_report, relation_views, view_implies
+from .entity import Entity, RelationKind, eigen_outcome, relation_report, relation_views, view_implies
 from .errors import ConsistencyError, SoeError
 from .formats import parse_entity, parse_witness
 from .morphism import ProbabilityCorrespondence, preimage_continuity, verify_probabilistic_sub_entity, verify_sub_entity
@@ -264,27 +264,26 @@ def _relation_axiom_checks(entity: Entity, diag: Diagnostics, rng: random.Random
     # fails or is the first of its check, which lists the check as passed
     cells = dict(entity.cells())
     couples = list(cells)
-    central = RelationKind.central()
+    view, orthogonal = relation_views(entity, RelationKind.central())
+    views = {a: view(a) for a in couples}
     checks = diag.checks
     checks.setdefault("relations.reflexive", True)
     checks.setdefault("relations.antireflexive", True)
-    for a in couples:
-        if not implies(entity, central, a, a):
+    for a, u in views.items():
+        if not view_implies(u, u):
             diag.record("relations.reflexive", False, lambda: _fmt_item(a))
-        if orthogonal(entity, central, a, a):
+        if orthogonal(u, u):
             diag.record("relations.antireflexive", False, lambda: _fmt_item(a))
     pool = couples if len(couples) <= 12 else rng.sample(couples, 12)
-    view, _ = relation_views(entity, central)
-    views = {a: view(a) for a in pool}
     below = {(a, b): view_implies(views[a], views[b]) for a in pool for b in pool}  # the kernel's implication
     for a in pool:
         for b in pool:
             if a != b and cells[a].isdisjoint(cells[b]):
-                ok = orthogonal(entity, central, b, a)
+                ok = orthogonal(views[b], views[a])
                 if not ok or "relations.symmetric" not in checks:
                     diag.record("relations.symmetric", ok, lambda: f"{_fmt_item(a)} | {_fmt_item(b)}")
             if below[a, b]:
-                ok = not orthogonal(entity, central, a, b)
+                ok = not orthogonal(views[a], views[b])
                 if not ok or "relations.implies_never_orthogonal" not in checks:
                     diag.record("relations.implies_never_orthogonal", ok, lambda: f"{_fmt_item(a)} < {_fmt_item(b)}")
                 for c in pool:

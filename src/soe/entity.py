@@ -45,6 +45,10 @@ class Entity:
     __slots__ = ("states", "experiments", "outcomes", "_table", "_holders")
 
     def __init__(self, states, experiments, table, outcomes=None):
+        # a bare string is iterable, and would be split into one-character identifiers
+        for name, value in (("states", states), ("experiments", experiments), ("outcomes", outcomes)):
+            if isinstance(value, str):
+                raise EntityValidationError(f"{name} must be a collection of identifiers, not the string {value!r}")
         states = frozenset(states)
         experiments = frozenset(experiments)
         if not states:
@@ -63,6 +67,8 @@ class Entity:
                     cell = table[(e, p)]
                 except KeyError:
                     raise EntityValidationError(f"missing outcome set for cell ({e}, {p})") from None
+                if isinstance(cell, str):
+                    raise EntityValidationError(f"outcome set for cell ({e}, {p}) is the string {cell!r}, not a set")
                 cell = frozenset(cell)
                 if not cell:
                     raise EntityValidationError(f"outcome set for cell ({e}, {p}) is empty")
@@ -310,14 +316,8 @@ def natural_order(items) -> list:
 
 
 def _views_of(entity: Entity, kind: RelationKind, a, b):
-    """(view of a, view of b, orthogonality of views), read straight from the table
-    for two couples of the entity under the central kind; anything else takes the
-    checks of `relation_views` and `_require_item`."""
-    if kind.on == "central" and kind.experiment is kind.state is None and type(a) is type(b) is tuple:
-        try:
-            return (entity._table[a],), (entity._table[b],), _some_member_disjoint
-        except (KeyError, TypeError):
-            pass
+    """(view of a, view of b, orthogonality of views), after the checks of
+    `relation_views` and `_require_item`."""
     view, orthogonal_views = relation_views(entity, kind)
     _require_item(entity, kind, a)
     _require_item(entity, kind, b)

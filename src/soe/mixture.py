@@ -19,6 +19,8 @@ def _as_base(entity_set, sub, what, mixture_type) -> frozenset:
         sub = sub.base
     elif isinstance(sub, str):
         sub = {sub}
+    elif isinstance(sub, (MixedState, MixedExperiment, Event)) or not hasattr(sub, "__iter__"):
+        raise ContractError(f"a mixed {what} is given as {mixture_type.__name__} or an iterable of identifiers, got {sub!r}")
     base = frozenset(sub)
     if not base:
         raise ContractError(f"a mixed {what} needs a nonempty base set")

@@ -270,6 +270,13 @@ def is_extremal(W, tol: float = VALIDATION_TOL) -> bool:
 # -- the sphere-and-elastic machine -------------------------------------------
 
 
+def _require_finite(what: str, values) -> None:
+    """Refuse NaN and infinities: NaN compares false with every bound, so it
+    passes the norm tests, and sin or cos of an infinity is NaN."""
+    if not np.isfinite(values).all():
+        raise ContractError(f"{what} must be finite, got {tuple(np.ravel(values).tolist())}")
+
+
 @dataclass(frozen=True)
 class BallState:
     """A point of the closed unit ball; surface points are the ray states."""
@@ -280,12 +287,14 @@ class BallState:
         w = np.asarray(w, dtype=float).reshape(-1)
         if w.size != 3:
             raise ContractError("a ball state is a real 3-vector")
+        _require_finite("a ball state's coordinates", w)
         if np.linalg.norm(w) > 1.0 + 1e-10:
             raise ContractError(f"point norm {np.linalg.norm(w):.12g} lies outside the unit ball")
         object.__setattr__(self, "w", tuple(float(v) for v in w))
 
     @classmethod
     def from_angles(cls, theta: float, phi: float, radius: float = 1.0) -> "BallState":
+        _require_finite("a ball state's angles and radius", (theta, phi, radius))
         return cls(
             (
                 radius * np.sin(theta) * np.cos(phi),
@@ -309,12 +318,14 @@ class SphereExperiment:
         u = np.asarray(axis, dtype=float).reshape(-1)
         if u.size != 3:
             raise ContractError("an experiment axis is a real 3-vector")
+        _require_finite("an experiment axis's coordinates", u)
         if abs(np.linalg.norm(u) - 1.0) > 1e-10:
             raise ContractError(f"axis norm {np.linalg.norm(u):.12g} is not 1")
         object.__setattr__(self, "axis", tuple(float(v) for v in u))
 
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "SphereExperiment":
+        _require_finite("an experiment axis's angles", (theta, phi))
         return cls((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)))
 
     @property

@@ -188,6 +188,14 @@ class TestQmachineCommand:
             float(values["qmachine.elastic.p1"]) + float(values["qmachine.elastic.p2"]) - 1.0
         ) <= 1e-12
 
+    def test_an_infinite_angle_exits_2_with_one_line(self):
+        # in a fresh process, so that no warning filter of the test run hides
+        # what numpy would write to stderr
+        result = soe_subprocess(["qmachine", "--theta", "inf", "--phi", "0"])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: a ball state's angles and radius must be finite, got (inf, 0.0, 1.0)"]
+
 
 class TestVerifyCommand:
     def test_worked_passes(self, worked_file, capsys):
@@ -307,6 +315,53 @@ class TestVerifyCommand:
         assert "verify.relations.transitive = fail" in rows
         assert "verify.relations.reflexive = pass" in rows
         assert out == (FIXTURES / "verify_broken_transitivity.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("mutant", ["orthogonal_to_itself", "orthogonal_one_way", "implies_strictly"])
+    def test_relation_axioms_ask_the_kernel_views(self, worked_file, capsys, monkeypatch, mutant):
+        # each kernel relation breaks one axiom; the stage reads the views and
+        # the orthogonality of relation_views, and view_implies
+        relation_views, view_implies = soe.cli.relation_views, soe.cli.view_implies
+
+        def mutated_views(orthogonal):
+            def views(entity, kind):
+                view, real = relation_views(entity, kind)
+                return view, lambda u, v: orthogonal(real, u, v)
+
+            return views
+
+        if mutant == "orthogonal_to_itself":
+            monkeypatch.setattr("soe.cli.relation_views", mutated_views(lambda real, u, v: u == v or real(u, v)))
+        elif mutant == "orthogonal_one_way":
+            monkeypatch.setattr("soe.cli.relation_views", mutated_views(lambda real, u, v: real(u, v) and sorted(*u) < sorted(*v)))
+        else:
+            monkeypatch.setattr("soe.cli.view_implies", lambda u, v: u != v and view_implies(u, v))
+        code = main(["verify", worked_file, "--structured"])
+        rows = capsys.readouterr().out.splitlines()
+        couples = [f"({e},{p})" for e in "efg" for p in "pqr"]
+        expected = {
+            "orthogonal_to_itself": (
+                ["antireflexive", "implies_never_orthogonal"],
+                [f"antireflexive: {a}" for a in couples] + [f"implies_never_orthogonal: {a} < {a}" for a in couples],
+            ),
+            "orthogonal_one_way": (
+                ["symmetric"],
+                [
+                    f"symmetric: ({a}) | ({b})"
+                    for a, b in [
+                        ("e,p", "f,p"), ("e,p", "f,r"), ("e,q", "f,p"), ("e,q", "f,q"), ("e,q", "g,q"), ("e,r", "f,p"),
+                        ("g,p", "e,r"), ("g,p", "f,q"), ("g,p", "g,q"), ("g,q", "f,p"), ("g,q", "f,r"),
+                    ]
+                ],
+            ),
+            "implies_strictly": (["reflexive"], [f"reflexive: {a}" for a in couples]),
+        }[mutant]
+        assert code == 1
+        assert [row for row in rows if row.endswith(" = fail") and row != "verify.verdict = fail"] == [
+            f"verify.relations.{name} = fail" for name in expected[0]
+        ]
+        assert [row.split(" = ", 1)[1] for row in rows if row.startswith("verify.failure.")] == [
+            f"relations.{failure}" for failure in expected[1]
+        ]
 
     @pytest.mark.parametrize("mutant", ["drop_coatom", "other_row"])
     def test_cartan_check_reads_the_testable_system(self, worked_file, capsys, monkeypatch, mutant):

@@ -55,6 +55,19 @@ class TestConstruction:
         with pytest.raises(EntityValidationError, match="empty"):
             Entity({"s"}, {"h"}, {("h", "s"): set()})
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("pq", {"e"}, {("e", "p"): {"x"}, ("e", "q"): {"x"}}), "states must be a collection of identifiers, not the string 'pq'"),
+            (({"p"}, "e", {("e", "p"): {"x"}}), "experiments must be a collection"),
+            (({"p"}, {"e"}, {("e", "p"): {"x1"}}, "x1"), "outcomes must be a collection"),
+            (({"p"}, {"e"}, {("e", "p"): "x1"}), r"outcome set for cell \(e, p\) is the string 'x1', not a set"),
+        ],
+    )
+    def test_a_bare_string_is_not_split_into_characters(self, args, message):
+        with pytest.raises(EntityValidationError, match=message):
+            Entity(*args)
+
     @pytest.mark.parametrize("token", ["a b", "a\x0cb", "a\u2028b", "x,y", "x]", 7, ""])
     def test_identifier_rule(self, token):
         # every whitespace character is refused, since the text format splits

@@ -43,6 +43,20 @@ class TestMixedOutcomeSet:
         with pytest.raises(ContractError):
             mixed_outcome_set(worked, {"e", "zz"}, {"p"})
 
+    def test_a_mixture_of_the_other_kind_is_refused(self, worked):
+        with pytest.raises(ContractError, match=r"mixed experiment is given as MixedExperiment .*got MixedState"):
+            mixed_outcome_set(worked, MixedState({"p"}), MixedExperiment({"e"}))
+        with pytest.raises(ContractError, match=r"mixed state is given as MixedState .*got MixedExperiment"):
+            mixed_outcome_set(worked, {"e"}, MixedExperiment({"e"}))
+        with pytest.raises(ContractError, match=r"mixed state is given as MixedState .*got Event"):
+            mixed_outcome_set(worked, {"e"}, Event({"x1"}))
+        with pytest.raises(ContractError, match=r"mixed event is given as Event .*got MixedState"):
+            mixed_implies(worked, OUTCOME, MixedState({"p"}), Event({"x1"}))
+
+    def test_a_non_iterable_is_refused(self, worked):
+        with pytest.raises(ContractError, match=r"mixed state is given as MixedState or an iterable of identifiers, got 3"):
+            mixed_outcome_set(worked, {"e"}, 3)
+
 
 class TestMixedRelations:
     def test_event_orthogonality(self, worked):

@@ -272,6 +272,20 @@ class TestQuantumMachine:
         with pytest.raises(ContractError):
             SphereExperiment((0.5, 0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coordinates_and_angles_rejected(self, bad):
+        # NaN compares false with every bound, so it passed the norm tests
+        with pytest.raises(ContractError, match="coordinates must be finite"):
+            BallState((0.0, bad, 1.0))
+        with pytest.raises(ContractError, match="coordinates must be finite"):
+            SphereExperiment((bad, 0.0, 1.0))
+        for args in ((bad, 0.0), (0.0, bad), (0.0, 0.0, bad)):
+            with pytest.raises(ContractError, match="angles and radius must be finite"):
+                BallState.from_angles(*args)
+        for args in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ContractError, match="angles must be finite"):
+                SphereExperiment.from_angles(*args)
+
 
 class TestBallToHilbert:
     def test_north_pole(self):
