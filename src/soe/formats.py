@@ -15,11 +15,14 @@
     k mu = nu                    # k: small measure name -> big measure name
 
 Identifiers are the entity identifiers (no whitespace, ',', '=', '#', '[',
-']'). Emission is deterministic, so parse(emit(entity)) round-trips.
+']'). A probability value is ASCII digits, then optionally a point and digits,
+then optionally 'e', an optional sign and digits; nothing else is a number.
+Emission is deterministic, so parse(emit(entity)) round-trips.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -27,6 +30,8 @@ from .entity import Entity, check_identifier
 from .errors import EntityValidationError, ParseError
 from .morphism import SubEntityWitness
 from .probability import ProbabilityTable
+
+_PROBABILITY = re.compile(r"[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)?")  # every repr of a float in [0, 1]
 
 
 @dataclass
@@ -165,12 +170,11 @@ def parse_entity(text: str) -> EntityDocument:
                 raise ParseError(
                     "probability lines read '<experiment> <state> <outcome> = value'", line=line_no
                 )
-            try:
-                value = float(rhs)
-            except ValueError:
-                raise ParseError(f"bad probability value {rhs!r}", line=line_no) from None
-            if not 0.0 <= value <= 1.0:
-                raise ParseError(f"probability {value} outside [0, 1]", line=line_no)
+            if not _PROBABILITY.fullmatch(rhs):
+                raise ParseError(f"bad probability value {rhs!r}", line=line_no)
+            value = float(rhs)
+            if value > 1.0:
+                raise ParseError(f"probability {rhs} outside [0, 1]", line=line_no)
             measures[current_measure][tuple(parts)] = value
         elif section == "witness":
             _witness_entry(lhs, rhs, line_no, witness_parts)

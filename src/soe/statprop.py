@@ -8,7 +8,7 @@ testable property is kept as a label so reports can cite a test.
 
 from __future__ import annotations
 
-from .closure import ClosureSystem, _all_closed, _closure_mask, _holder_index, _member_sets, _Order
+from .closure import ClosureSystem, _holder_index, _member_sets, _Order
 from .diagnostics import Diagnostics
 from .entity import Entity, first_equivalent_pair, natural_order
 from .errors import CapacityError, ContractError, UnknownIdentifierError
@@ -34,21 +34,18 @@ class StatePropertySystem:
     identified systems coincides with inclusion of Cartan images.
 
     A system built from masks (`testable_sps`, `global_testable_sps`,
-    `closure_to_sps`) keeps its order of states and the masks that generate
-    its properties by intersection; a testable one keeps its row's holder
-    masks has[x] and is generated by its coatoms, full & ~has[x]. Its
-    `properties`, `actual` and `labels` come from one sweep of those masks
-    (`_member_sets`), run the first time one of them is asked for, unless
-    the builder handed over the listing; `_coatoms` is decoded from `has`
-    and lists nothing.
+    `closure_to_sps`) holds the closure system of its Cartan images on the
+    states, and a testable one also its row's holder masks has[x]: the
+    system is generated by the coatoms full & ~has[x]. Its `properties`,
+    `actual` and `labels` come from one sweep of the system's generator
+    masks (`_member_sets`), run the first time one of them is asked for;
+    `_coatoms`, `_full_outcomes` and `testable_property` read `has` and
+    list nothing.
     """
 
-    __slots__ = (
-        "states", "_properties", "_full_outcomes", "_masks", "_found", "_actual", "_labels", "_coatom_sets",
-        "_images", "_by_image",
-    )
+    __slots__ = ("states", "_properties", "_system", "_has", "_found", "_actual", "_labels", "_images", "_by_image")
 
-    def __init__(self, states, properties, actual, labels=None, _coatoms=None, _full_outcomes=None):
+    def __init__(self, states, properties, actual, labels=None):
         states = frozenset(states)
         properties = frozenset(properties)
         stray = actual.keys() - states
@@ -63,59 +60,53 @@ class StatePropertySystem:
             if stray:
                 raise ContractError(f"state {p!r} lists unknown properties: {sorted(map(str, stray))}")
             fixed[p] = props
-        self._init(states, properties, _full_outcomes, None, None, fixed, dict(labels) if labels else {},
-                   dict(_coatoms) if _coatoms else None)
+        self._init(states, properties, None, None, fixed, dict(labels) if labels else {})
 
     @classmethod
-    def _of_masks(cls, order, has=None, gens=None, found=None) -> "StatePropertySystem":
-        """The identified system whose properties are the intersections of
-        generator masks over `order` (the states), the empty one being every
-        state. A testable system gives `has`, the holder masks has[x] of its
-        row's outcomes, and is generated by its coatoms full & ~has[x];
-        another gives its masks `gens` and, when they are listed, `found`,
-        their intersections as {mask: set}."""
-        if has is None:
-            full_outcomes, labels = None, {}
-        else:
-            full = order.full
-            full_outcomes, labels, gens = frozenset(has), None, {full & ~h for h in has.values()}
+    def _of_system(cls, system: ClosureSystem, has=None) -> "StatePropertySystem":
+        """The identified system whose Cartan images are the members of
+        `system`; a testable one also holds its row's holder masks `has`."""
         sps = object.__new__(cls)
-        sps._init(order.ground, None, full_outcomes, (order, gens, has), found, None, labels, None)
+        sps._init(system.ground, None, system, has, None, {} if has is None else None)
         return sps
 
-    def _init(self, states, properties, full_outcomes, masks, found, actual, labels, coatoms):
+    @classmethod
+    def _of_masks(cls, order, has) -> "StatePropertySystem":
+        """The testable system of the holder masks `has` over `order` (the
+        states), generated by its coatoms full & ~has[x]."""
+        return cls._of_system(ClosureSystem._of_masks(order, {order.full & ~h for h in has.values()}), has)
+
+    def _init(self, states, properties, system, has, actual, labels):
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "_properties", properties)
-        object.__setattr__(self, "_full_outcomes", full_outcomes)
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_found", found)
+        object.__setattr__(self, "_system", system)
+        object.__setattr__(self, "_has", has)
+        object.__setattr__(self, "_found", None)
         object.__setattr__(self, "_actual", actual)
         object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_coatom_sets", coatoms)
         object.__setattr__(self, "_images", None)
         object.__setattr__(self, "_by_image", None)
 
     def _listing(self) -> dict:
         """{mask: set} of every property of a system built from masks, swept
-        from its generator masks on first use."""
+        from its closure system's generator masks on first use."""
         if self._found is None:
-            order, gens, _ = self._masks
-            object.__setattr__(self, "_found", _member_sets(order, gens))
+            object.__setattr__(self, "_found", _member_sets(self._system._order, self._system._gens))
         return self._found
 
     @property
     def properties(self) -> frozenset:
-        """Every property; for kept masks, the listed member sets."""
+        """Every property; for a held system, the listed member sets."""
         if self._properties is None:
             object.__setattr__(self, "_properties", frozenset(self._listing().values()))
         return self._properties
 
     @property
     def actual(self) -> dict:
-        """{state: the properties actual in it}; for kept masks, the listed
-        member sets holding the state, in one pass over them."""
+        """{state: the properties actual in it}; for a held system, the
+        listed member sets holding the state, in one pass over them."""
         if self._actual is None:
-            actual = {p: [] for p in self._masks[0].items}
+            actual = {p: [] for p in self._system._order.items}
             for F in self._listing().values():
                 for p in F:
                     actual[p].append(F)
@@ -127,19 +118,24 @@ class StatePropertySystem:
         """{property: its outcome-set label}; a testable property of mask A
         is labeled {x : A & has[x]}."""
         if self._labels is None:
-            has = self._masks[2]
+            has = self._has
             labels = {F: frozenset([x for x, h in has.items() if A & h]) for A, F in self._listing().items()}
             object.__setattr__(self, "_labels", labels)
         return self._labels
 
     @property
+    def _full_outcomes(self):
+        """The outcomes of a testable system's experiment, else None."""
+        return None if self._has is None else frozenset(self._has)
+
+    @property
     def _coatoms(self):
         """{outcome x: the property of mask full & ~has[x]} of a testable
         system, else None; decoded from the holder masks, listing nothing."""
-        if self._coatom_sets is None and self._full_outcomes is not None and self._masks is not None:
-            order, _, has = self._masks
-            object.__setattr__(self, "_coatom_sets", {x: order.decode(order.full & ~h) for x, h in has.items()})
-        return self._coatom_sets
+        if self._has is None:
+            return None
+        order = self._system._order
+        return {x: order.decode(order.full & ~h) for x, h in self._has.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError("StatePropertySystem is immutable")
@@ -232,17 +228,20 @@ class StatePropertySystem:
 
     def testable_property(self, outcome_set):
         """The identified property a(A) for an outcome subset A (testable
-        systems only): the intersection of the one-outcome-dropped generators
-        outside A."""
-        if self._coatoms is None:
+        systems only): the states holding no outcome outside A, the AND of
+        the coatom masks of those outcomes, decoded once."""
+        has = self._has
+        if has is None:
             raise ContractError("this system was not built from testable properties")
         A = frozenset(outcome_set)
-        if not A <= self._full_outcomes:
-            raise ContractError(f"{natural_order(A - self._full_outcomes)} are not outcomes of this experiment")
-        prop = self.states
-        for x in self._full_outcomes - A:
-            prop = prop & self._coatoms[x]
-        return prop
+        if not A <= has.keys():
+            raise ContractError(f"{natural_order(A - has.keys())} are not outcomes of this experiment")
+        order = self._system._order
+        mask = order.full
+        for x, h in has.items():
+            if x not in A:
+                mask &= ~h
+        return order.decode(mask)
 
     def witness(self, a):
         """The outcome-set label of a property, when one is attached."""
@@ -274,47 +273,32 @@ def testable_sps(entity: Entity, e) -> StatePropertySystem:
 
 
 def sps_to_closure(sps: StatePropertySystem) -> ClosureSystem:
-    """The family of Cartan images, validated as a closure system."""
+    """The family of Cartan images as a closure system: the one a system
+    built from masks holds, else the images validated as a closure system."""
+    if sps._system is not None:
+        return sps._system
     return ClosureSystem(sps.states, {sps.cartan(a) for a in sps.properties})
 
 
 def is_cartan_family(sps: StatePropertySystem, system: ClosureSystem) -> bool:
-    """Whether the Cartan images of sps are exactly the members of system,
-    that is `sps_to_closure(sps) == system`, decided without listing system.
-
-    A system built from masks over system's order keeps the masks that
-    generate its properties, so the families are equal when each side's
-    generators are closed in the other, as in `ClosureSystem.__eq__`:
-    |kept masks| x |generators| mask operations, listing neither side.
-    Otherwise, over the masks of system, the encoded Cartan images must hold
-    the ground, each be closed in system, and stay images when cut by any
-    generator of system: every member of system is the ground cut by some of
-    its generators. That costs |images| x |generators| mask operations.
-    """
-    if sps.states != system.ground:
+    """Whether the Cartan images of sps are exactly the members of system:
+    `sps_to_closure(sps) == system`, False when the images are no closure
+    system. For a system built from masks over system's order that is
+    decided on generators, listing neither side (`ClosureSystem.__eq__`)."""
+    try:
+        return sps_to_closure(sps) == system
+    except ContractError:
         return False
-    order, generators = system._order, system._gens
-    if sps._masks is not None and sps._masks[0].same(order):
-        kept = sps._masks[1]
-        return _all_closed(order.full, generators, kept) and _all_closed(order.full, kept, generators)
-    images = set(map(order.mask, sps._index()))
-    return (
-        order.full in images
-        and all(_closure_mask(order.full, generators, F) == F for F in images)
-        and all(F & g in images for F in images for g in generators)
-    )
 
 
 def closure_to_sps(ground, system: ClosureSystem) -> StatePropertySystem:
     """The state-property system of a closure system: properties are the
     closed sets ordered by inclusion, and a state's actual properties are the
-    closed sets containing it. The system keeps the members' masks over the
-    closure system's own order."""
-    ground = frozenset(ground)
-    if ground != system.ground:
+    closed sets containing it. The system is held as it is; nothing is
+    listed until a property is asked for."""
+    if frozenset(ground) != system.ground:
         raise ContractError("ground set does not match the closure system")
-    order = system._order
-    return StatePropertySystem._of_masks(order, gens=system._gens, found={order.mask(F): F for F in system.members})
+    return StatePropertySystem._of_system(system)
 
 
 def indistinguishable_pair(entity: Entity):

@@ -55,19 +55,23 @@ def test_listed_families_and_testable_systems_stay_traced(spans):
 
 def test_members_counter_counts_only_closure_system_listings(spans):
     """Testable systems sweep their coatoms without listing a ClosureSystem,
-    so `closure.members` does not count them; `closure_to_sps` lists the
-    members of its closure system once, through `intersection_closure`."""
+    so `closure.members` does not count them, and neither does asking the
+    properties of a `closure_to_sps` system, which sweeps the masks of the
+    system it holds; `members` of that system lists once, through
+    `intersection_closure`."""
     entity = deterministic_pair()
     tracer = spans.Tracer()
     try:
         tracer.install()
         soe.statprop.testable_sps(entity, "h")
         soe.statprop.global_testable_sps(entity)
-        assert tracer.counts["closure.intersection_closure.calls"] == 0
-        assert tracer.counts["closure.members"] == 0
         system = soe.closure.eigen_closure_system(three_by_three(), "states")
         sps = soe.statprop.closure_to_sps(system.ground, system)
+        assert sps.properties
+        assert tracer.counts["closure.intersection_closure.calls"] == 0
+        assert tracer.counts["closure.members"] == 0
+        members = system.members
     finally:
         tracer.uninstall()
     assert tracer.counts["closure.intersection_closure.calls"] == 1
-    assert tracer.counts["closure.members"] == len(sps.properties) > 0
+    assert tracer.counts["closure.members"] == len(members) == len(sps.properties) > 0

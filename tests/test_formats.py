@@ -1,8 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from soe.errors import ParseError
+from soe.cli import main
+from soe.errors import ParseError, SoeError
 from soe.examples import three_by_three
 from soe.formats import emit_entity, parse_entity, parse_witness
 from soe.probability import ProbabilityTable
@@ -136,6 +138,39 @@ class TestProbabilitySections:
         with pytest.raises(ParseError, match="bad probability"):
             parse_entity(text)
 
+    @staticmethod
+    def _one_value(literal):
+        """The worked document with one probability line, and that line's number."""
+        text = WORKED_DOC + f"[probability]\ne p x1 = {literal}\n"
+        return text, len(text.splitlines())
+
+    @pytest.mark.parametrize(
+        "literal, value",
+        [("0.5", 0.5), ("1", 1.0), ("1.0", 1.0), ("25e-2", 0.25), ("2.5e-1", 0.25), ("0.5e+0", 0.5),
+         ("1e-05", 1e-05), ("5e-324", 5e-324), ("0.30000000000000004", 0.1 + 0.2), ("1e-400", 0.0)],
+    )
+    def test_the_number_grammar(self, literal, value):
+        text, _ = self._one_value(literal)
+        assert parse_entity(text).measures["mu1"]("e", "p", "x1") == value
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["0.2_5", "1_0", "nan", "inf", "-0.0", "+0.5", ".5", "1.", "1E-3", "1e", "0.5e-", "0x1p-1", "1/2",
+         "\u0660.\u0665", "0.5 0.5"],
+    )
+    def test_other_spellings_are_refused_as_written(self, literal):
+        text, line = self._one_value(literal)
+        with pytest.raises(ParseError) as err:
+            parse_entity(text)
+        assert str(err.value) == f"bad probability value {literal!r} (line {line})"
+
+    @pytest.mark.parametrize("literal", ["1.5", "2", "1e309", "1.0000000000000002"])
+    def test_values_above_one_are_refused_as_written(self, literal):
+        text, line = self._one_value(literal)
+        with pytest.raises(ParseError) as err:
+            parse_entity(text)
+        assert str(err.value) == f"probability {literal} outside [0, 1] (line {line})"
+
 
 class TestWitnessSection:
     def test_witness_parsed(self):
@@ -179,8 +214,6 @@ class TestRoundTrip:
         assert parse_entity(emit_entity(entity)).entity == entity
 
     def test_shipped_fixture_is_the_worked_entity(self):
-        from pathlib import Path
-
         text = (Path(__file__).parent / "fixtures" / "three_by_three.soe").read_text()
         assert parse_entity(text).entity == three_by_three()
 
@@ -208,3 +241,58 @@ class TestRoundTrip:
     def test_emission_deterministic(self):
         entity = three_by_three()
         assert emit_entity(entity) == emit_entity(entity)
+
+
+FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.soe"))
+# characters and chunks an edit inserts: the format's punctuation, number
+# spellings inside and outside the grammar, and whole section lines
+FUZZ_CHUNKS = list("pqex19.,=#[] \n\t_-+") + [
+    "\u0660", "e p x1", "0.5", "1e309", "0.2_5", "nan", "[probability]\n", "[witness]\n", "m p = q\n",
+    "[outcomes]\n", "[entity]\n",
+]
+
+
+def _edit(rng, text):
+    """One random edit: delete, insert or replace at a random character (seven
+    times in ten), or delete, duplicate or swap random lines."""
+    i = rng.randrange(len(text) + 1)
+    op = rng.choice((0, 0, 1, 1, 1, 2, 2, 3, 4, 5))
+    if op == 0:
+        return text[:i] + text[i + 1:]
+    if op == 1:
+        return text[:i] + rng.choice(FUZZ_CHUNKS) + text[i:]
+    if op == 2:
+        return text[:i] + rng.choice(FUZZ_CHUNKS) + text[i + 1:]
+    lines = text.splitlines(keepends=True) or [""]
+    j, k = rng.randrange(len(lines)), rng.randrange(len(lines))
+    if op == 3:
+        del lines[j]
+    elif op == 4:
+        lines.insert(j, lines[k])
+    else:
+        lines[j], lines[k] = lines[k], lines[j]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda path: path.name)
+def test_seeded_edits_of_the_fixtures_fail_only_as_soe_errors(fixture, tmp_path, capsys):
+    """Each fixture under 1-6 seeded random edits: parsing raises nothing but
+    SoeError subclasses, and the commands that read one entity file exit 0-3
+    with no traceback."""
+    rng = random.Random(fixture.name)
+    original = fixture.read_text(encoding="utf-8")
+    edited = tmp_path / fixture.name
+    for _ in range(500):
+        text = original
+        for _ in range(rng.randint(1, 6)):
+            text = _edit(rng, text)
+        try:
+            parse_entity(text)
+        except SoeError:
+            pass
+        edited.write_text(text, encoding="utf-8")
+        for command in ("verify", "classify", "analyze"):
+            code = main([command, str(edited), "--structured"])
+            err = capsys.readouterr().err
+            assert 0 <= code <= 3, (command, text)
+            assert "Traceback" not in err, (command, text)

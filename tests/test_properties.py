@@ -39,7 +39,6 @@ from soe.cli import _closure_checks, _fmt_item, _fmt_member, _sampled_axiom_chec
 from soe.closure import (
     ClosureSystem,
     OrthoSpace,
-    _member_sets,
     _Order,
     eig_central,
     eig_experiments,
@@ -76,6 +75,7 @@ from soe.mixture import (
     mixed_outcome_set,
     mixture_id,
 )
+from soe.probability import ProbabilityTable
 from soe.statprop import (
     StatePropertySystem,
     _prop_key,
@@ -392,10 +392,11 @@ def test_mask_coatoms_and_perps_match_the_definitions(entity, data):
 @SETTINGS
 @given(entities(), st.data())
 def test_derived_fields_equal_their_eager_forms(entity, data):
-    """A testable system's derived actual, labels and coatoms, and the
-    decoded generators and perps, equal the forms built eagerly from
-    frozensets through the public constructors, and answer the same checks;
-    the public constructor's check accepts every entity-built ortho space."""
+    """A testable system's derived actual and labels, and the decoded
+    generators and perps, equal the forms built eagerly from frozensets
+    through the public constructors, and answer the same checks; its derived
+    coatoms are eig(O - {x}); the public constructor's check accepts every
+    entity-built ortho space."""
     couple = data.draw(st.sampled_from(entity.couples()))
     scopes = [(on, scope) for on, scope, _ in _scopes(entity)] + [("outcomes", None), ("outcomes", couple)]
     on, scope = data.draw(st.sampled_from(scopes))
@@ -411,9 +412,9 @@ def test_derived_fields_equal_their_eager_forms(entity, data):
         actual = {p: {F for F in sps.properties if p in F} for p in entity.states}
         labels = {F: frozenset().union(*(entity.outcome_set(e, p) for p in F)) for F in sps.properties}
         full = entity.experiment_outcomes(e)
-        coatoms = {x: eig_states(entity, e, full - {x}) for x in full}
-        built = StatePropertySystem(entity.states, sps.properties, actual, labels, coatoms, full)
-        assert (sps.actual, sps.labels, sps._coatoms) == (built.actual, built.labels, built._coatoms)
+        built = StatePropertySystem(entity.states, sps.properties, actual, labels)
+        assert (sps.actual, sps.labels) == (built.actual, built.labels)
+        assert sps._coatoms == {x: eig_states(entity, e, full - {x}) for x in full}
         assert sps == built
         assert validate_sps(sps) == validate_sps(built)
         for scoped in (eigen_closure_system(entity, "states", e), eigen_closure_system(entity, "states")):
@@ -432,9 +433,7 @@ def test_cartan_check_on_generators_is_equality_of_the_listed_families(entity):
     systems.append(eigen_closure_system(entity, "states"))
     for e in sorted(entity.experiments):
         listed = testable_sps(entity, e)
-        rebuilt = StatePropertySystem(
-            entity.states, listed.properties, listed.actual, listed.labels, listed._coatoms, listed._full_outcomes
-        )
+        rebuilt = StatePropertySystem(entity.states, listed.properties, listed.actual, listed.labels)
         for system in systems:
             kept = testable_sps(entity, e)
             assert is_cartan_family(kept, system) == (sps_to_closure(listed) == system)
@@ -1036,17 +1035,17 @@ KEPT_FIELDS = ("properties", "actual", "labels", "_coatoms")
 def test_kept_mask_systems_list_the_same_whichever_field_is_asked_first(entity, data):
     """A testable system, of one experiment or of the total mixed experiment,
     lists nothing when it is built; its properties, actual, labels and
-    coatoms, asked in any order, equal those of the same system listed when
-    built, whose coatoms are read from the listing."""
+    coatoms, asked in any order, equal those of the same system listed
+    before any of them is asked, whose coatoms are read from the listing."""
     builds = [lambda e=e: testable_sps(entity, e) for e in sorted(entity.experiments)]
     if is_distinguishable(entity):
         builds.append(lambda: global_testable_sps(entity))
     sps = data.draw(st.sampled_from(builds))()
     assert sps._found is None
     asked = {name: getattr(sps, name) for name in data.draw(st.permutations(KEPT_FIELDS))}
-    order, gens, has = sps._masks
-    found = _member_sets(order, gens)
-    listed = StatePropertySystem._of_masks(order, has, found=found)
+    order, has = sps._system._order, sps._has
+    listed = StatePropertySystem._of_masks(order, has)
+    found = listed._listing()
     assert asked == {name: getattr(listed, name) for name in KEPT_FIELDS}
     assert asked["_coatoms"] == {x: found[order.full & ~h] for x, h in has.items()}
     assert sps == listed
@@ -1125,6 +1124,29 @@ def test_mask_sampler_matches_the_frozenset_sampler(named_systems, mutation, see
 @given(named_entities())
 def test_parse_inverts_emit(entity):
     assert parse_entity(emit_entity(entity)).entity == entity
+
+
+@st.composite
+def measured_entities(draw):
+    """An entity and up to three probability tables on its triples, each
+    value any float in (0, 1] (a zero is not stored)."""
+    entity = draw(named_entities())
+    triples = [(e, p, x) for (e, p), cell in entity.cells() for x in sorted(cell)]
+    value = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    names = draw(st.lists(IDENTIFIERS, max_size=3, unique=True))
+    tables = {name: draw(st.dictionaries(st.sampled_from(triples), value)) for name in names}
+    return entity, {name: ProbabilityTable(table) for name, table in tables.items()}
+
+
+@SETTINGS
+@given(measured_entities())
+def test_parse_inverts_emit_with_measures(drawn):
+    """Every value emit_entity writes reads back as the same float, bit for bit."""
+    entity, measures = drawn
+    doc = parse_entity(emit_entity(entity, measures))
+    assert doc.entity == entity
+    bits = lambda tables: {n: {k: v.hex() for k, v in t.entries.items()} for n, t in tables.items()}  # noqa: E731
+    assert bits(doc.measures) == bits(measures)
 
 
 # identifiers, keys and values of every section, the reserved punctuation, and

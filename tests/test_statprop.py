@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from soe.closure import ClosureSystem, _holder_index, _Order, eig_states, eigen_closure_system, intersection_closure
+from soe.closure import (
+    ClosureSystem,
+    _holder_index,
+    _member_sets,
+    _Order,
+    eig_states,
+    eigen_closure_system,
+    intersection_closure,
+)
 from soe.entity import Entity, RelationKind, implies
 from soe.errors import CapacityError, ContractError, EntityValidationError, UnknownIdentifierError
 from soe.examples import deterministic_pair, three_by_three
@@ -24,7 +32,7 @@ from soe.statprop import (
 )
 
 from conftest import random_distinguishable_entity, random_entity
-from oracles import powerset
+from oracles import brute_intersection_closure, powerset
 
 
 def fs(*members):
@@ -56,10 +64,20 @@ class TestTestableSps:
             sps.testable_property({"y1"})
 
     def test_testable_property_matches_eig(self, worked):
-        for e in sorted(worked.experiments):
-            sps = testable_sps(worked, e)
-            for A in powerset(worked.experiment_outcomes(e)):
-                assert sps.testable_property(A) == eig_states(worked, e, A)
+        rng = random.Random(48)
+        for entity in [worked] + [random_entity(rng, 4, 3, 5) for _ in range(5)]:
+            for e in sorted(entity.experiments):
+                sps = testable_sps(entity, e)
+                full = entity.experiment_outcomes(e)
+                for A in powerset(full):
+                    assert sps.testable_property(A) == eig_states(entity, e, A)
+                for stray in sorted(entity.outcomes - full):
+                    A = {stray} | set(sorted(full)[:1])
+                    with pytest.raises(ContractError):
+                        eig_states(entity, e, A)
+                    with pytest.raises(ContractError) as err:
+                        sps.testable_property(A)
+                    assert str(err.value) == f"{[stray]} are not outcomes of this experiment"
 
     def test_witness_labels_regenerate_property(self, worked):
         for e in sorted(worked.experiments):
@@ -216,6 +234,29 @@ class TestClosureCorrespondence:
         assert seen == {True, False}
         worked_sps = testable_sps(three_by_three(), "e")
         assert not is_cartan_family(worked_sps, eigen_closure_system(deterministic_pair(), "states", "h"))
+
+    def test_a_ground_over_the_cap_is_held_without_listing(self, monkeypatch):
+        ground = [f"s{i:02}" for i in range(30)]
+        generators = [ground[:20], ground[10:], ground[5:25], ground[::2], ground[1::2]]
+        system = ClosureSystem.generated(ground, generators)
+        sweeps = []
+
+        def counted(order, gens):
+            sweeps.append(order)
+            return _member_sets(order, gens)
+
+        monkeypatch.setattr("soe.statprop._member_sets", counted)
+        sps = closure_to_sps(ground, system)
+        assert sweeps == []
+        members = brute_intersection_closure(ground, [map(frozenset, generators)])
+        assert sps.properties == members
+        assert sps.actual == {p: frozenset(F for F in members if p in F) for p in ground}
+        for F in members:
+            assert cartan(sps, F) == F
+        assert len(sweeps) == 1
+        assert sps_to_closure(sps) is system and is_cartan_family(sps, system)
+        with pytest.raises(CapacityError):
+            system.members
 
     def test_ground_mismatch_rejected(self, worked):
         system = eigen_closure_system(worked, "states")
