@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import and_, or_
 from types import MappingProxyType
 
 from .diagnostics import Diagnostics
@@ -98,7 +98,7 @@ class ClosureSystem:
         """The system generated by the masks `gens` over `order`."""
         system = object.__new__(cls)
         system._init(order, gens, None)
-        if _closure_mask(order.full, gens, 0):
+        if reduce(and_, gens, order.full):
             raise ContractError("a closure system must contain the empty set")
         return system
 

@@ -114,6 +114,7 @@ def parse_entity(text: str) -> EntityDocument:
     """Parse a document; raises ParseError carrying the offending line."""
     declared: dict = {}  # "states" | "experiments" | "outcomes" -> set of identifiers
     declared_line: dict = {}  # the same keys -> line of the declaration
+    header_line: dict = {}  # section name -> line of its first header
     cells: dict = {}
     seen_outcomes: set = set()  # outcomes of the cells so far, each checked once
     measures: dict = {}
@@ -127,6 +128,7 @@ def parse_entity(text: str) -> EntityDocument:
         if line.startswith("["):
             header = _section_header(line, line_no)
             section = header[0]
+            header_line.setdefault(section, line_no)
             if section == "probability":
                 current_measure = header[1] if len(header) > 1 else f"mu{len(measure_order) + 1}"
                 if current_measure in measures:
@@ -181,21 +183,25 @@ def parse_entity(text: str) -> EntityDocument:
 
     states, experiments = declared.get("states"), declared.get("experiments")
     if not states or not experiments:
-        raise ParseError("the [entity] section must declare states and experiments")
+        raise ParseError(
+            "the [entity] section must declare states and experiments", line=header_line.get("entity", 1)
+        )
     missing = [
         (e, p) for e in sorted(experiments) for p in sorted(states) if (e, p) not in cells
     ]
     if missing:
-        raise ParseError(f"missing outcome cell for {missing[0]}" + (
-            f" and {len(missing) - 1} more" if len(missing) > 1 else ""
-        ))
+        raise ParseError(
+            f"missing outcome cell for {missing[0]}"
+            + (f" and {len(missing) - 1} more" if len(missing) > 1 else ""),
+            line=header_line.get("outcomes", header_line["entity"]),
+        )
     never = sorted(declared.get("outcomes", set()).difference(*cells.values()))
     if never:
         raise ParseError(f"outcomes {never} are declared but never possible", line=declared_line["outcomes"])
     try:
         entity = Entity(states, experiments, cells, outcomes=declared.get("outcomes"))
     except EntityValidationError as err:
-        raise ParseError(str(err)) from err
+        raise ParseError(str(err), line=header_line["entity"]) from err
 
     document = EntityDocument(entity=entity, measure_map=measure_map)
     for name in measure_order:

@@ -516,6 +516,35 @@ def pauli_axis_families() -> list:
     return list(_pauli_axis_families())
 
 
+@functools.cache
+def _standard_ray_min_residual(side: int) -> float:
+    """The least, over a side x side grid of rays in (theta, phi), of the
+    largest gap between the ray's probability and the antisymmetric ray
+    state's for any outcome of the lifted Pauli probes. It reads no draw, so
+    each grid size is searched once per process."""
+    target = singlet_density()
+    # each (projection, target) pair is one probe outcome and the probability
+    # the singlet gives its lifted projection
+    (P0, p0), *rest = [
+        (P, _born(target, lifted_P))
+        for probe in _pauli_axis_families()
+        for P, lifted_P in zip(probe.projections, lift_experiment(probe, 2).projections)
+    ]
+    phis = np.linspace(0.0, 2 * np.pi, side, endpoint=False)
+    thetas = np.linspace(0.0, np.pi, side)[:, None]
+    best = np.inf
+    # RAY_BLOCK theta rows of rays at a time; each ray's arithmetic is
+    # that of a one-row evaluation, so the residuals do not depend on it
+    for start in range(0, side, RAY_BLOCK):
+        kets = np.moveaxis(ray_from_angles(thetas[start:start + RAY_BLOCK], phis), 0, -1)
+        densities = _rank_one(kets)
+        residual = np.abs(_born(densities, P0) - p0)
+        for P, p in rest:
+            np.maximum(residual, np.abs(_born(densities, P) - p), out=residual)
+        best = min(best, float(residual.min()))
+    return best
+
+
 def verify_cq_sub_entity(
     n_sys: int,
     n_env: int,
@@ -538,6 +567,8 @@ def verify_cq_sub_entity(
     is reported). The grid has round(√ray_candidates) points in θ and as many
     in φ, so round(√ray_candidates)² rays, the count reported as
     `details["ray_candidates"]`: 1000 searches 1024 rays and 2 searches one.
+    The search reads no draw, so each grid size is searched once per process,
+    and each call compares that residual with its own `failure_threshold`.
     `samples` must be at least 1, or at least 0 in the two-qubit case, which
     always adds the antisymmetric ray state; anything less is refused before
     any draw. In the two-qubit case `ray_candidates` must be at least 1, also
@@ -607,29 +638,9 @@ def verify_cq_sub_entity(
     diag.record("completed.morphism_contract", contract.passed, "; ".join(contract.failures))
 
     if two_qubits:
-        # the probes are the last families; each (projection, target) pair
-        # is one probe outcome and the probability the singlet gives it
-        target = singlet_density()
-        outcomes = [
-            (P, _born(target, lifted_P))
-            for probe, lifted in zip(probes, lifted_families[-len(probes):])
-            for P, lifted_P in zip(probe.projections, lifted.projections)
-        ]
         side = int(round(np.sqrt(ray_candidates)))
-        phis = np.linspace(0.0, 2 * np.pi, side, endpoint=False)
-        thetas = np.linspace(0.0, np.pi, side)[:, None]
-        best = np.inf
-        (P0, p0), *rest = outcomes
-        # RAY_BLOCK theta rows of rays at a time; each ray's arithmetic is
-        # that of a one-row evaluation, so the residuals do not depend on it
-        for start in range(0, side, RAY_BLOCK):
-            kets = np.moveaxis(ray_from_angles(thetas[start:start + RAY_BLOCK], phis), 0, -1)
-            densities = _rank_one(kets)
-            residual = np.abs(_born(densities, P0) - p0)
-            for P, p in rest:
-                np.maximum(residual, np.abs(_born(densities, P) - p), out=residual)
-            best = min(best, float(residual.min()))
-        diag.details["standard_ray_min_residual"] = float(best)
+        best = _standard_ray_min_residual(side)
+        diag.details["standard_ray_min_residual"] = best
         diag.details["ray_candidates"] = side * side
         diag.record(
             "standard.no_ray_reproduces_entangled_state",

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+import soe.formats
 from soe.cli import main
-from soe.errors import ParseError, SoeError
+from soe.errors import EntityValidationError, ParseError, SoeError
 from soe.examples import three_by_three
 from soe.formats import emit_entity, parse_entity, parse_witness
 from soe.probability import ProbabilityTable
@@ -85,11 +86,29 @@ class TestParsing:
              r"outcome identifier 'y z' .* \(line 6\)"),
             ("[entity]\nstates = p\nexperiments = e\noutcomes = x, ghost\n[outcomes]\ne p = x\n",
              r"outcomes \['ghost'\] are declared but never possible \(line 4\)"),
+            # whole-document refusals cite the header of the section at fault
+            ("[entity]\nstates = p, q\nexperiments = e\n\n[outcomes]\ne p = x\n",
+             r"missing outcome cell for \('e', 'q'\) \(line 5\)"),
+            ("# no cells\n[entity]\nstates = p, q\nexperiments = e\n",
+             r"missing outcome cell for \('e', 'p'\) and 1 more \(line 2\)"),
+            ("\n[entity]\nstates = p\n", r"must declare states and experiments \(line 2\)"),
+            ("# comment\n[witness]\nm p = q\n", r"must declare states and experiments \(line 1\)"),
+            ("", r"must declare states and experiments \(line 1\)"),
         ],
     )
     def test_malformed_line_rejected_with_line(self, text, message):
         with pytest.raises(ParseError, match=message):
             parse_entity(text)
+
+    def test_entity_refusal_cites_the_entity_header(self, monkeypatch):
+        # the parser checks every rule of Entity itself, so only an Entity
+        # that adds a rule reaches this refusal
+        def refuse(*args, **kwargs):
+            raise EntityValidationError("a new rule")
+
+        monkeypatch.setattr(soe.formats, "Entity", refuse)
+        with pytest.raises(ParseError, match=r"^a new rule \(line 3\)$"):
+            parse_entity(WORKED_DOC)
 
     def test_content_before_section(self):
         with pytest.raises(ParseError, match="before the first section"):
@@ -288,6 +307,8 @@ def test_seeded_edits_of_the_fixtures_fail_only_as_soe_errors(fixture, tmp_path,
             text = _edit(rng, text)
         try:
             parse_entity(text)
+        except ParseError as err:
+            assert err.line is not None, (str(err), text)
         except SoeError:
             pass
         edited.write_text(text, encoding="utf-8")

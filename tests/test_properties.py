@@ -689,7 +689,7 @@ def _generated(ground, generators):
     """The generated system, with the empty set added to generators whose
     intersection is not empty (`generated` refuses those), and its generators."""
     if frozenset(ground).intersection(*generators):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="must contain the empty set"):
             ClosureSystem.generated(ground, generators)
         generators = generators + [frozenset()]
     return ClosureSystem.generated(ground, generators), generators

@@ -547,6 +547,19 @@ class TestEntityBridge:
         assert validate_measure(entity, measure).passed
 
 
+@pytest.fixture
+def cold_ray_search():
+    """An empty ray-search cache before and after the test, so that a patched
+    soe.quantum neither reads a search made before it nor leaves one behind."""
+    soe.quantum._standard_ray_min_residual.cache_clear()
+    yield
+    soe.quantum._standard_ray_min_residual.cache_clear()
+
+
+def _outcome(diag) -> tuple:
+    return repr(diag.details), diag.checks, diag.failures, diag._overflow
+
+
 class TestSubEntityDemonstration:
     def test_product_samples_pass_both_descriptions(self):
         rng = np.random.default_rng(105)
@@ -627,7 +640,7 @@ class TestSubEntityDemonstration:
         assert batch.shape == (count, n, n)
         assert all(np.array_equal(W, V) for W, V in zip(batch, expected))
 
-    def test_too_few_samples_refused_before_any_draw(self, monkeypatch):
+    def test_too_few_samples_refused_before_any_draw(self, cold_ray_search, monkeypatch):
         def no_draw(*args):
             raise AssertionError("drew before refusing")
 
@@ -637,7 +650,7 @@ class TestSubEntityDemonstration:
             with pytest.raises(ContractError, match="samples"):
                 verify_cq_sub_entity(n_sys, n_env, samples=samples)
 
-    def test_no_ray_candidates_refused_before_any_draw(self, monkeypatch):
+    def test_no_ray_candidates_refused_before_any_draw(self, cold_ray_search, monkeypatch):
         def no_draw(*args):
             raise AssertionError("drew before refusing")
 
@@ -647,6 +660,40 @@ class TestSubEntityDemonstration:
             with pytest.raises(ContractError) as err:
                 verify_cq_sub_entity(2, 2, ray_candidates=count)
             assert str(err.value) == f"ray_candidates must be at least 1 for 2 x 2, got {count}"
+
+    def test_ray_search_runs_once_per_grid_size(self, cold_ray_search, monkeypatch):
+        blocks = []
+        monkeypatch.setattr(soe.quantum, "ray_from_angles", lambda *a: blocks.append(a) or ray_from_angles(*a))
+        calls = [
+            dict(seed=3, samples=5, ray_candidates=400),
+            dict(seed=11, samples=0, tol=1e-6, ray_candidates=400),
+            dict(seed=3, samples=20, tol=-1.0, ray_candidates=400),
+            dict(seed=3, samples=5, ray_candidates=401),  # rounds to the same 20 x 20 grid
+        ]
+        residuals = [verify_cq_sub_entity(2, 2, **kwargs).details["standard_ray_min_residual"] for kwargs in calls]
+        assert len(blocks) == 2  # 20 theta rows, RAY_BLOCK = 10 rows per block: one search
+        info = soe.quantum._standard_ray_min_residual.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert all(r.hex() == residuals[0].hex() for r in residuals)
+        # the verdict compares the cached residual with each call's threshold
+        strict = verify_cq_sub_entity(2, 2, samples=5, seed=3, ray_candidates=400, failure_threshold=0.5)
+        assert len(blocks) == 2
+        assert strict.checks["standard.no_ray_reproduces_entangled_state"] is False
+        assert strict.failures == [
+            f"standard.no_ray_reproduces_entangled_state: a candidate ray came within {residuals[0]:.3g}"
+        ]
+        verify_cq_sub_entity(2, 2, samples=0, ray_candidates=100)
+        assert len(blocks) == 3  # a new grid size is a new search
+
+    def test_cold_and_warm_searches_report_the_same(self):
+        for n_sys, n_env in ((2, 2), (2, 3), (3, 2)):
+            for seed in (0, 7, 42):
+                for samples in ((0, 5) if n_sys == n_env == 2 else (5,)):
+                    for tol in (1e-9, -1.0):
+                        soe.quantum._standard_ray_min_residual.cache_clear()
+                        cold = verify_cq_sub_entity(n_sys, n_env, samples=samples, seed=seed, tol=tol)
+                        warm = verify_cq_sub_entity(n_sys, n_env, samples=samples, seed=seed, tol=tol)
+                        assert _outcome(cold) == _outcome(warm), (n_sys, n_env, seed, samples, tol)
 
     def test_one_ray_candidate_is_searched(self):
         diag = verify_cq_sub_entity(2, 2, samples=0, seed=5, ray_candidates=1)
