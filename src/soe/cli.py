@@ -152,10 +152,10 @@ def cmd_closures(args) -> int:
     report.heading(
         f"{args.kind} closure system on {args.on}" + (f" scoped to {scope}" if scope else "")
     )
-    report.row("closures.kind", args.kind, f"  kind = {args.kind}")
-    report.row("closures.on", args.on, f"  on = {args.on}")
+    report.row("closures.kind", args.kind)
+    report.row("closures.on", args.on)
     if scope:
-        report.row("closures.scope", scope, f"  scope = {scope}")
+        report.row("closures.scope", scope)
     report.row("closures.size", len(system.members), f"  members: {len(system.members)}")
     for i, member in enumerate(system.sorted_members()):
         report.row(f"closures.member.{i}", _fmt_member(member), f"  {_fmt_member(member)}")
@@ -172,7 +172,7 @@ def cmd_classify(args) -> int:
     report = Report(args.structured)
     report.heading("classification")
     for name, flag in result.flags().items():
-        report.row(f"classify.{name}", str(flag).lower(), f"  {name} = {str(flag).lower()}")
+        report.row(f"classify.{name}", str(flag).lower())
     for name in sorted(result.witnesses):
         witness = result.witnesses[name]
         if name == "d_classical":

@@ -337,12 +337,17 @@ def eig_experiments(entity: Entity, p, A) -> frozenset:
     return frozenset(e for e in entity.experiments if entity.outcome_set(e, p) <= A)
 
 
-def eig_central(entity: Entity, A) -> frozenset:
-    """Couples (e, p) certain to yield an outcome in A."""
+def _known_outcomes(entity: Entity, A) -> frozenset:
     A = frozenset(A)
     stray = A - entity.outcomes
     if stray:
         raise ContractError(f"unknown outcomes: {natural_order(stray)}")
+    return A
+
+
+def eig_central(entity: Entity, A) -> frozenset:
+    """Couples (e, p) certain to yield an outcome in A."""
+    A = _known_outcomes(entity, A)
     return frozenset(couple for couple, cell in entity.cells() if cell <= A)
 
 
@@ -521,20 +526,14 @@ def state_trace(system: ClosureSystem) -> ClosureSystem:
 
 def outcome_closure(entity: Entity, A) -> frozenset:
     """cl(A): the intersection of the complements of all cells disjoint from A."""
-    A = frozenset(A)
-    stray = A - entity.outcomes
-    if stray:
-        raise ContractError(f"unknown outcomes: {natural_order(stray)}")
+    A = _known_outcomes(entity, A)
     covered = frozenset().union(*(cell for cell in entity._table.values() if not cell & A))
     return entity.outcomes - covered
 
 
 def outcome_interior(entity: Entity, A) -> frozenset:
     """int(A): the union of the cells contained in A (complement of cl of the complement)."""
-    A = frozenset(A)
-    stray = A - entity.outcomes
-    if stray:
-        raise ContractError(f"unknown outcomes: {natural_order(stray)}")
+    A = _known_outcomes(entity, A)
     return frozenset().union(*(cell for cell in entity._table.values() if cell <= A))
 
 

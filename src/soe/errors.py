@@ -36,10 +36,6 @@ class ConsistencyError(SoeError):
 class ParseError(SoeError):
     """Entity document could not be parsed; carries the offending location."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
+        super().__init__(message + (f" (line {line})" if line is not None else ""))

@@ -6,7 +6,6 @@ entity materialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 
 from .entity import Entity, RelationKind, natural_order, relation_views, view_implies
 from .errors import CapacityError, ContractError, EntityValidationError
@@ -14,62 +13,65 @@ from .errors import CapacityError, ContractError, EntityValidationError
 FULL_MIXED_BUDGET = 2**16  # cap on 2^|states| * 2^|experiments|
 
 
-def _as_base(entity_set, sub, what, mixture_type) -> frozenset:
-    if isinstance(sub, mixture_type):
-        sub = sub.base
-    elif isinstance(sub, str):
-        sub = {sub}
-    elif isinstance(sub, (MixedState, MixedExperiment, Event)) or not hasattr(sub, "__iter__"):
-        raise ContractError(f"a mixed {what} is given as {mixture_type.__name__} or an iterable of identifiers, got {sub!r}")
-    base = frozenset(sub)
-    if not base:
-        raise ContractError(f"a mixed {what} needs a nonempty base set")
-    stray = base - entity_set
-    if stray:
-        raise ContractError(f"mixed {what} base contains unknown identifiers: {natural_order(stray)}")
-    return base
+class _Mixture:
+    """The one reading of a mixture's base: a mixture of the same kind, one
+    identifier (a bare `str`), or an iterable of identifiers."""
+
+    def __init__(self, base):
+        if isinstance(base, type(self)):
+            base = base.base
+        elif isinstance(base, str):
+            base = (base,)
+        elif isinstance(base, _Mixture) or not hasattr(base, "__iter__"):
+            raise ContractError(
+                f"a mixed {self._what} is given as {type(self).__name__} or an iterable of identifiers, got {base!r}"
+            )
+        object.__setattr__(self, "base", frozenset(base))
 
 
-@dataclass(frozen=True)
-class MixedState:
+@dataclass(frozen=True, init=False)
+class MixedState(_Mixture):
     """Lack of knowledge about the state: the entity is in one state of `base`."""
 
     base: frozenset
-
-    def __init__(self, base):
-        object.__setattr__(self, "base", frozenset(base))
+    _what = "state"
 
 
-@dataclass(frozen=True)
-class MixedExperiment:
+@dataclass(frozen=True, init=False)
+class MixedExperiment(_Mixture):
     """Lack of knowledge about the experiment: one experiment of `base` is performed."""
 
     base: frozenset
-
-    def __init__(self, base):
-        object.__setattr__(self, "base", frozenset(base))
+    _what = "experiment"
 
 
-@dataclass(frozen=True)
-class Event:
+@dataclass(frozen=True, init=False)
+class Event(_Mixture):
     """Lack of knowledge about the outcome: one outcome of `base` occurred."""
 
     base: frozenset
+    _what = "event"
 
-    def __init__(self, base):
-        object.__setattr__(self, "base", frozenset(base))
+
+def _as_base(entity_set, mixture) -> frozenset:
+    if not mixture.base:
+        raise ContractError(f"a mixed {mixture._what} needs a nonempty base set")
+    stray = mixture.base - entity_set
+    if stray:
+        raise ContractError(f"mixed {mixture._what} base contains unknown identifiers: {natural_order(stray)}")
+    return mixture.base
 
 
 def _coerce_states(entity: Entity, value) -> frozenset:
-    return _as_base(entity.states, value, "state", MixedState)
+    return _as_base(entity.states, MixedState(value))
 
 
 def _coerce_experiments(entity: Entity, value) -> frozenset:
-    return _as_base(entity.experiments, value, "experiment", MixedExperiment)
+    return _as_base(entity.experiments, MixedExperiment(value))
 
 
 def _coerce_event(entity: Entity, value) -> frozenset:
-    return _as_base(entity.outcomes, value, "event", Event)
+    return _as_base(entity.outcomes, Event(value))
 
 
 def _grid(entity: Entity, experiments, states) -> list:
@@ -141,11 +143,20 @@ def mixed_orthogonal(entity: Entity, kind: RelationKind, a, b) -> bool:
     return orthogonal(view(a), view(b))
 
 
-def _nonempty_subsets(items):
-    items = sorted(items)
-    return [
-        frozenset(c) for c in chain.from_iterable(combinations(items, r) for r in range(1, len(items) + 1))
-    ]
+def _doubled(singles, union) -> list:
+    """The value of every nonempty subset of some sorted items, given the
+    values of the single items: each item appends itself, then its `union`
+    with every value listed so far, so subset P, a bit mask over the items,
+    is at index P - 1 (the order of `statprop._total_row`) and costs one
+    `union` whatever its size."""
+    values = []
+    for single in singles:
+        values += [single, *[union(value, single) for value in values]]
+    return values
+
+
+def _unite(u, v) -> tuple:
+    return tuple(map(frozenset.union, u, v))
 
 
 def _guard_budget(entity: Entity, budget: int) -> None:
@@ -181,8 +192,7 @@ def is_supremum(entity: Entity, candidate, family, budget: int = FULL_MIXED_BUDG
     if not family_views:
         raise ContractError("the supremum predicate needs a nonempty family")
     upper = view(candidate)
-    for b in _nonempty_subsets(ground):
-        u = view(b)
+    for u in _doubled([view((g,)) for g in sorted(ground)], _unite):
         if all(view_implies(a, u) for a in family_views) != view_implies(upper, u):
             return False
     return True
@@ -200,30 +210,6 @@ def mixture_id(base) -> str:
     return "+".join(sorted(atoms))
 
 
-def _mixtures(items) -> list:
-    """(bit mask over the sorted items, mixture_id) of every nonempty subset
-    of `items`, in the order of `_nonempty_subsets`."""
-    items = sorted(items)
-    return [
-        (sum(1 << i for i in c), mixture_id(items[i] for i in c))
-        for r in range(1, len(items) + 1)
-        for c in combinations(range(len(items)), r)
-    ]
-
-
-def _subset_unions(singles, masks, union=frozenset.union) -> list:
-    """The value of every mixture in `masks` order (the bit masks of
-    `_mixtures`, singletons first), given the values of the single items in
-    sorted order: each larger mixture joins the value of the mixture without
-    its lowest item with the value of that item, so a mixture costs one
-    `union` whatever its size."""
-    position = {P: k for k, P in enumerate(masks)}
-    values = list(singles)
-    for P in masks[len(values):]:
-        values.append(union(values[position[P & (P - 1)]], values[position[P & -P]]))
-    return values
-
-
 def full_mixed_entity(entity: Entity, budget: int = FULL_MIXED_BUDGET) -> Entity:
     """The entity whose states/experiments are all nonempty subsets of the
     original ones, with outcome table given by mixed outcome sets.
@@ -233,28 +219,27 @@ def full_mixed_entity(entity: Entity, budget: int = FULL_MIXED_BUDGET) -> Entity
     mixture over the union of their bases (same minted identifier, same row),
     so the construction is idempotent up to identifiers.
 
-    Each mixed cell is the union of two smaller ones (`_subset_unions`): a
-    mixture over several experiments splits off its lowest experiment, and
-    over one experiment a mixture over several states splits off its lowest
-    state. The budget caps 2^|states| * 2^|experiments|, just above the
+    Each mixed cell is the union of two smaller ones (`_doubled`): a
+    mixture over several experiments splits off its highest experiment, and
+    over one experiment a mixture over several states splits off its highest
+    state. A collision is reported at the first conflicting cell in bit-mask
+    order. The budget caps 2^|states| * 2^|experiments|, just above the
     (2^|states| - 1) * (2^|experiments| - 1) cells built, so it matches the
     work.
     """
     _guard_budget(entity, budget)
     experiments, states = sorted(entity.experiments), sorted(entity.states)
-    state_ids, experiment_ids = _mixtures(states), _mixtures(experiments)
-    state_masks = [P for P, _ in state_ids]
-    plain_rows = [_subset_unions([entity._table[(e, p)] for p in states], state_masks) for e in experiments]
-    rows = _subset_unions(
-        plain_rows, [E for E, _ in experiment_ids], lambda u, v: list(map(frozenset.union, u, v))
+    state_ids, experiment_ids = (
+        [mixture_id(P) for P in _doubled([(i,) for i in items], tuple.__add__)] for items in (states, experiments)
     )
+    rows = _doubled([_doubled([entity._table[(e, p)] for p in states], frozenset.union) for e in experiments], _unite)
     table = {}
-    for (_, eid), row in zip(experiment_ids, rows):
-        for (_, pid), cell in zip(state_ids, row):
+    for eid, row in zip(experiment_ids, rows):
+        for pid, cell in zip(state_ids, row):
             previous = table.setdefault((eid, pid), cell)
             if previous != cell:
                 raise EntityValidationError(
                     f"minted identifier collision with conflicting rows at ({eid}, {pid}); "
                     "rename base identifiers containing '+'"
                 )
-    return Entity({pid for _, pid in state_ids}, {eid for _, eid in experiment_ids}, table)
+    return Entity(set(state_ids), set(experiment_ids), table)

@@ -231,6 +231,7 @@ def verify_sps_morphism(sps: StatePropertySystem, sps_big: StatePropertySystem, 
 def morphism_from_continuous_map(system_small, system_big, m: dict) -> SpsMorphism:
     """Build the (m, n) couple with n the preimage map on closed sets; valid
     whenever m is continuous (preimages of closed sets are closed)."""
+    _require_total(m, system_big.ground, "the state map")
     n = {}
     for F in system_small.members:
         preimage = frozenset(p for p in system_big.ground if m[p] in F)

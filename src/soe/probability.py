@@ -115,16 +115,14 @@ def validate_measure(entity: Entity, table: ProbabilityTable, tol: float = NORMA
 
 def event_probability(entity: Entity, table: ProbabilityTable, e, p, event) -> float:
     """Probability of the event: the sum over its outcomes inside O(e, p)."""
-    A = event.base if isinstance(event, Event) else frozenset(event)
+    A = Event(event).base
     cell = entity.outcome_set(e, p)
     return sum(table(e, p, x) for x in sorted(A & cell))
 
 
 def mixed_probability(entity: Entity, table: ProbabilityTable, experiments, states, event) -> float:
     """Value of the measure on a mixed triple, derived by summation over atoms."""
-    E = experiments.base if isinstance(experiments, MixedExperiment) else frozenset(experiments)
-    P = states.base if isinstance(states, MixedState) else frozenset(states)
-    A = event.base if isinstance(event, Event) else frozenset(event)
+    E, P, A = MixedExperiment(experiments).base, MixedState(states).base, Event(event).base
     return sum(
         table(e, p, x)
         for e in sorted(E)
@@ -140,9 +138,9 @@ def mixed_additivity_check(entity: Entity, table: ProbabilityTable, experiment_f
     Raises if any family is not pairwise orthogonal (that is the identity's
     hypothesis, not a diagnostic).
     """
-    exps = [MixedExperiment(f.base if isinstance(f, MixedExperiment) else f) for f in experiment_family]
-    stas = [MixedState(f.base if isinstance(f, MixedState) else f) for f in state_family]
-    evts = [Event(f.base if isinstance(f, Event) else f) for f in event_family]
+    exps = [MixedExperiment(f) for f in experiment_family]
+    stas = [MixedState(f) for f in state_family]
+    evts = [Event(f) for f in event_family]
     if not (exps and stas and evts):
         raise ContractError("all three families must be nonempty")
     for pool, kind in (

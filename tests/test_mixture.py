@@ -57,6 +57,21 @@ class TestMixedOutcomeSet:
         with pytest.raises(ContractError, match=r"mixed state is given as MixedState or an iterable of identifiers, got 3"):
             mixed_outcome_set(worked, {"e"}, 3)
 
+    def test_each_constructor_reads_a_base_one_way(self):
+        assert MixedState(MixedState({"p", "q"})) == MixedState(["q", "p"])
+        assert MixedExperiment("e").base == {"e"}
+        with pytest.raises(ContractError, match=r"^a mixed event is given as Event or an iterable of identifiers, got MixedState"):
+            Event(MixedState({"p"}))
+        with pytest.raises(ContractError, match=r"^a mixed experiment is given as MixedExperiment or an iterable of identifiers, got 3$"):
+            MixedExperiment(3)
+
+    def test_a_bare_string_is_one_identifier(self):
+        entity = Entity({"p", "q"}, {"h"}, {("h", "p"): {"x"}, ("h", "q"): {"y"}})
+        assert MixedState("pq").base == {"pq"}
+        assert MixedState("p").base == {"p"}
+        with pytest.raises(ContractError, match=r"unknown identifiers: \['pq'\]"):
+            is_supremum(entity, MixedState("pq"), [MixedState("p"), MixedState("q")])
+
 
 class TestMixedRelations:
     def test_event_orthogonality(self, worked):
@@ -230,6 +245,15 @@ class TestFullMixedEntity:
         # the mixture of a and b is minted 'a+b', the name of a state with another row
         entity = Entity({"a", "b", "a+b"}, {"h"}, {("h", "a"): {"x"}, ("h", "b"): {"y"}, ("h", "a+b"): {"z"}})
         with pytest.raises(EntityValidationError, match=r"collision with conflicting rows at \(h, a\+b\)"):
+            full_mixed_entity(entity)
+
+    def test_a_collision_names_the_first_conflicting_cell_in_bit_mask_order(self):
+        # sorted states a+b, b, b+c, c are bits 0-3; mask 0b0110 = {b, b+c} is
+        # minted b+c with cell {x, y} against b+c's own {y}, before mask 0b1101
+        # = {a+b, b+c, c}, the first a+b+c cell that conflicts in size order
+        cells = {"b": {"x"}, "c": {"x"}, "b+c": {"y"}, "a+b": {"x"}}
+        entity = Entity(set(cells), {"f"}, {("f", p): cell for p, cell in cells.items()})
+        with pytest.raises(EntityValidationError, match=r"collision with conflicting rows at \(f, b\+c\);"):
             full_mixed_entity(entity)
 
     def test_relations_roundtrip_against_random(self):

@@ -318,6 +318,14 @@ class TestSpsMorphism:
         with pytest.raises(ContractError):
             morphism_from_continuous_map(small_sys, indiscrete_big, {"W1": "u", "W2": "v"})
 
+    def test_a_map_missing_a_big_point_is_refused(self):
+        from soe.closure import ClosureSystem
+
+        small = ClosureSystem(frozenset({"u"}), {frozenset(), frozenset({"u"})})
+        big = ClosureSystem(frozenset({"p", "q"}), {frozenset(), frozenset({"p", "q"})})
+        with pytest.raises(ContractError, match=r"^the state map is not total; missing \['q'\]$"):
+            morphism_from_continuous_map(small, big, {"p": "u"})
+
 
 class TestPreimageContinuity:
     def test_identity(self, worked):

@@ -120,6 +120,13 @@ class TestEventProbability:
                 pb = event_probability(entity, measure, "eu", "tilt", Event(B) if B else B)
                 assert abs(pab - (pa + pb)) < 1e-12
 
+    def test_a_bare_string_is_one_identifier(self):
+        entity = Entity({"p1"}, {"e1"}, {("e1", "p1"): {"x1", "x2"}})
+        table = ProbabilityTable({("e1", "p1", "x1"): 0.5, ("e1", "p1", "x2"): 0.5})
+        assert event_probability(entity, table, "e1", "p1", "x1") == 0.5
+        assert mixed_probability(entity, table, "e1", "p1", {"x1"}) == 0.5
+        assert mixed_probability(entity, table, {"e1"}, "p1", "x2") == 0.5
+
 
 class TestMixedAdditivity:
     def test_singleton_families_reduce_to_lookup(self, dpair):

@@ -8,9 +8,10 @@ pair of experiments not orthogonal in the total mixed state, the closure engine,
 the ortho spaces against the brute-force oracles and the relation engine, the
 mask engine of the closure layer against the frozenset definitions and its bit
 codec against its own inverse, the full mixed entity against its cell-by-cell
-definition, the lattice queries of state-property systems against their
-scans, kept-mask state-property systems and the Cartan check decided on
-their coatoms against listed families, the systems `closure_to_sps` builds
+definition, `is_supremum` against its defining biconditional, the lattice
+queries of state-property systems against their scans, kept-mask
+state-property systems and the Cartan check decided on their coatoms against
+listed families, the systems `closure_to_sps` builds
 against their closure systems, the sampled closure-axiom checks of `soe
 verify` against their frozenset form,
 and the text format against its emitter and against arbitrary text.
@@ -70,6 +71,7 @@ from soe.mixture import (
     MixedExperiment,
     MixedState,
     full_mixed_entity,
+    is_supremum,
     mixed_implies,
     mixed_orthogonal,
     mixed_outcome_set,
@@ -96,17 +98,16 @@ from oracles import (
     brute_intersection_closure,
     brute_ortho_closed_sets,
     brute_smallest_member,
-    powerset,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @st.composite
-def entities(draw, side=4):
+def entities(draw, side=4, max_outcomes=5):
     states = [f"p{i}" for i in range(draw(st.integers(1, side)))]
     experiments = [f"e{i}" for i in range(draw(st.integers(1, side)))]
-    outcomes = [f"x{i}" for i in range(draw(st.integers(1, 5)))]
+    outcomes = [f"x{i}" for i in range(draw(st.integers(1, max_outcomes)))]
     cell = st.frozensets(st.sampled_from(outcomes), min_size=1)
     return Entity(states, experiments, {(e, p): draw(cell) for e in experiments for p in states})
 
@@ -956,9 +957,15 @@ def plus_entities(draw):
 
 def _reference_full_mixed_entity(entity):
     """The full mixed entity cell by cell from `mixed_outcome_set`, over the
-    nonempty subsets in size-then-lexicographic order."""
-    experiment_subsets = [E for E in powerset(entity.experiments) if E]
-    state_subsets = [P for P in powerset(entity.states) if P]
+    nonempty subsets in bit-mask order: mask P = 1, 2, ... over the sorted
+    items, experiments outer, so a collision names the same cell."""
+
+    def nonempty_subsets(items):
+        items = sorted(items)
+        return [frozenset(x for i, x in enumerate(items) if P >> i & 1) for P in range(1, 2 ** len(items))]
+
+    experiment_subsets = nonempty_subsets(entity.experiments)
+    state_subsets = nonempty_subsets(entity.states)
     table = {}
     for E in experiment_subsets:
         for P in state_subsets:
@@ -982,6 +989,30 @@ def test_full_mixed_entity_matches_the_definition(entity):
             return str(err)
 
     assert outcome(full_mixed_entity) == outcome(_reference_full_mixed_entity)
+
+
+@SETTINGS
+@given(entities(side=3, max_outcomes=4), st.data())
+def test_is_supremum_matches_the_definition(entity, data):
+    """A candidate is a supremum of a family when, for every mixture b, all
+    members imply b exactly when the candidate does; b runs over every
+    nonempty subset. The candidate is often the union of the family."""
+    for wrap, kind, pool in (
+        (MixedState, RelationKind.state_global(), entity.states),
+        (MixedExperiment, RelationKind.experiment_global(), entity.experiments),
+        (Event, RelationKind.outcome_global(), entity.outcomes),
+    ):
+        bases = data.draw(st.lists(subsets(pool), min_size=1, max_size=3))
+        candidate = wrap(data.draw(st.one_of(st.just(frozenset().union(*bases)), subsets(pool))))
+        family = [wrap(A) for A in bases]
+        below = lambda a, b: mixed_implies(entity, kind, a, b)  # noqa: E731
+        items = sorted(pool)
+        expected = all(
+            all(below(a, b) for a in family) == below(candidate, b)
+            for r in range(1, len(items) + 1)
+            for b in map(wrap, combinations(items, r))
+        )
+        assert is_supremum(entity, candidate, family) == expected
 
 
 @st.composite
