@@ -7,12 +7,14 @@ Everything else in this package is computed from that table.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import ContractError, EntityValidationError, UnknownIdentifierError
 
-_RESERVED_PUNCTUATION = set(",=#[]")
+# \s matches exactly the characters str.isspace accepts
+_FORBIDDEN_CHARACTER = re.compile(r"[\s,=#\[\]]")
 
 
 def check_identifier(kind: str, token) -> None:
@@ -22,7 +24,7 @@ def check_identifier(kind: str, token) -> None:
     naming the kind."""
     if not isinstance(token, str) or not token:
         raise EntityValidationError(f"{kind} identifier must be a nonempty string, got {token!r}")
-    if set(token) & _RESERVED_PUNCTUATION or any(ch.isspace() for ch in token):
+    if _FORBIDDEN_CHARACTER.search(token):
         raise EntityValidationError(
             f"{kind} identifier {token!r} contains whitespace or reserved punctuation"
         )

@@ -56,8 +56,14 @@ class Event(_Mixture):
 def _as_base(entity_set, mixture) -> frozenset:
     if not mixture.base:
         raise ContractError(f"a mixed {mixture._what} needs a nonempty base set")
-    stray = mixture.base - entity_set
-    if stray:
+    return _known_base(entity_set, mixture)
+
+
+def _known_base(entity_set, mixture) -> frozenset:
+    """The mixture's base, which may be empty, refused when it names an
+    identifier outside entity_set."""
+    if not mixture.base <= entity_set:
+        stray = mixture.base - entity_set
         raise ContractError(f"mixed {mixture._what} base contains unknown identifiers: {natural_order(stray)}")
     return mixture.base
 

@@ -14,7 +14,15 @@ from .classify import is_d_classical
 from .diagnostics import Diagnostics
 from .entity import Entity, RelationKind
 from .errors import ContractError
-from .mixture import Event, MixedExperiment, MixedState, mixed_orthogonal
+from .mixture import (
+    Event,
+    MixedExperiment,
+    MixedState,
+    _coerce_experiments,
+    _coerce_states,
+    _known_base,
+    mixed_orthogonal,
+)
 
 NORMALIZATION_TOL = 1e-9
 
@@ -114,15 +122,21 @@ def validate_measure(entity: Entity, table: ProbabilityTable, tol: float = NORMA
 
 
 def event_probability(entity: Entity, table: ProbabilityTable, e, p, event) -> float:
-    """Probability of the event: the sum over its outcomes inside O(e, p)."""
-    A = Event(event).base
+    """Probability of the event: the sum over its outcomes inside O(e, p).
+    An event naming an outcome the entity lacks is refused with the
+    ContractError of `mixed_outcome_set`; the empty event reads 0."""
     cell = entity.outcome_set(e, p)
+    A = _known_base(entity.outcomes, Event(event))
     return sum(table(e, p, x) for x in sorted(A & cell))
 
 
 def mixed_probability(entity: Entity, table: ProbabilityTable, experiments, states, event) -> float:
-    """Value of the measure on a mixed triple, derived by summation over atoms."""
-    E, P, A = MixedExperiment(experiments).base, MixedState(states).base, Event(event).base
+    """Value of the measure on a mixed triple, derived by summation over atoms.
+    Empty or unknown experiments or states, and an event naming an unknown
+    outcome, are refused as `mixed_outcome_set` refuses them; the empty event
+    reads 0."""
+    E, P = _coerce_experiments(entity, experiments), _coerce_states(entity, states)
+    A = _known_base(entity.outcomes, Event(event))
     return sum(
         table(e, p, x)
         for e in sorted(E)

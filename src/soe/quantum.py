@@ -64,6 +64,17 @@ def opnorm(M) -> float:
     return float(np.linalg.norm(np.asarray(M), 2))
 
 
+def _opnorm_within(M: np.ndarray, tol: float, scale_of=None) -> bool:
+    """opnorm(M) <= tol * scale, where scale is 1, or max(1, opnorm(scale_of))
+    when scale_of is given. The Frobenius norm bounds the operator norm from
+    above, so one of at most tol / 2 decides it without an SVD (the half
+    leaves room for the rounding of both norms); otherwise SVDs decide."""
+    if np.linalg.norm(M) <= tol / 2:
+        return True
+    scale = 1.0 if scale_of is None else max(1.0, opnorm(scale_of))
+    return opnorm(M) <= tol * scale
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralFamily:
     """Ordered projections E_1..E_r; eigenvalue metadata is carried when the
@@ -145,8 +156,7 @@ def spectral_family_from_hermitian(H, cluster_tol: float = CLUSTER_TOL) -> Spect
     """Diagonalize a Hermitian matrix into eigenprojections, clustering
     eigenvalues closer than cluster_tol into one projector."""
     H = _as_matrix(H)
-    diff = H - H.conj().T
-    if diff.any() and opnorm(diff) > VALIDATION_TOL:  # an exactly Hermitian H needs no SVD
+    if not _opnorm_within(H - H.conj().T, VALIDATION_TOL):
         raise ContractError("matrix is not Hermitian within 1e-9")
     values, vectors = np.linalg.eigh((H + H.conj().T) / 2)
     clusters = [[0]]
@@ -163,7 +173,7 @@ def spectral_family_from_hermitian(H, cluster_tol: float = CLUSTER_TOL) -> Spect
         eigenvalues.append(float(np.mean(values[idx])))
     family = SpectralFamily(projections, eigenvalues)
     rebuilt = sum(lam * P for lam, P in zip(eigenvalues, family.projections))
-    if opnorm(rebuilt - H) > 1e-8 * max(1.0, opnorm(H)):
+    if not _opnorm_within(rebuilt - H, 1e-8, scale_of=H):
         raise ContractError(
             "eigenvalue clustering cannot reconstruct the matrix; lower cluster_tol"
         )
@@ -185,10 +195,10 @@ def _density_residuals(W: np.ndarray) -> tuple:
     return herm, lowest, np.real(np.trace(W, axis1=-2, axis2=-1))
 
 
-def validate_density_operator(W, tol: float = VALIDATION_TOL) -> Diagnostics:
-    W = _as_matrix(W)
+def _density_diagnostics(herm, lowest, trace, tol: float) -> Diagnostics:
+    """The density checks of one matrix, from its `_density_residuals`."""
+    herm, lowest, trace = float(herm), float(lowest), float(trace)
     diag = Diagnostics()
-    herm, lowest, trace = (float(x) for x in _density_residuals(W))
     diag.record("density.hermitian", herm <= tol, f"residual {herm:.3g}")
     diag.record("density.positive", lowest >= -tol, f"lowest eigenvalue {lowest:.3g}")
     trace_residual = abs(trace - 1.0)
@@ -197,15 +207,42 @@ def validate_density_operator(W, tol: float = VALIDATION_TOL) -> Diagnostics:
     return diag
 
 
+def validate_density_operator(W, tol: float = VALIDATION_TOL) -> Diagnostics:
+    return _density_diagnostics(*_density_residuals(_as_matrix(W)), tol)
+
+
+def _certified_densities(W: np.ndarray, tol: float) -> bool:
+    """A sufficient test, computing no eigenvalue, that every matrix of the
+    finite stack W passes the density checks: W is exactly Hermitian, its
+    traces are within tol of 1, and W + (tol / 2) I has a Cholesky factor. In
+    floating point a Cholesky factorization runs to completion only on a
+    matrix within a backward error of order n eps ||A|| of a positive
+    definite one (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 10); with traces near 1 that is far inside the tol / 2
+    shift, so every lowest eigenvalue is at least -tol."""
+    trace = np.real(np.trace(W, axis1=-2, axis2=-1))
+    if not (np.array_equal(W, np.swapaxes(W.conj(), -2, -1)) and np.all(np.abs(trace - 1.0) <= tol)):
+        return False
+    try:
+        np.linalg.cholesky(W + (tol / 2) * np.eye(W.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _require_densities(W: np.ndarray, error: type, what: str) -> None:
     """Raise error, with the failures of validate_density_operator, for the
-    first matrix of W (one matrix or a stack) that is not a density operator."""
-    herm, lowest, trace = _density_residuals(W)
+    first matrix of W (one matrix or a stack) that is not a density operator.
+    A stack `_certified_densities` accepts computes no eigenvalue; any other
+    is measured by one call of `_density_residuals`."""
     tol = VALIDATION_TOL
+    if _certified_densities(W, tol):
+        return
+    herm, lowest, trace = (np.reshape(x, -1) for x in _density_residuals(W))
     bad = ~((herm <= tol) & (lowest >= -tol) & (np.abs(trace - 1.0) <= tol))
     if np.any(bad):
-        first = W.reshape(-1, *W.shape[-2:])[np.argmax(bad.reshape(-1))]
-        raise error(f"{what}: {validate_density_operator(first).failures}")
+        first = np.argmax(bad)
+        raise error(f"{what}: {_density_diagnostics(herm[first], lowest[first], trace[first], tol).failures}")
 
 
 def cq_outcome_set(family: SpectralFamily, W, tol: float = PROBABILITY_TOL) -> frozenset:
@@ -264,7 +301,7 @@ def convex_combine(pairs) -> np.ndarray:
 def is_extremal(W, tol: float = VALIDATION_TOL) -> bool:
     """Extremal densities are the rank-one projections: W squared equals W."""
     W = _as_matrix(W)
-    return opnorm(W @ W - W) <= tol
+    return _opnorm_within(W @ W - W, tol)
 
 
 # -- the sphere-and-elastic machine -------------------------------------------
@@ -414,7 +451,10 @@ def partial_trace(W_big, dims: tuple) -> np.ndarray:
 
     W_big is one matrix or a stack of them along the leading axes; a stack is
     reduced matrix by matrix, and the first matrix that is not a density
-    operator raises as it would on its own."""
+    operator raises as it would on its own. The input and the reduced stack
+    are each checked as densities by a Cholesky certificate first
+    (`_certified_densities`); only a stack it refuses has its eigenvalues
+    computed."""
     n_sys, n_env = dims
     W_big = _as_matrix(W_big, stack=True)
     if W_big.shape[-1] != n_sys * n_env:
@@ -517,6 +557,13 @@ def pauli_axis_families() -> list:
 
 
 @functools.cache
+def _lifted_pauli_axis_families(dim_env: int) -> tuple:
+    """The Pauli probes lifted by `lift_experiment` to a second factor of
+    dimension dim_env, built once per dimension per process."""
+    return tuple(lift_experiment(probe, dim_env) for probe in _pauli_axis_families())
+
+
+@functools.cache
 def _standard_ray_min_residual(side: int) -> float:
     """The least, over a side x side grid of rays in (theta, phi), of the
     largest gap between the ray's probability and the antisymmetric ray
@@ -527,8 +574,8 @@ def _standard_ray_min_residual(side: int) -> float:
     # the singlet gives its lifted projection
     (P0, p0), *rest = [
         (P, _born(target, lifted_P))
-        for probe in _pauli_axis_families()
-        for P, lifted_P in zip(probe.projections, lift_experiment(probe, 2).projections)
+        for probe, lifted in zip(_pauli_axis_families(), _lifted_pauli_axis_families(2))
+        for P, lifted_P in zip(probe.projections, lifted.projections)
     ]
     phis = np.linspace(0.0, 2 * np.pi, side, endpoint=False)
     thetas = np.linspace(0.0, np.pi, side)[:, None]
@@ -569,6 +616,9 @@ def verify_cq_sub_entity(
     `details["ray_candidates"]`: 1000 searches 1024 rays and 2 searches one.
     The search reads no draw, so each grid size is searched once per process,
     and each call compares that residual with its own `failure_threshold`.
+    The Pauli probes are lifted once per `n_env` per process, and the
+    sampled densities pass `partial_trace`'s checks by its Cholesky
+    certificate, with no eigenvalue computed.
     `samples` must be at least 1, or at least 0 in the two-qubit case, which
     always adds the antisymmetric ray state; anything less is refused before
     any draw. In the two-qubit case `ray_candidates` must be at least 1, also
@@ -586,9 +636,11 @@ def verify_cq_sub_entity(
     rng = np.random.default_rng(seed)
     diag = Diagnostics()
 
-    probes = pauli_axis_families() if n_sys == 2 else []
-    families = [random_spectral_family(rng, n_sys) for _ in range(3)] + probes
+    families = [random_spectral_family(rng, n_sys) for _ in range(3)]
     lifted_families = [lift_experiment(f, n_env) for f in families]
+    if n_sys == 2:
+        families += pauli_axis_families()
+        lifted_families += _lifted_pauli_axis_families(n_env)
     big = _random_densities(rng, n_sys * n_env, samples)
     if two_qubits:
         big = np.concatenate([big, singlet_density()[None]])

@@ -39,8 +39,7 @@ class StatePropertySystem:
     system is generated by the coatoms full & ~has[x]. Its `properties`,
     `actual` and `labels` come from one sweep of the system's generator
     masks (`_member_sets`), run the first time one of them is asked for;
-    `_coatoms`, `_full_outcomes` and `testable_property` read `has` and
-    list nothing.
+    `testable_property` reads `has` and lists nothing.
     """
 
     __slots__ = ("states", "_properties", "_system", "_has", "_found", "_actual", "_labels", "_images", "_by_image")
@@ -122,20 +121,6 @@ class StatePropertySystem:
             labels = {F: frozenset([x for x, h in has.items() if A & h]) for A, F in self._listing().items()}
             object.__setattr__(self, "_labels", labels)
         return self._labels
-
-    @property
-    def _full_outcomes(self):
-        """The outcomes of a testable system's experiment, else None."""
-        return None if self._has is None else frozenset(self._has)
-
-    @property
-    def _coatoms(self):
-        """{outcome x: the property of mask full & ~has[x]} of a testable
-        system, else None; decoded from the holder masks, listing nothing."""
-        if self._has is None:
-            return None
-        order = self._system._order
-        return {x: order.decode(order.full & ~h) for x, h in self._has.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError("StatePropertySystem is immutable")

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -7,6 +8,7 @@ from soe.entity import (
     RelationKind,
     _require_item,
     _validate_kind,
+    check_identifier,
     eigen_outcome,
     equivalent,
     implies,
@@ -74,6 +76,17 @@ class TestConstruction:
         # lines and words on all of them
         with pytest.raises(EntityValidationError, match="outcome identifier"):
             Entity({"s"}, {"h"}, {("h", "s"): {"o", token}})
+
+    def test_identifier_rule_over_every_code_point(self):
+        """A character is refused, alone or inside a token, exactly when
+        str.isspace accepts it or it is one of , = # [ ]."""
+        refused = set()
+        for c in range(sys.maxunicode + 1):
+            try:
+                check_identifier("state", f"a{chr(c)}b")
+            except EntityValidationError:
+                refused.add(c)
+        assert refused == {c for c in range(sys.maxunicode + 1) if chr(c).isspace() or chr(c) in ",=#[]"}
 
     def test_declared_outcomes_must_match_union(self, worked):
         table = {("h", "s"): {"o"}}

@@ -5,7 +5,7 @@ import pytest
 
 from soe.entity import Entity
 from soe.errors import ContractError
-from soe.mixture import Event, MixedExperiment, MixedState
+from soe.mixture import Event, MixedExperiment, MixedState, mixed_outcome_set
 from soe.probability import (
     ProbabilisticEntity,
     ProbabilityTable,
@@ -126,6 +126,24 @@ class TestEventProbability:
         assert event_probability(entity, table, "e1", "p1", "x1") == 0.5
         assert mixed_probability(entity, table, "e1", "p1", {"x1"}) == 0.5
         assert mixed_probability(entity, table, {"e1"}, "p1", "x2") == 0.5
+
+    def test_unknown_bases_are_refused_and_the_empty_event_reads_zero(self):
+        entity = Entity({"p1"}, {"e1"}, {("e1", "p1"): {"x1", "x2"}})
+        table = ProbabilityTable({("e1", "p1", "x1"): 0.5, ("e1", "p1", "x2"): 0.5})
+        unknown_event = r"mixed event base contains unknown identifiers: \['zz'\]"
+        for event in ({"zz"}, {"x1", "zz"}):
+            with pytest.raises(ContractError, match=unknown_event):
+                event_probability(entity, table, "e1", "p1", event)
+            with pytest.raises(ContractError, match=unknown_event):
+                mixed_probability(entity, table, "e1", "p1", event)
+        for experiments, states in ((set(), "p1"), ("e1", set()), ({"e1", "e9"}, "p1"), ("e1", {"p1", "p9"})):
+            with pytest.raises(ContractError) as refused:
+                mixed_outcome_set(entity, experiments, states)
+            with pytest.raises(ContractError) as err:
+                mixed_probability(entity, table, experiments, states, "x1")
+            assert str(err.value) == str(refused.value)
+        assert event_probability(entity, table, "e1", "p1", set()) == 0.0
+        assert mixed_probability(entity, table, "e1", "p1", set()) == 0.0
 
 
 class TestMixedAdditivity:

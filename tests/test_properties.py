@@ -340,8 +340,8 @@ def test_testable_systems_match_the_definitions(entity, data):
         assert sps.labels == {
             F: frozenset().union(*(entity.outcome_set(e, p) for p in F)) for F in members
         }
-        assert sps._full_outcomes == full
-        assert sps._coatoms == {x: eig_states(entity, e, full - {x}) for x in full}
+        for x in full:
+            assert sps.testable_property(full - {x}) == eig_states(entity, e, full - {x})
         for _ in range(3):
             A = data.draw(st.frozensets(st.sampled_from(sorted(full))))
             assert sps.testable_property(A) == eig_states(entity, e, A)
@@ -415,7 +415,8 @@ def test_derived_fields_equal_their_eager_forms(entity, data):
         full = entity.experiment_outcomes(e)
         built = StatePropertySystem(entity.states, sps.properties, actual, labels)
         assert (sps.actual, sps.labels) == (built.actual, built.labels)
-        assert sps._coatoms == {x: eig_states(entity, e, full - {x}) for x in full}
+        for x in full:
+            assert sps.testable_property(full - {x}) == eig_states(entity, e, full - {x})
         assert sps == built
         assert validate_sps(sps) == validate_sps(built)
         for scoped in (eigen_closure_system(entity, "states", e), eigen_closure_system(entity, "states")):
@@ -1052,22 +1053,25 @@ def test_global_testable_sps_matches_the_definition(entity):
             sps = build(entity)
         except SoeError as err:
             return type(err), str(err)
-        return sps.states, sps.properties, sps.actual, sps.labels, sps._coatoms, sps._full_outcomes
+        outcomes = frozenset().union(*sps.labels.values())
+        coatoms = {x: sps.testable_property(outcomes - {x}) for x in outcomes}
+        return sps.states, sps.properties, sps.actual, sps.labels, coatoms
 
     definition = lambda e: testable_sps(full_mixed_entity(e), mixture_id(e.experiments))  # noqa: E731
     assert outcome(global_testable_sps) == outcome(definition)
 
 
-KEPT_FIELDS = ("properties", "actual", "labels", "_coatoms")
+KEPT_FIELDS = ("properties", "actual", "labels")
 
 
 @SETTINGS
 @given(entities(), st.data())
 def test_kept_mask_systems_list_the_same_whichever_field_is_asked_first(entity, data):
     """A testable system, of one experiment or of the total mixed experiment,
-    lists nothing when it is built; its properties, actual, labels and
-    coatoms, asked in any order, equal those of the same system listed
-    before any of them is asked, whose coatoms are read from the listing."""
+    lists nothing when it is built; its properties, actual and labels, asked
+    in any order, equal those of the same system listed before any of them
+    is asked, and its coatoms, read through testable_property, are the
+    listed members of masks full & ~has[x]."""
     builds = [lambda e=e: testable_sps(entity, e) for e in sorted(entity.experiments)]
     if is_distinguishable(entity):
         builds.append(lambda: global_testable_sps(entity))
@@ -1078,7 +1082,8 @@ def test_kept_mask_systems_list_the_same_whichever_field_is_asked_first(entity, 
     listed = StatePropertySystem._of_masks(order, has)
     found = listed._listing()
     assert asked == {name: getattr(listed, name) for name in KEPT_FIELDS}
-    assert asked["_coatoms"] == {x: found[order.full & ~h] for x, h in has.items()}
+    coatoms = {x: sps.testable_property(has.keys() - {x}) for x in has}
+    assert coatoms == {x: found[order.full & ~h] for x, h in has.items()}
     assert sps == listed
 
 

@@ -92,17 +92,44 @@ class TestSpectralFamilies:
         with pytest.raises(ContractError):
             spectral_family_from_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_hermitian_check_runs_an_svd_only_on_a_nonzero_residual(self, monkeypatch):
+    def test_hermitian_check_runs_an_svd_only_past_the_frobenius_bound(self, monkeypatch):
         norms = []
         monkeypatch.setattr("soe.quantum.opnorm", lambda M: norms.append(M) or opnorm(M))
         H = np.array([[1.0, 2 - 1j], [2 + 1j, 3.0]])
+        # both residuals, H - H* and the reconstruction's, are within half
+        # their bounds in Frobenius norm: no SVD
         spectral_family_from_hermitian(H)
-        assert len(norms) == 2  # the reconstruction check alone
-        norms.clear()
         spectral_family_from_hermitian(H + np.array([[0.0, 1e-12], [0.0, 0.0]]))
-        assert len(norms) == 3  # within 1e-9: measured, then accepted
+        assert len(norms) == 0
+        # H - H* has Frobenius norm 0.71e-9 > 0.5e-9, so one SVD measures
+        # 0.5e-9 <= 1e-9 and accepts
+        spectral_family_from_hermitian(H + np.array([[0.0, 0.5e-9], [0.0, 0.0]]))
+        assert len(norms) == 1
+        norms.clear()
         with pytest.raises(ContractError, match="not Hermitian"):
             spectral_family_from_hermitian(H + np.array([[0.0, 1e-6], [0.0, 0.0]]))
+        assert len(norms) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.sampled_from([0.25, 0.49, 0.5, 0.51, 0.7, 0.99, 1.0, 1.01, 2.0]),
+        st.sampled_from(["opnorm", "frobenius"]),
+        st.sampled_from([1e-9, 1e-8, 1.0]),
+        st.booleans(),
+    )
+    def test_norm_bound_decides_as_the_svd(self, seed, n, ratio, target, tol, scaled):
+        """M of rank 1 to n, scaled so its operator or Frobenius norm is
+        `ratio` times the bound (at 1/2 the Frobenius shortcut's edge, at 1
+        the bound's); scaled compares against tol * max(1, opnorm(S))."""
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(1, n + 1))
+        M = (rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))) @ rng.normal(size=(rank, n))
+        S = rng.normal(size=(n, n)) * rng.uniform(0.0, 3.0) if scaled else None
+        bound = tol * (max(1.0, opnorm(S)) if scaled else 1.0)
+        M *= ratio * bound / (opnorm(M) if target == "opnorm" else np.linalg.norm(M))
+        assert soe.quantum._opnorm_within(M, tol, scale_of=S) == (opnorm(M) <= bound)
 
     def test_overeager_clustering_rejected(self):
         # a gap tolerance that merges genuinely distinct eigenvalues cannot
@@ -435,6 +462,48 @@ class TestPartialTrace:
             for j in range(4):
                 assert opnorm(reduced[i, j] - partial_trace(stack[i, j], (2, 3))) <= 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 4),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["valid", "lowest", "trace", "hermitian"]),
+                st.sampled_from([sign * c for c in (0.25, 0.5, 1.0, 2.0) for sign in (1, -1)]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_density_stacks_are_decided_as_by_their_eigenvalues(self, seed, n, kinds):
+        """A stack of matrices near the tolerance (lowest eigenvalue, trace
+        or Hermitian residual at +-{1/4, 1/2, 1, 2} tol) raises exactly when
+        one of them fails validate_density_operator, with the first one's
+        failures."""
+        rng = np.random.default_rng(seed)
+        tol = soe.quantum.VALIDATION_TOL
+        stack = np.array([_near_tolerance(rng, n, kind, c * tol) for kind, c in kinds])
+        failures = [validate_density_operator(W).failures for W in stack]
+        expected = next((f"wanted: {f}" for f in failures if f), None)
+        try:
+            soe.quantum._require_densities(stack, ContractError, "wanted")
+        except ContractError as err:
+            assert str(err) == expected
+        else:
+            assert expected is None
+
+    def test_only_a_stack_the_certificate_refuses_is_measured(self, monkeypatch):
+        calls = []
+        measure = soe.quantum._density_residuals
+        monkeypatch.setattr(soe.quantum, "_density_residuals", lambda W: calls.append(W.shape) or measure(W))
+        stack = _random_densities(np.random.default_rng(5), 4, 100)
+        partial_trace(stack, (2, 2))
+        assert calls == []
+        stack[7] = np.diag([0.5, 0.5, 0.5, -0.5])
+        with pytest.raises(ContractError, match="density.positive"):
+            partial_trace(stack, (2, 2))
+        assert calls == [(100, 4, 4)]
+
     def test_stack_raises_as_its_first_bad_matrix(self):
         rng = np.random.default_rng(97)
         bad = np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex)  # trace 1, not positive
@@ -446,6 +515,24 @@ class TestPartialTrace:
             partial_trace(stack, (2, 2))
         assert str(stacked.value) == str(alone.value)
         assert "density.positive" in str(alone.value)
+
+
+def _near_tolerance(rng, n: int, kind: str, offset: float) -> np.ndarray:
+    """An exactly Hermitian n x n matrix: a density operator whose lowest
+    eigenvalue is offset ("lowest"), or a density operator with comfortable
+    eigenvalues ("valid"), its trace moved to 1 + offset ("trace"), or
+    |offset| added above the diagonal ("hermitian", no longer Hermitian)."""
+    lowest = offset if kind == "lowest" else rng.uniform(0.01, 0.1)
+    rest = rng.uniform(0.1, 1.0, size=n - 1)
+    values = np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    A = (U * values) @ U.conj().T
+    W = (A + A.conj().T) / 2
+    if kind == "trace":
+        W *= 1.0 + offset
+    if kind == "hermitian":
+        W[0, 1] += abs(offset)
+    return W
 
 
 class TestEntityBridge:
@@ -691,9 +778,29 @@ class TestSubEntityDemonstration:
                 for samples in ((0, 5) if n_sys == n_env == 2 else (5,)):
                     for tol in (1e-9, -1.0):
                         soe.quantum._standard_ray_min_residual.cache_clear()
+                        soe.quantum._lifted_pauli_axis_families.cache_clear()
                         cold = verify_cq_sub_entity(n_sys, n_env, samples=samples, seed=seed, tol=tol)
                         warm = verify_cq_sub_entity(n_sys, n_env, samples=samples, seed=seed, tol=tol)
                         assert _outcome(cold) == _outcome(warm), (n_sys, n_env, seed, samples, tol)
+
+    def test_pauli_probes_are_lifted_once_per_environment_dimension(self, monkeypatch):
+        for n_env in (2, 3):
+            verify_cq_sub_entity(2, n_env, samples=1)
+        lifts = []
+        monkeypatch.setattr(soe.quantum, "lift_experiment", lambda f, m: lifts.append(m) or lift_experiment(f, m))
+        for n_env in (2, 3):
+            verify_cq_sub_entity(2, n_env, samples=1, seed=9)
+            for probe, lifted in zip(pauli_axis_families(), soe.quantum._lifted_pauli_axis_families(n_env)):
+                assert all(map(np.array_equal, lifted.projections, lift_experiment(probe, n_env).projections))
+        assert lifts == [2, 2, 2, 3, 3, 3]  # the three drawn families of each call alone
+
+    def test_valid_density_stacks_compute_no_eigenvalues(self, monkeypatch):
+        def no_eigenvalues(*args):
+            raise AssertionError("computed eigenvalues of a valid stack")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+        for seed in range(5):
+            assert verify_cq_sub_entity(2, 2, seed=seed, ray_candidates=100).passed
 
     def test_one_ray_candidate_is_searched(self):
         diag = verify_cq_sub_entity(2, 2, samples=0, seed=5, ray_candidates=1)
