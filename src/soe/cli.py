@@ -17,7 +17,6 @@ import functools
 import os
 import random
 import sys
-from operator import or_
 
 from .classify import classify
 from .closure import (
@@ -346,22 +345,23 @@ def _closure_checks(entity: Entity, diag: Diagnostics, rng: random.Random) -> di
 def _sampled_axiom_checks(system, name: str, diag: Diagnostics, rng: random.Random) -> None:
     """Check the closure operator of `system` on five seeded sets K: cl(K)
     contains K and cl(K less its str-least item), and cl(cl(K)) = cl(K). K is
-    drawn by index into the str-sorted ground and held as a mask over the
-    system's order; it is decoded only for a failure's witness."""
+    drawn by index into the str-sorted ground, whose bit positions the order
+    keeps (`_Order.ranks`), and held as a mask over the system's order; it is
+    decoded only for a failure's witness."""
     axioms, idempotent = f"closures.axioms.{name}", f"closures.idempotent.{name}"
     diag.checks.setdefault(idempotent, True)
     order, close = system._order, system._close
     items = order.items
-    bits = sorted(range(len(items)), key=lambda i: str(items[i]))  # the str-sorted ground, as bit positions
+    bits = order.ranks()
     for _ in range(5):
         idx = rng.sample(range(len(bits)), rng.randint(0, len(bits)))
-        k = functools.reduce(or_, map((1).__lshift__, map(bits.__getitem__, idx)), 0)
+        k = sum(map((1).__lshift__, map(bits.__getitem__, idx)))  # distinct powers of two: the sum is their OR
         closed = close(k)
         if k & ~closed:
             diag.record(axioms, False, lambda: f"extensive: K = {_fmt_member(order.decode(k))}")
         if idx:
             least = bits[min(idx)]
-            if close(k & ~(1 << least)) & ~closed:
+            if close(k - (1 << least)) & ~closed:
                 witness = lambda: f"monotone: K = {_fmt_member(order.decode(k))} less {_fmt_item(items[least])}"  # noqa: E731
                 diag.record(axioms, False, witness)
         if close(closed) != closed:

@@ -29,19 +29,28 @@ _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digit -> compress flag
 class _Order:
     """An order of items for bit masks: bit i stands for items[i]."""
 
-    __slots__ = ("items", "ground", "full", "_position")
+    __slots__ = ("items", "ground", "full", "_position", "_ranks")
 
     def __init__(self, items, ground=None):
         self.items = tuple(items)
         self.ground = frozenset(self.items) if ground is None else ground
         self.full = (1 << len(self.items)) - 1
         self._position = None
+        self._ranks = None
 
     def mask(self, K) -> int:
         """The mask of K, a set of items: 1 << i ORed over their positions."""
         if self._position is None:
             self._position = {a: i for i, a in enumerate(self.items)}
         return reduce(or_, map((1).__lshift__, map(self._position.__getitem__, K)), 0)
+
+    def ranks(self) -> list:
+        """The item positions sorted by the items' `str` (stably, so ties keep
+        item order), built on first use: entry r is the bit of the item of rank r."""
+        if self._ranks is None:
+            items = self.items
+            self._ranks = sorted(range(len(items)), key=lambda i: str(items[i]))
+        return self._ranks
 
     def entries(self, A, seq=None):
         """The entries of `seq` (default: the items) at mask A's set bits, in one pass over its digits."""
@@ -506,7 +515,12 @@ def entity_ortho_space(entity: Entity, on: str, scoped_to=None) -> OrthoSpace:
 
 def state_trace(system: ClosureSystem) -> ClosureSystem:
     """Restrict a closure system on couples to the states that appear with
-    every experiment: Y_state = {p | (e, p) in Y for all e}.
+    every experiment: Y_state = {p | (e, p) in Y for all e}. A trace is a "for
+    every experiment" condition, so it preserves intersections: the traces of
+    the generators generate the traced system. Each state's column, the mask
+    of its couples over the system's order, is built once; a generator mask g
+    traces to the states whose column c has g & c == c, over the `str`-sorted
+    states. No generator is decoded.
     """
     ground = system.ground
     if not all(isinstance(c, tuple) and len(c) == 2 for c in ground):
@@ -515,10 +529,12 @@ def state_trace(system: ClosureSystem) -> ClosureSystem:
     states = frozenset(p for _, p in ground)
     if ground != frozenset((e, p) for e in experiments for p in states):
         raise ContractError("state_trace needs the full couple grid as ground set")
-    # a trace is a "for every experiment" condition, so it preserves
-    # intersections: the traces of the generators generate the traced system
-    traces = [frozenset(p for p in states if all((e, p) in g for e in experiments)) for g in system.generators]
-    return ClosureSystem.generated(states, traces)
+    columns = {}
+    for i, (_, p) in enumerate(system._order.items):
+        columns[p] = columns.get(p, 0) | 1 << i
+    order = _Order(sorted(states, key=str), states)
+    weighted = [(columns[p], 1 << j) for j, p in enumerate(order.items)]
+    return ClosureSystem._of_masks(order, {sum(w for c, w in weighted if g & c == c) for g in system._gens})
 
 
 # -- the outcome closure on X --------------------------------------------------

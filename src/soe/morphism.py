@@ -6,6 +6,8 @@ for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .closure import _holder_masks, eig_states, eigen_closure_system
 from .diagnostics import Diagnostics
@@ -151,10 +153,11 @@ def _assert_transports(small: Entity, big: Entity, w: SubEntityWitness) -> None:
         return None
 
     views = {(e, p): (small_view((e, w.m[p])), big_view((w.n[e], p))) for p in big.states for e in small.experiments}
-    # both relations read only the two views, so testing each distinct pair of
-    # views decides every couple pair; the ordered scan only names the first
-    distinct = set(views.values())
-    if not any(mismatch(a, b) for a in distinct for b in distinct):
+    # both relations read only the two views, so the distinct pairs of views
+    # decide every couple pair: each side's inclusion and meet masks over
+    # them must agree. The ordered scan only names the first failing pair
+    distinct = list(set(views.values()))
+    if _cell_relations([u for (u,), _ in distinct]) == _cell_relations([u for _, (u,) in distinct]):
         return
     for p in states:
         for q in states:
@@ -163,6 +166,15 @@ def _assert_transports(small: Entity, big: Entity, w: SubEntityWitness) -> None:
                     relation = mismatch(views[e, p], views[f, q])
                     if relation is not None:
                         raise ConsistencyError(f"couple {relation} not equivalent at (({e},{p}), ({f},{q}))")
+
+
+def _cell_relations(cells) -> list:
+    """For each of `cells` in turn, the masks of the cells it lies inside
+    (the AND of its outcomes' holder masks) and of the cells it meets (their
+    OR), bit j for the j-th cell."""
+    has = _holder_masks(cells)
+    full = (1 << len(cells)) - 1
+    return [(reduce(and_, map(has.__getitem__, cell), full), reduce(or_, map(has.__getitem__, cell), 0)) for cell in cells]
 
 
 @dataclass(frozen=True)
@@ -324,18 +336,32 @@ def verify_probabilistic_sub_entity(
         all(images[i] != images[j] for i in range(len(images)) for j in range(i + 1, len(images))),
         "two measures transported to the same image",
     )
+    # each table's entries grouped by couple once, keyed by small outcome
+    outcomes = sorted(small.entity.outcomes)
+    small_outcome, big_outcome = {x: x for x in outcomes}, {w.l[x]: x for x in outcomes}
     experiments = sorted(small.entity.experiments)
     states = sorted(big.entity.states)
-    outcomes = [(x, w.l[x]) for x in sorted(small.entity.outcomes)]
     diag.checks.setdefault("k.transport_identity", True)
     for index, (mu, mu_big) in enumerate(k.pairs):
+        rows, rows_big = _couple_rows(mu, small_outcome), _couple_rows(mu_big, big_outcome)
         for e in experiments:
             e_big = w.n[e]
             for p_big in states:
                 p = w.m[p_big]
-                for x, x_big in outcomes:
-                    lhs, rhs = mu(e, p, x), mu_big(e_big, p_big, x_big)
+                row, row_big = rows.get((e, p), {}), rows_big.get((e_big, p_big), {})
+                for x in outcomes:
+                    lhs, rhs = row.get(x, 0.0), row_big.get(x, 0.0)
                     if not abs(lhs - rhs) <= tol:  # recorded only when it fails
                         witness = lambda: f"pair {index}, ({e}, {p_big}, {x}): {lhs:.12g} vs {rhs:.12g}"  # noqa: E731
                         diag.record("k.transport_identity", False, witness)
     return diag
+
+
+def _couple_rows(table, outcome: dict) -> dict:
+    """{(e, p): {outcome[x]: value}} over the entries (e, p, x) of `table`
+    whose outcome x is a key of `outcome`; other entries are left out."""
+    rows = {}
+    for (e, p, x), value in table.entries.items():
+        if x in outcome:
+            rows.setdefault((e, p), {})[outcome[x]] = value
+    return rows

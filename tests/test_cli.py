@@ -8,7 +8,7 @@ import pytest
 
 import soe
 from soe.cli import main
-from soe.closure import ClosureSystem, _holder_index, eigen_closure_system, ortho_closure_system
+from soe.closure import ClosureSystem, _holder_index, _Order, eigen_closure_system
 from soe.entity import Entity, RelationKind, orthogonal
 from soe.examples import deterministic_pair, three_by_three
 from soe.formats import emit_entity
@@ -281,27 +281,18 @@ class TestVerifyCommand:
         failed = [row.split(" = ", 1)[1] for row in rows if row.startswith("verify.failure.")]
         assert failed == ["closures.axioms.experiment_eigen: a generator leaves the ground set"]
 
-    def test_decodes_only_the_generators_state_trace_reads(self, tmp_path, capsys, monkeypatch):
+    def test_decodes_no_generator(self, tmp_path, capsys, monkeypatch):
         # the central ortho system of a large table has hundreds of generators
-        # of thousands of couples each: verify tests their masks and decodes
-        # none; only state_trace asks the central eigen system for its sets
-        eigen, ortho, generators = eigen_closure_system, ortho_closure_system, ClosureSystem.generators
-        built, asked = {}, []
-
-        def central_eigen(entity, on, scoped_to=None):
-            system = eigen(entity, on, scoped_to)
-            return built.setdefault("eigen", system) if on == "central" else system
-
-        def counted(system):
-            asked.append(system)
-            return generators.fget(system)
-
-        monkeypatch.setattr("soe.cli.eigen_closure_system", central_eigen)
-        monkeypatch.setattr("soe.cli.ortho_closure_system", lambda space: built.setdefault("ortho", ortho(space)))
-        monkeypatch.setattr(ClosureSystem, "generators", property(counted))
+        # of thousands of couples each: verify tests their masks, and
+        # state_trace reads the central eigen system's masks too, so no
+        # system is asked for its generators and no mask is decoded
+        generators, decode = ClosureSystem.generators, _Order.decode
+        asked = []
+        monkeypatch.setattr(ClosureSystem, "generators", property(lambda system: asked.append(system) or generators.fget(system)))
+        monkeypatch.setattr(_Order, "decode", lambda order, A: asked.append(A) or decode(order, A))
         code = main(["verify", str(random_12x12_file(tmp_path)), "--structured"])
         assert code == 0, capsys.readouterr().out
-        assert len(asked) == 1 and asked[0] is built["eigen"] is not built["ortho"]
+        assert asked == []
 
     def test_transitivity_asks_the_kernel_relation(self, worked_file, capsys, monkeypatch):
         # (e,p) < (e,q) < (e,r) but not (e,p) < (e,r): reflexive, not transitive

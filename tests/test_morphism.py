@@ -1,9 +1,13 @@
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import soe.morphism
 from soe.closure import eigen_closure_system
+from soe.diagnostics import Diagnostics
 from soe.entity import Entity, RelationKind, implies, orthogonal, view_implies
 from soe.errors import ConsistencyError, ContractError
 from soe.morphism import (
@@ -435,3 +439,93 @@ class TestProbabilisticSubEntity:
             ProbabilityCorrespondence([(mu1, big_measure), (mu2, big_measure)]),
         )
         assert not diag.checks["k.injective"]
+
+
+def per_triple_transport(small, big, w, k, tol):
+    """The transport checks of `verify_probabilistic_sub_entity` read one
+    triple at a time, every (pair, experiment, big state, outcome) in order:
+    the reference of the reads grouped by couple."""
+    diag = Diagnostics()
+    images = [mu_big for _, mu_big in k.pairs]
+    diag.record(
+        "k.injective",
+        all(images[i] != images[j] for i in range(len(images)) for j in range(i + 1, len(images))),
+        "two measures transported to the same image",
+    )
+    diag.checks.setdefault("k.transport_identity", True)
+    for index, (mu, mu_big) in enumerate(k.pairs):
+        for e in sorted(small.entity.experiments):
+            for p_big in sorted(big.entity.states):
+                for x in sorted(small.entity.outcomes):
+                    lhs, rhs = mu(e, w.m[p_big], x), mu_big(w.n[e], p_big, w.l[x])
+                    if not abs(lhs - rhs) <= tol:
+                        diag.record("k.transport_identity", False, f"pair {index}, ({e}, {p_big}, {x}): {lhs:.12g} vs {rhs:.12g}")
+    return diag
+
+
+def _transport(small, big, w, pairs, tol):
+    """(checks, failures, overflow) of the grouped check and of the per-triple reference."""
+    small, big = ProbabilisticEntity(small, tuple(mu for mu, _ in pairs)), ProbabilisticEntity(big, tuple(nu for _, nu in pairs))
+    k = ProbabilityCorrespondence(pairs)
+    return [(d.checks, d.failures, d._overflow)
+            for d in (verify_probabilistic_sub_entity(small, big, w, k, tol), per_triple_transport(small, big, w, k, tol))]
+
+
+class TestTransportTolerance:
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_a_tolerance_no_zero_meets_fails_every_triple_in_order(self, tol):
+        # 0 against 0 fails too, so all 2 x 2 x 4 triples fail, stored or not
+        entity = Entity(
+            {"p", "q"},
+            {"e", "f"},
+            {("e", "p"): {"x", "y"}, ("e", "q"): {"x"}, ("f", "p"): {"z"}, ("f", "q"): {"z", "w"}},
+        )
+        mu = ProbabilityTable({("e", "p", "x"): 0.25, ("e", "p", "y"): 0.75, ("e", "q", "x"): 1,
+                               ("f", "p", "z"): 1, ("f", "q", "z"): 0.5, ("f", "q", "w"): 0.5})
+        grouped, reference = _transport(entity, entity, SubEntityWitness.identity(entity), [(mu, mu)], tol)
+        assert grouped == reference
+        checks, failures, overflow = grouped
+        assert checks == {"k.injective": True, "k.transport_identity": False}
+        assert len(failures) + overflow == 16
+        assert failures[:3] == [
+            "k.transport_identity: pair 0, (e, p, w): 0 vs 0",
+            "k.transport_identity: pair 0, (e, p, x): 0.25 vs 0.25",
+            "k.transport_identity: pair 0, (e, p, y): 0.75 vs 0.75",
+        ]
+
+
+@st.composite
+def transported_measures(draw):
+    """A small entity, a big one whose states each copy a small state once
+    or twice, and one or two pairs of measures: each big measure is its small
+    one transported, then overwritten on some triples. Both sides hold stray
+    entries: impossible outcomes, outcomes outside the entity or outside l's
+    image, and unknown experiments."""
+    states = [f"p{i}" for i in range(draw(st.integers(1, 3)))]
+    experiments = [f"e{i}" for i in range(draw(st.integers(1, 3)))]
+    pool = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    cell = st.frozensets(st.sampled_from(pool), min_size=1)
+    small = Entity(states, experiments, {(e, p): draw(cell) for e in experiments for p in states})
+    copies = draw(st.integers(1, 2))
+    m = {f"S.{p}.{c}": p for p in states for c in range(copies)}
+    n = {e: f"E.{e}" for e in experiments}
+    l = {x: f"X.{x}" for x in small.outcomes}
+    big = Entity(m, n.values(), {(n[e], P): {l[x] for x in small.outcome_set(e, p)} for P, p in m.items() for e in experiments})
+    value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    small_triples = st.tuples(st.sampled_from(experiments + ["e?"]), st.sampled_from(states), st.sampled_from(pool + ["x?"]))
+    big_triples = st.tuples(st.sampled_from([*n.values(), "E.?"]), st.sampled_from(sorted(m)), st.sampled_from([*l.values(), "X.?"]))
+    pairs = []
+    for _ in range(draw(st.integers(1, 2))):
+        mu = draw(st.dictionaries(small_triples, value, max_size=10))
+        nu = {(n[e], P, l[x]): v for (e, p, x), v in mu.items() if e in n and x in l for P in m if m[P] == p}
+        nu.update(draw(st.dictionaries(big_triples, value, max_size=6)))
+        pairs.append((ProbabilityTable(mu), ProbabilityTable(nu)))
+    assume(len({mu for mu, _ in pairs}) == len(pairs))
+    return small, big, SubEntityWitness(m, n, l), pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(transported_measures(), st.sampled_from([1e-9, 0.0]))
+def test_grouped_transport_matches_the_per_triple_reference(drawn, tol):
+    grouped, reference = _transport(*drawn, tol)
+    assert grouped == reference

@@ -6,7 +6,8 @@ the least violating pair found by enumerating all pairs (and of `satisfies_T1`
 against the least violating point), `indistinguishable_pair` against the least
 pair of experiments not orthogonal in the total mixed state, the closure engine, the eigen systems and
 the ortho spaces against the brute-force oracles and the relation engine, the
-mask engine of the closure layer against the frozenset definitions and its bit
+mask engine of the closure layer (the state trace of every constructor's
+couple systems included) against the frozenset definitions and its bit
 codec against its own inverse, the full mixed entity against its cell-by-cell
 definition, `is_supremum` against its defining biconditional, the lattice
 queries of state-property systems against their scans, kept-mask
@@ -935,16 +936,6 @@ def couple_grids(draw):
     return frozenset(product(experiments, states))
 
 
-@SETTINGS
-@given(couple_grids().flatmap(systems))
-def test_state_trace_is_the_trace_of_every_member(drawn):
-    system, _ = _generated(*drawn)
-    experiments = {e for e, _ in system.ground}
-    states = {p for _, p in system.ground}
-    trace = lambda Y: frozenset(p for p in states if all((e, p) in Y for e in experiments))  # noqa: E731
-    assert state_trace(system).members == {trace(m) for m in system.members}
-
-
 @st.composite
 def plus_entities(draw):
     """Entities whose identifiers contain '+', so minted mixture identifiers
@@ -1095,6 +1086,36 @@ def bang_entities(draw):
     states = draw(st.lists(st.sampled_from(["p", "p!", "q"]), min_size=1, max_size=3, unique=True))
     cell = st.frozensets(st.sampled_from(["x0", "x1", "x2", "x3"]), min_size=1)
     return Entity(states, experiments, {(e, p): draw(cell) for e in experiments for p in states})
+
+
+@st.composite
+def couple_systems(draw):
+    """A system over the couple grid of an entity with '!' in its
+    identifiers, from each constructor: the holder index's central eigen and
+    ortho systems (couples experiment-major), and `ClosureSystem.generated`
+    and `ClosureSystem(ground, members)` (couples in set iteration order)."""
+    entity = draw(bang_entities())
+    kind = draw(st.sampled_from(["eigen", "ortho", "generated", "listed"]))
+    if kind == "eigen":
+        return eigen_closure_system(entity, "central")
+    if kind == "ortho":
+        return ortho_closure_system(entity_ortho_space(entity, "central"))
+    ground = frozenset(entity.couples())
+    generators = draw(st.lists(st.frozensets(st.sampled_from(sorted(ground))), max_size=6))
+    system = ClosureSystem.generated(ground, generators + [frozenset()])
+    return system if kind == "generated" else ClosureSystem(ground, system.members)
+
+
+@SETTINGS
+@given(st.one_of(couple_grids().flatmap(systems).map(lambda drawn: _generated(*drawn)[0]), couple_systems()))
+def test_state_trace_is_the_trace_of_every_member(system):
+    """The mask trace is {p | (e, p) in Y for all e} of every member Y."""
+    experiments = {e for e, _ in system.ground}
+    states = frozenset(p for _, p in system.ground)
+    trace = lambda Y: frozenset(p for p in states if all((e, p) in Y for e in experiments))  # noqa: E731
+    traced = state_trace(system)
+    assert traced.ground == states
+    assert traced.members == {trace(m) for m in system.members}
 
 
 def _frozenset_axiom_checks(system, name, diag, rng):
