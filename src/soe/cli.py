@@ -106,22 +106,16 @@ def _emit_diagnostics(report: Report, prefix: str, diag: Diagnostics) -> None:
 
 def cmd_analyze(args) -> int:
     doc = _load(args.file)
+    entity = doc.entity
     report = Report(args.structured)
-    rel = relation_report(doc.entity)
-    for section in rel.sections:
+    names = {a: _fmt_item(a) for a in (*entity.states, *entity.experiments, *entity.outcomes, *entity.couples())}
+    for section in relation_report(entity).sections:
         report.heading(f"[{section.kind}]")
-        for i, (a, b) in enumerate(section.implications):
-            report.row(
-                f"analyze.{section.kind}.implication.{i}",
-                f"{_fmt_item(a)} < {_fmt_item(b)}",
-                f"  {_fmt_item(a)} < {_fmt_item(b)}",
-            )
-        for i, (a, b) in enumerate(section.orthogonalities):
-            report.row(
-                f"analyze.{section.kind}.orthogonal.{i}",
-                f"{_fmt_item(a)} | {_fmt_item(b)}",
-                f"  {_fmt_item(a)} | {_fmt_item(b)}",
-            )
+        rows = (("implication", "<", section.implications), ("orthogonal", "|", section.orthogonalities))
+        for relation, sign, pairs in rows:
+            for i, (a, b) in enumerate(pairs):
+                text = f"{names[a]} {sign} {names[b]}"
+                report.row(f"analyze.{section.kind}.{relation}.{i}", text, "  " + text)
     report.emit()
     return 0
 

@@ -7,61 +7,21 @@ orthocomplement. A closure system is held as the bit masks of its generating
 closed sets over one item order, and in no other form: its closure operator
 intersects them, its generators are decoded on each ask, and its members are
 listed on first use. The eigen generators and the orthocomplements of an
-entity come from its holder index: for each row of the table, the mask of the
-items whose cell holds each outcome, built once per entity.
+entity come from its holder index (`soe.entity`): for each row of the table,
+the mask of the items whose cell holds each outcome, built once per entity.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress
 from operator import and_, or_
 from types import MappingProxyType
 
 from .diagnostics import Diagnostics
-from .entity import Entity, RelationKind, natural_order, relation_views
+from .entity import Entity, RelationKind, _holder_index, _holder_masks, _Order, natural_order, relation_views
 from .errors import CapacityError, ContractError
 
 GROUND_CAP = 24  # full-family materialization refuses larger ground sets
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digit -> compress flag
-
-
-class _Order:
-    """An order of items for bit masks: bit i stands for items[i]."""
-
-    __slots__ = ("items", "ground", "full", "_position", "_ranks")
-
-    def __init__(self, items, ground=None):
-        self.items = tuple(items)
-        self.ground = frozenset(self.items) if ground is None else ground
-        self.full = (1 << len(self.items)) - 1
-        self._position = None
-        self._ranks = None
-
-    def mask(self, K) -> int:
-        """The mask of K, a set of items: 1 << i ORed over their positions."""
-        if self._position is None:
-            self._position = {a: i for i, a in enumerate(self.items)}
-        return reduce(or_, map((1).__lshift__, map(self._position.__getitem__, K)), 0)
-
-    def ranks(self) -> list:
-        """The item positions sorted by the items' `str` (stably, so ties keep
-        item order), built on first use: entry r is the bit of the item of rank r."""
-        if self._ranks is None:
-            items = self.items
-            self._ranks = sorted(range(len(items)), key=lambda i: str(items[i]))
-        return self._ranks
-
-    def entries(self, A, seq=None):
-        """The entries of `seq` (default: the items) at mask A's set bits, in one pass over its digits."""
-        return compress(self.items if seq is None else seq, bin(A)[:1:-1].encode().translate(_DIGIT_FLAGS))
-
-    def decode(self, A) -> frozenset:
-        """The items of mask A."""
-        return frozenset(self.entries(A))
-
-    def same(self, other) -> bool:
-        return self is other or self.items == other.items
 
 
 def _closure_mask(full, generators, k) -> int:
@@ -242,72 +202,7 @@ def _member_sets(order: _Order, generators) -> dict:
     return found
 
 
-# -- the holder index and the eigen maps --------------------------------------
-
-
-def _holder_masks(cells) -> dict:
-    """has[x] for cells given in item order: the mask of the items whose cell
-    holds outcome x, bit i for the i-th item."""
-    has = {}
-    for i, cell in enumerate(cells):
-        for x in cell:
-            has[x] = has.get(x, 0) | 1 << i
-    return has
-
-
-class _Holders:
-    """The holder index of an entity: one canonical order of its states
-    (sorted), experiments (sorted) and couples (experiment-major, as in
-    `Entity.couples`), and the holder masks has[x] of every row over them,
-    each kind built on first use from one read of the table. Held on the
-    entity, which is immutable (`_holder_index`)."""
-
-    __slots__ = ("states", "experiments", "_table", "_couples", "_rows")
-
-    def __init__(self, entity: Entity):
-        self.states = _Order(sorted(entity.states), entity.states)
-        self.experiments = _Order(sorted(entity.experiments), entity.experiments)
-        self._table = entity._table  # not the entity, which holds the index
-        self._couples = None
-        self._rows = {}
-
-    @property
-    def couples(self) -> _Order:
-        if self._couples is None:
-            self._couples = _Order([(e, p) for e in self.experiments.items for p in self.states.items])
-        return self._couples
-
-    def rows(self, on: str) -> dict:
-        """{scope: has} for on='states' (each experiment's row over the
-        states), on='experiments' (each state's row over the experiments) or
-        on='central' ({None: has} over the couples)."""
-        rows = self._rows.get(on)
-        if rows is None:
-            table = self._table
-            states, experiments = self.states.items, self.experiments.items
-            if on == "states":
-                rows = {e: _holder_masks([table[(e, p)] for p in states]) for e in experiments}
-            elif on == "experiments":
-                rows = {p: _holder_masks([table[(e, p)] for e in experiments]) for p in states}
-            else:  # couple (e, p) has bit i * |states| + j, from e's row over the states
-                central = {}
-                for i, has in enumerate(self.rows("states").values()):
-                    shift = i * len(states)
-                    for x, h in has.items():
-                        central[x] = central.get(x, 0) | h << shift
-                rows = {None: central}
-            self._rows[on] = rows
-        return rows
-
-
-def _holder_index(entity: Entity) -> _Holders:
-    """The entity's holder index, built on first use and kept on the entity."""
-    try:
-        return entity._holders
-    except AttributeError:
-        index = _Holders(entity)
-        object.__setattr__(entity, "_holders", index)
-        return index
+# -- the eigen maps -------------------------------------------------------------
 
 
 def _scoped_rows(entity: Entity, on: str, scoped_to, what: str, system: str) -> tuple:

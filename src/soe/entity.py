@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import and_, or_, xor
 from types import MappingProxyType
 
 from .errors import ContractError, EntityValidationError, UnknownIdentifierError
 
 # \s matches exactly the characters str.isspace accepts
 _FORBIDDEN_CHARACTER = re.compile(r"[\s,=#\[\]]")
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digit -> compress flag
 
 
 def check_identifier(kind: str, token) -> None:
@@ -43,7 +47,7 @@ class Entity:
         silent extension)
     """
 
-    # _holders: the holder index of soe.closure, set on first use
+    # _holders: the holder index (`_holder_index`), set on first use
     __slots__ = ("states", "experiments", "outcomes", "_table", "_holders")
 
     def __init__(self, states, experiments, table, outcomes=None):
@@ -63,8 +67,9 @@ class Entity:
             check_identifier("experiment", e)
 
         cells = {}
+        ordered_states = sorted(states)
         for e in sorted(experiments):
-            for p in sorted(states):
+            for p in ordered_states:
                 try:
                     cell = table[(e, p)]
                 except KeyError:
@@ -75,8 +80,8 @@ class Entity:
                 if not cell:
                     raise EntityValidationError(f"outcome set for cell ({e}, {p}) is empty")
                 cells[(e, p)] = cell
-        extra = set(table) - set(cells)
-        if extra:
+        if len(table) != len(cells):  # every cell was found, so the table holds more
+            extra = set(table) - set(cells)
             raise EntityValidationError(f"table has cells outside E x Sigma: {natural_order(extra)}")
 
         # each distinct outcome is checked once, not once per cell it is in
@@ -170,6 +175,112 @@ def eigen_outcome(entity: Entity, e, p):
     if len(cell) == 1:
         return next(iter(cell))
     return None
+
+
+# -- the holder index ---------------------------------------------------------
+
+
+class _Order:
+    """An order of items for bit masks: bit i stands for items[i]."""
+
+    __slots__ = ("items", "ground", "full", "_position", "_ranks")
+
+    def __init__(self, items, ground=None):
+        self.items = tuple(items)
+        self.ground = frozenset(self.items) if ground is None else ground
+        self.full = (1 << len(self.items)) - 1
+        self._position = None
+        self._ranks = None
+
+    def mask(self, K) -> int:
+        """The mask of K, a set of items: 1 << i ORed over their positions."""
+        if self._position is None:
+            self._position = {a: i for i, a in enumerate(self.items)}
+        return reduce(or_, map((1).__lshift__, map(self._position.__getitem__, K)), 0)
+
+    def ranks(self) -> list:
+        """The item positions sorted by the items' `str` (stably, so ties keep
+        item order), built on first use: entry r is the bit of the item of rank r."""
+        if self._ranks is None:
+            items = self.items
+            self._ranks = sorted(range(len(items)), key=lambda i: str(items[i]))
+        return self._ranks
+
+    def entries(self, A, seq=None):
+        """The entries of `seq` (default: the items) at mask A's set bits, in one pass over its digits."""
+        return compress(self.items if seq is None else seq, bin(A)[:1:-1].encode().translate(_DIGIT_FLAGS))
+
+    def decode(self, A) -> frozenset:
+        """The items of mask A."""
+        return frozenset(self.entries(A))
+
+    def same(self, other) -> bool:
+        return self is other or self.items == other.items
+
+
+def _holder_masks(cells) -> dict:
+    """has[x] for cells given in item order: the mask of the items whose cell
+    holds outcome x, bit i for the i-th item."""
+    has = {}
+    for i, cell in enumerate(cells):
+        for x in cell:
+            has[x] = has.get(x, 0) | 1 << i
+    return has
+
+
+class _Holders:
+    """The holder index of an entity: one canonical order of its states
+    (sorted), experiments (sorted) and couples (experiment-major, as in
+    `Entity.couples`), and the holder masks has[x] of every row over them,
+    each kind built on first use from one read of the table. Held on the
+    entity, which is immutable (`_holder_index`)."""
+
+    __slots__ = ("states", "experiments", "_table", "_couples", "_rows")
+
+    def __init__(self, entity: Entity):
+        self.states = _Order(sorted(entity.states), entity.states)
+        self.experiments = _Order(sorted(entity.experiments), entity.experiments)
+        self._table = entity._table  # not the entity, which holds the index
+        self._couples = None
+        self._rows = {}
+
+    @property
+    def couples(self) -> _Order:
+        if self._couples is None:
+            self._couples = _Order([(e, p) for e in self.experiments.items for p in self.states.items])
+        return self._couples
+
+    def rows(self, on: str) -> dict:
+        """{scope: has} for on='states' (each experiment's row over the
+        states), on='experiments' (each state's row over the experiments) or
+        on='central' ({None: has} over the couples)."""
+        rows = self._rows.get(on)
+        if rows is None:
+            table = self._table
+            states, experiments = self.states.items, self.experiments.items
+            if on == "states":
+                rows = {e: _holder_masks([table[(e, p)] for p in states]) for e in experiments}
+            elif on == "experiments":
+                rows = {p: _holder_masks([table[(e, p)] for e in experiments]) for p in states}
+            else:  # couple (e, p) has bit i * |states| + j, from e's row over the states
+                central = {}
+                for i, has in enumerate(self.rows("states").values()):
+                    shift = i * len(states)
+                    for x, h in has.items():
+                        central[x] = central.get(x, 0) | h << shift
+                rows = {None: central}
+            self._rows[on] = rows
+        return rows
+
+
+def _holder_index(entity: Entity) -> _Holders:
+    """The entity's holder index, built on first use and kept on the entity."""
+    try:
+        return entity._holders
+    except AttributeError:
+        index = _Holders(entity)
+        object.__setattr__(entity, "_holders", index)
+        return index
 
 
 # -- relation kinds ---------------------------------------------------------
@@ -364,12 +475,30 @@ class RelationReport:
         raise KeyError(kind_name)
 
 
-def _scan(entity: Entity, kind: RelationKind, universe) -> ReportSection:
-    view, orthogonal_views = relation_views(entity, kind)
-    views = [(a, view(a)) for a in universe]
-    imp = [(a, b) for a, u in views for b, v in views if view_implies(u, v)]
-    orth = [(a, b) for a, u in views for b, v in views if a != b and orthogonal_views(u, v)]
-    return ReportSection(kind.describe(), tuple(imp), tuple(orth))
+def _section(kind: RelationKind, order: _Order, below, apart) -> ReportSection:
+    """The section listing, for each item a of `order`, (a, b) for each b at
+    the set bits of a's mask in `below` (implications), then in `apart`."""
+    items, entries = order.items, order.entries
+    return ReportSection(
+        kind.describe(),
+        tuple([(a, b) for a, mask in zip(items, below) for b in entries(mask)]),
+        tuple([(a, b) for a, mask in zip(items, apart) for b in entries(mask)]),
+    )
+
+
+def _scoped_sections(order: _Order, rows: dict, cell, kind, scoped_kind=None) -> list:
+    """The section of one item kind, then, if `scoped_kind` names them, one
+    per scope of `rows`: b lies below a when b's cell holds a's in every scope
+    (AND of has[x] over a's cell), and apart when it misses a's in some."""
+    full, n = order.full, len(order.items)
+    below, apart, sections = [full] * n, [0] * n, []
+    for scope, has in rows.items():
+        masks = [[has[x] for x in cell(scope, a)] for a in order.items]
+        scope_below, scope_apart = [reduce(and_, m) for m in masks], [full & ~reduce(or_, m) for m in masks]
+        if scoped_kind:
+            sections.append(_section(scoped_kind(scope), order, scope_below, scope_apart))
+        below, apart = list(map(and_, below, scope_below)), list(map(or_, apart, scope_apart))
+    return [_section(kind, order, below, apart), *sections]
 
 
 def relation_report(entity: Entity) -> RelationReport:
@@ -377,22 +506,30 @@ def relation_report(entity: Entity) -> RelationReport:
 
     Pairs are enumerated in lexicographic order so the report is deterministic;
     reflexive implications are listed, orthogonal pairs appear in both orders.
+    Each section decodes two masks per item: over the holder index, a implies
+    the AND of has[x] over its cells (the derivation operator of Ganter and
+    Wille, Formal Concept Analysis, 1999) and is apart from the items whose cell
+    misses its own in some scope. Outcomes sharing a cell in scope are apart.
     """
-    states = sorted(entity.states)
-    experiments = sorted(entity.experiments)
-    couples = entity.couples()
-    outcomes = sorted(entity.outcomes)
-
-    sections = [
-        _scan(entity, RelationKind.central(), couples),
-        _scan(entity, RelationKind.state_global(), states),
-        _scan(entity, RelationKind.experiment_global(), experiments),
-        _scan(entity, RelationKind.outcome_global(), outcomes),
-    ]
-    for e in experiments:
-        sections.append(_scan(entity, RelationKind.state_for(e), states))
-    for p in states:
-        sections.append(_scan(entity, RelationKind.experiment_for(p), experiments))
-    for e, p in couples:
-        sections.append(_scan(entity, RelationKind.outcome_for(e, p), sorted(entity._table[(e, p)])))
-    return RelationReport(tuple(sections))
+    table = entity._table
+    index = _holder_index(entity)
+    (central,) = _scoped_sections(index.couples, index.rows("central"), lambda _, c: table[c], RelationKind.central())
+    state, *state_for = _scoped_sections(index.states, index.rows("states"), lambda e, p: table[e, p],
+                                         RelationKind.state_global(), RelationKind.state_for)
+    experiment, *experiment_for = _scoped_sections(index.experiments, index.rows("experiments"),
+                                                   lambda p, e: table[e, p],
+                                                   RelationKind.experiment_global(), RelationKind.experiment_for)
+    outcomes = _Order(sorted(entity.outcomes), entity.outcomes)
+    shared = dict.fromkeys(outcomes.items, 0)  # x -> the outcomes sharing a cell with x
+    for cell in set(table.values()):
+        mask = outcomes.mask(cell)
+        for x in cell:
+            shared[x] |= mask
+    bits = [1 << i for i in range(len(outcomes.items))]
+    outcome = _section(RelationKind.outcome_global(), outcomes, bits, list(map(xor, shared.values(), bits)))
+    outcome_for = []
+    for e, p in index.couples.items:  # in one cell, every two distinct outcomes are orthogonal
+        cell = sorted(table[e, p])
+        outcome_for.append(ReportSection(RelationKind.outcome_for(e, p).describe(), tuple([(x, x) for x in cell]),
+                                         tuple([(x, y) for x in cell for y in cell if x != y])))
+    return RelationReport((central, state, experiment, outcome, *state_for, *experiment_for, *outcome_for))

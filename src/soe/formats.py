@@ -44,14 +44,6 @@ class EntityDocument:
     measure_map: dict = field(default_factory=dict)  # small measure name -> big measure name
 
 
-def _split_list(raw: str, line_no: int) -> list:
-    items = [part.strip() for part in raw.split(",")]
-    items = [part for part in items if part]
-    if not items:
-        raise ParseError("empty identifier list", line=line_no)
-    return items
-
-
 def _check_identifiers(kind: str, items, line_no: int) -> None:
     """The entity identifier rule, failing with the line number."""
     try:
@@ -63,7 +55,9 @@ def _check_identifiers(kind: str, items, line_no: int) -> None:
 
 def _identifier_set(kind: str, raw: str, line_no: int) -> set:
     """A declared identifier list; listing an identifier twice is an error."""
-    items = _split_list(raw, line_no)
+    items = [x for x in map(str.strip, raw.split(",")) if x]
+    if not items:
+        raise ParseError("empty identifier list", line=line_no)
     _check_identifiers(kind, items, line_no)
     repeated = [x for x, count in Counter(items).items() if count > 1]
     if repeated:
@@ -124,22 +118,53 @@ def parse_entity(text: str) -> EntityDocument:
     section = None
     current_measure = None
 
-    for line_no, line in _content_lines(text):
-        if line.startswith("["):
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()  # as _content_lines, inline for the cell lines
+        if not line:
+            continue
+        if line[0] == "[":
             header = _section_header(line, line_no)
             section = header[0]
             header_line.setdefault(section, line_no)
-            if section == "probability":
+            if section == "outcomes":  # only [entity] lines declare, so read the declarations once here
+                known_states, known_experiments = declared.get("states", ()), declared.get("experiments", ())
+                known_outcomes = declared.get("outcomes", seen_outcomes)
+            elif section == "probability":
                 current_measure = header[1] if len(header) > 1 else f"mu{len(measure_order) + 1}"
                 if current_measure in measures:
                     raise ParseError(f"duplicate probability table {current_measure!r}", line=line_no)
                 measures[current_measure] = {}
                 measure_order.append(current_measure)
-            elif section not in ("entity", "outcomes", "witness"):
+            elif section not in ("entity", "witness"):
                 raise ParseError(f"unknown section [{section}]", line=line_no)
             continue
         if section is None:
             raise ParseError("content before the first section header", line=line_no)
+        if section == "outcomes":  # one line per cell, so read inline, with the refusals of _key_value
+            lhs, eq, rhs = line.partition("=")
+            if not eq:
+                raise ParseError("expected 'key = value'", line=line_no)
+            parts = lhs.split()
+            if len(parts) != 2:
+                raise ParseError("cell lines read '<experiment> <state> = outcomes'", line=line_no)
+            e, p = parts
+            if e not in known_experiments:
+                raise ParseError(f"undeclared experiment {e!r}", line=line_no)
+            if p not in known_states:
+                raise ParseError(f"undeclared state {p!r}", line=line_no)
+            if (e, p) in cells:
+                raise ParseError(f"duplicate cell ({e}, {p})", line=line_no)
+            outs = [x for x in map(str.strip, rhs.split(",")) if x]
+            if not outs:
+                raise ParseError("empty identifier list", line=line_no)
+            fresh = [x for x in outs if x not in known_outcomes]
+            if fresh:
+                if "outcomes" in declared:
+                    raise ParseError(f"outcomes {fresh} are not in the declared outcome set", line=line_no)
+                _check_identifiers("outcome", fresh, line_no)
+                seen_outcomes.update(fresh)
+            cells[(e, p)] = outs
+            continue
         lhs, rhs = _key_value(line, line_no)
         if section == "entity":
             if lhs not in ("states", "experiments", "outcomes"):
@@ -148,30 +173,15 @@ def parse_entity(text: str) -> EntityDocument:
                 raise ParseError(f"{lhs} declared a second time", line=line_no)
             declared[lhs] = _identifier_set(lhs[:-1], rhs, line_no)
             declared_line[lhs] = line_no
-        elif section == "outcomes":
-            parts = lhs.split()
-            if len(parts) != 2:
-                raise ParseError("cell lines read '<experiment> <state> = outcomes'", line=line_no)
-            e, p = parts
-            if e not in declared.get("experiments", ()):
-                raise ParseError(f"undeclared experiment {e!r}", line=line_no)
-            if p not in declared.get("states", ()):
-                raise ParseError(f"undeclared state {p!r}", line=line_no)
-            if (e, p) in cells:
-                raise ParseError(f"duplicate cell ({e}, {p})", line=line_no)
-            outs = _split_list(rhs, line_no)
-            fresh = [x for x in outs if x not in declared.get("outcomes", seen_outcomes)]
-            if fresh and "outcomes" in declared:
-                raise ParseError(f"outcomes {fresh} are not in the declared outcome set", line=line_no)
-            _check_identifiers("outcome", fresh, line_no)
-            seen_outcomes.update(fresh)
-            cells[(e, p)] = outs
         elif section == "probability":
             parts = lhs.split()
             if len(parts) != 3:
                 raise ParseError(
                     "probability lines read '<experiment> <state> <outcome> = value'", line=line_no
                 )
+            if tuple(parts) in measures[current_measure]:
+                raise ParseError(f"duplicate probability entry ({', '.join(parts)}) in table {current_measure}",
+                                 line=line_no)
             if not _PROBABILITY.fullmatch(rhs):
                 raise ParseError(f"bad probability value {rhs!r}", line=line_no)
             value = float(rhs)
@@ -186,10 +196,8 @@ def parse_entity(text: str) -> EntityDocument:
         raise ParseError(
             "the [entity] section must declare states and experiments", line=header_line.get("entity", 1)
         )
-    missing = [
-        (e, p) for e in sorted(experiments) for p in sorted(states) if (e, p) not in cells
-    ]
-    if missing:
+    if len(cells) != len(states) * len(experiments):  # each cell read is a distinct declared couple
+        missing = [(e, p) for e in sorted(experiments) for p in sorted(states) if (e, p) not in cells]
         raise ParseError(
             f"missing outcome cell for {missing[0]}"
             + (f" and {len(missing) - 1} more" if len(missing) > 1 else ""),
@@ -236,8 +244,12 @@ def emit_entity(entity: Entity, measures: dict | None = None) -> str:
     lines.append("experiments = " + ", ".join(sorted(entity.experiments)))
     lines.append("outcomes = " + ", ".join(sorted(entity.outcomes)))
     lines.append("[outcomes]")
+    joined = {}  # cell -> its text, each distinct cell joined once
     for (e, p), cell in entity.cells():
-        lines.append(f"{e} {p} = " + ", ".join(sorted(cell)))
+        text = joined.get(cell)
+        if text is None:
+            text = joined[cell] = ", ".join(sorted(cell))
+        lines.append(f"{e} {p} = {text}")
     for name in sorted(measures or {}):
         lines.append(f"[probability {name}]")
         for (e, p, x) in sorted(measures[name].entries):

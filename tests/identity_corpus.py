@@ -81,6 +81,7 @@ def entity_files() -> dict:
         "random_1x3.soe": _random(6, 1, 3, 4),
         "random_5x5_wide.soe": _random(7, 5, 5, 12, 1, 4),
         "random_6x5.soe": _random(8, 6, 5, 6),
+        "random_9x9.soe": _random(17, 9, 9, 6),  # 81 couples, past one 64-bit word; cells repeat
         "dclassical_3x3.soe": _random(9, 3, 3, 3, 1, 1),
         "dclassical_4x4.soe": _random(10, 4, 4, 6, 1, 1),
         "dclassical_5x4.soe": _random(11, 5, 4, 2, 1, 1),

@@ -86,6 +86,17 @@ class TestParsing:
              r"outcome identifier 'y z' .* \(line 6\)"),
             ("[entity]\nstates = p\nexperiments = e\noutcomes = x, ghost\n[outcomes]\ne p = x\n",
              r"outcomes \['ghost'\] are declared but never possible \(line 4\)"),
+            # cell lines: each refusal, and the first of two faults on one line
+            ("[entity]\nstates = p\nexperiments = e\n[outcomes]\ne p x\n", r"expected 'key = value' \(line 5\)"),
+            ("[entity]\nstates = p\nexperiments = e\n[outcomes]\ne p q = x\n",
+             r"cell lines read '<experiment> <state> = outcomes' \(line 5\)"),
+            ("[entity]\nstates = p\nexperiments = e\n[outcomes]\nf p = x\n", r"undeclared experiment 'f' \(line 5\)"),
+            ("[entity]\nstates = p\nexperiments = e\n[outcomes]\ne p = , ,\n", r"empty identifier list \(line 5\)"),
+            ("[entity]\nstates = p\nexperiments = e\n[outcomes]\nf q = , ,\n", r"undeclared experiment 'f' \(line 5\)"),
+            ("[entity]\nstates = p, q\nexperiments = e\n[outcomes]\ne p = x  # a note, = [ ]\ne q = ,\n",
+             r"empty identifier list \(line 6\)"),
+            ("[entity]\nstates = p\nexperiments = e\n[outcomes]\ne p = x\n[probability mu]\ne p x = 0.5\ne p x = 0.3\n",
+             r"^duplicate probability entry \(e, p, x\) in table mu \(line 8\)$"),
             # whole-document refusals cite the header of the section at fault
             ("[entity]\nstates = p, q\nexperiments = e\n\n[outcomes]\ne p = x\n",
              r"missing outcome cell for \('e', 'q'\) \(line 5\)"),

@@ -62,6 +62,7 @@ from soe.entity import (
     implies,
     natural_order,
     orthogonal,
+    relation_report,
     relation_views,
     view_implies,
 )
@@ -1086,6 +1087,30 @@ def bang_entities(draw):
     states = draw(st.lists(st.sampled_from(["p", "p!", "q"]), min_size=1, max_size=3, unique=True))
     cell = st.frozensets(st.sampled_from(["x0", "x1", "x2", "x3"]), min_size=1)
     return Entity(states, experiments, {(e, p): draw(cell) for e in experiments for p in states})
+
+
+@SETTINGS
+@given(st.one_of(entities(), plus_entities(), bang_entities(), named_entities()))
+def test_relation_report_lists_each_sections_pairs_by_the_queries(entity):
+    """Every section of `relation_report`, for all seven kinds, lists the
+    pairs `implies` (reflexive ones included) and `orthogonal` (a != b) accept,
+    in universe order: couples experiment-major, all else sorted."""
+    experiments, states = sorted(entity.experiments), sorted(entity.states)
+    sections = [
+        (RelationKind.central(), entity.couples()),
+        (RelationKind.state_global(), states),
+        (RelationKind.experiment_global(), experiments),
+        (RelationKind.outcome_global(), sorted(entity.outcomes)),
+    ]
+    sections += [(RelationKind.state_for(e), states) for e in experiments]
+    sections += [(RelationKind.experiment_for(p), experiments) for p in states]
+    sections += [(RelationKind.outcome_for(e, p), sorted(entity.outcome_set(e, p))) for e, p in entity.couples()]
+    report = relation_report(entity)
+    assert [section.kind for section in report.sections] == [kind.describe() for kind, _ in sections]
+    for section, (kind, universe) in zip(report.sections, sections):
+        pairs = [(a, b) for a in universe for b in universe]
+        assert list(section.implications) == [(a, b) for a, b in pairs if implies(entity, kind, a, b)]
+        assert list(section.orthogonalities) == [(a, b) for a, b in pairs if a != b and orthogonal(entity, kind, a, b)]
 
 
 @st.composite
