@@ -8,22 +8,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .closure import ClosureSystem, _closure_mask, _holder_masks, eigen_closure_system, entity_ortho_space, ortho_closure_system
-from .entity import Entity, RelationKind, first_equivalent_pair, natural_order, relation_views
+from .closure import ClosureSystem, _closure_mask, eigen_closure_system, entity_ortho_space, ortho_closure_system
+from .entity import Entity, RelationKind, _holder_index, _holder_masks, first_equivalent_pair, natural_order, relation_views
 from .errors import ConsistencyError
 from .statprop import indistinguishable_pair
 
 
-def _determined(entity: Entity, kind: RelationKind, items):
-    """No two distinct items have equal views. Returns (flag, least equal pair)."""
-    view, _ = relation_views(entity, kind)
-    pair = first_equivalent_pair(items, view)
-    return (pair is None, pair)
-
-
-def _atomic(entity: Entity, members, items):
-    """No item implies a distinct one, an item's view being its cells under
-    the scoped kinds `members`. Returns (flag, least implying pair).
+def _atomic(items, members, run):
+    """No item implies a distinct one, an item's view being its cells run(m)
+    (in item order) over the members m. Returns (flag, least implying pair).
 
     The items that a implies are the AND, over the members, of the holder
     masks of a's outcomes there, less a. Bit i is items[i], so the first a
@@ -32,10 +25,9 @@ def _atomic(entity: Entity, members, items):
     columns = []  # (cells of the items, their holder masks) per member reached
     for i in range(len(items)):
         above = ~(1 << i)  # every item but a; the first AND makes it a mask
-        for j, kind in enumerate(members):
+        for j, member in enumerate(members):
             if j == len(columns):
-                view, _ = relation_views(entity, kind)
-                cells = [view(b)[0] for b in items]
+                cells = run(member)
                 columns.append((cells, _holder_masks(cells)))
             cells, has = columns[j]
             for x in cells[i]:
@@ -48,18 +40,22 @@ def _atomic(entity: Entity, members, items):
 
 
 def is_outcome_determined(entity: Entity):
-    """Distinct couples have distinct outcome sets. Returns (flag, witness)."""
-    return _determined(entity, RelationKind.central(), entity.couples())
+    """Distinct couples have distinct outcome sets (a couple's central view is
+    its one cell). Returns (flag, least pair with equal views)."""
+    pair = first_equivalent_pair(entity.couples(), entity._table.__getitem__)
+    return (pair is None, pair)
 
 
 def is_state_determined(entity: Entity):
     """Distinct states differ under some experiment."""
-    return _determined(entity, RelationKind.state_global(), sorted(entity.states))
+    pair = first_equivalent_pair(sorted(entity.states), relation_views(entity, RelationKind.state_global())[0])
+    return (pair is None, pair)
 
 
 def is_experiment_determined(entity: Entity):
     """Distinct experiments differ in some state."""
-    return _determined(entity, RelationKind.experiment_global(), sorted(entity.experiments))
+    pair = first_equivalent_pair(sorted(entity.experiments), relation_views(entity, RelationKind.experiment_global())[0])
+    return (pair is None, pair)
 
 
 def satisfies_T0(system: ClosureSystem):
@@ -93,15 +89,17 @@ def satisfies_T1(system: ClosureSystem):
 
 def is_central_atomic(entity: Entity):
     """No couple strictly implies another."""
-    return _atomic(entity, [RelationKind.central()], entity.couples())
+    return _atomic(entity.couples(), [None], lambda _: _holder_index(entity).cells)
 
 
 def is_state_atomic(entity: Entity):
-    return _atomic(entity, [RelationKind.state_for(e) for e in sorted(entity.experiments)], sorted(entity.states))
+    index = _holder_index(entity)
+    return _atomic(index.states.items, index.experiments.items, index.row)
 
 
 def is_experiment_atomic(entity: Entity):
-    return _atomic(entity, [RelationKind.experiment_for(p) for p in sorted(entity.states)], sorted(entity.experiments))
+    index = _holder_index(entity)
+    return _atomic(index.experiments.items, index.states.items, index.column)
 
 
 def _d_classical_witness(entity: Entity):

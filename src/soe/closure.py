@@ -18,7 +18,7 @@ from operator import and_, or_
 from types import MappingProxyType
 
 from .diagnostics import Diagnostics
-from .entity import Entity, RelationKind, _holder_index, _holder_masks, _Order, natural_order, relation_views
+from .entity import Entity, RelationKind, _holder_index, _holder_masks, _Order, _shared_masks, natural_order, relation_views
 from .errors import CapacityError, ContractError
 
 GROUND_CAP = 24  # full-family materialization refuses larger ground sets
@@ -381,12 +381,7 @@ def entity_ortho_space(entity: Entity, on: str, scoped_to=None) -> OrthoSpace:
         else:
             raise ContractError(f"an outcome scope is an (experiment, state) pair, got {scoped_to!r}")
         order = _Order(sorted(entity.outcomes), entity.outcomes)
-        shared = dict.fromkeys(order.items, 0)  # x -> the outcomes sharing a cell in scope with x
-        for cell in cells:
-            mask = order.mask(cell)
-            for x in cell:
-                shared[x] |= mask
-        for i, (x, mask) in enumerate(shared.items()):
+        for i, (x, mask) in enumerate(_shared_masks(order, cells).items()):
             groups.setdefault(mask & ~(1 << i), []).append(x)
     else:
         order, rows = _scoped_rows(entity, on, scoped_to, "orthogonality", "orthogonality")

@@ -76,13 +76,15 @@ class Entity:
                     raise EntityValidationError(f"missing outcome set for cell ({e}, {p})") from None
                 if isinstance(cell, str):
                     raise EntityValidationError(f"outcome set for cell ({e}, {p}) is the string {cell!r}, not a set")
-                cell = frozenset(cell)
+                try:
+                    cell = frozenset(cell)
+                except TypeError:  # not iterable, or an outcome that cannot be hashed
+                    raise EntityValidationError(f"outcome set for cell ({e}, {p}) is not a set of outcomes: {cell!r}") from None
                 if not cell:
                     raise EntityValidationError(f"outcome set for cell ({e}, {p}) is empty")
                 cells[(e, p)] = cell
         if len(table) != len(cells):  # every cell was found, so the table holds more
-            extra = set(table) - set(cells)
-            raise EntityValidationError(f"table has cells outside E x Sigma: {natural_order(extra)}")
+            raise EntityValidationError(f"table has cells outside E x Sigma: {natural_order(set(table) - set(cells))}")
 
         # each distinct outcome is checked once, not once per cell it is in
         union = frozenset().union(*cells.values())
@@ -101,7 +103,7 @@ class Entity:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "experiments", experiments)
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "_table", MappingProxyType(cells))
+        object.__setattr__(self, "_table", MappingProxyType(cells))  # in couple order, which whole-table readers walk
 
     def __setattr__(self, name, value):
         raise AttributeError("Entity is immutable")
@@ -156,13 +158,12 @@ class Entity:
         return frozenset().union(*(self._table[(e, p)] for e in self.experiments))
 
     def couples(self) -> list:
-        """All (experiment, state) pairs in deterministic order."""
-        return [(e, p) for e in sorted(self.experiments) for p in sorted(self.states)]
+        """All (experiment, state) pairs in couple order: sorted experiments, then sorted states."""
+        return list(self._table)
 
     def cells(self):
-        """Deterministic iteration over ((e, p), O(e, p))."""
-        for couple in self.couples():
-            yield couple, self._table[couple]
+        """Iteration over ((e, p), O(e, p)) in couple order."""
+        return iter(self._table.items())
 
 
 def outcome_set(entity: Entity, e, p) -> frozenset:
@@ -192,11 +193,15 @@ class _Order:
         self._position = None
         self._ranks = None
 
-    def mask(self, K) -> int:
-        """The mask of K, a set of items: 1 << i ORed over their positions."""
+    @property
+    def position(self) -> dict:  # item -> its bit, built on first use
         if self._position is None:
             self._position = {a: i for i, a in enumerate(self.items)}
-        return reduce(or_, map((1).__lshift__, map(self._position.__getitem__, K)), 0)
+        return self._position
+
+    def mask(self, K) -> int:
+        """The mask of K, a set of items: 1 << i ORed over their positions."""
+        return reduce(or_, map((1).__lshift__, map(self.position.__getitem__, K)), 0)
 
     def ranks(self) -> list:
         """The item positions sorted by the items' `str` (stably, so ties keep
@@ -230,25 +235,33 @@ def _holder_masks(cells) -> dict:
 
 class _Holders:
     """The holder index of an entity: one canonical order of its states
-    (sorted), experiments (sorted) and couples (experiment-major, as in
-    `Entity.couples`), and the holder masks has[x] of every row over them,
-    each kind built on first use from one read of the table. Held on the
-    entity, which is immutable (`_holder_index`)."""
+    (sorted), experiments (sorted) and couples (the table's), its cells in
+    couple order, where a row is a run and a column a stride, and the holder
+    masks has[x] of every row over them, each kind built on first use. Held
+    on the entity, which is immutable (`_holder_index`)."""
 
-    __slots__ = ("states", "experiments", "_table", "_couples", "_rows")
+    __slots__ = ("states", "experiments", "cells", "_table", "_couples", "_rows")
 
     def __init__(self, entity: Entity):
         self.states = _Order(sorted(entity.states), entity.states)
         self.experiments = _Order(sorted(entity.experiments), entity.experiments)
         self._table = entity._table  # not the entity, which holds the index
+        self.cells = tuple(self._table.values())
         self._couples = None
         self._rows = {}
 
     @property
     def couples(self) -> _Order:
         if self._couples is None:
-            self._couples = _Order([(e, p) for e in self.experiments.items for p in self.states.items])
+            self._couples = _Order(self._table)
         return self._couples
+
+    def row(self, e) -> tuple:  # e's cells over the sorted states
+        n, i = len(self.states.items), self.experiments.position[e]
+        return self.cells[i * n:(i + 1) * n]
+
+    def column(self, p) -> tuple:  # p's cells over the sorted experiments
+        return self.cells[self.states.position[p]::len(self.states.items)]
 
     def rows(self, on: str) -> dict:
         """{scope: has} for on='states' (each experiment's row over the
@@ -256,21 +269,29 @@ class _Holders:
         on='central' ({None: has} over the couples)."""
         rows = self._rows.get(on)
         if rows is None:
-            table = self._table
-            states, experiments = self.states.items, self.experiments.items
             if on == "states":
-                rows = {e: _holder_masks([table[(e, p)] for p in states]) for e in experiments}
+                rows = {e: _holder_masks(self.row(e)) for e in self.experiments.items}
             elif on == "experiments":
-                rows = {p: _holder_masks([table[(e, p)] for e in experiments]) for p in states}
+                rows = {p: _holder_masks(self.column(p)) for p in self.states.items}
             else:  # couple (e, p) has bit i * |states| + j, from e's row over the states
                 central = {}
                 for i, has in enumerate(self.rows("states").values()):
-                    shift = i * len(states)
+                    shift = i * len(self.states.items)
                     for x, h in has.items():
                         central[x] = central.get(x, 0) | h << shift
                 rows = {None: central}
             self._rows[on] = rows
         return rows
+
+
+def _shared_masks(order: _Order, cells) -> dict:
+    """x -> the mask over `order` of the outcomes sharing one of `cells` with x."""
+    shared = dict.fromkeys(order.items, 0)
+    for cell in cells:
+        mask = order.mask(cell)
+        for x in cell:
+            shared[x] |= mask
+    return shared
 
 
 def _holder_index(entity: Entity) -> _Holders:
@@ -381,21 +402,25 @@ def _some_member_disjoint(u: tuple, v: tuple) -> bool:
 def relation_views(entity: Entity, kind: RelationKind):
     """`(view, orthogonal)` for one relation kind.
 
-    `view(item)` reads a plain item's view from the table unchecked: a
-    state's cells over the experiments in scope, an experiment's over the
-    states in scope (all of them, sorted, for a global kind), a couple's one
-    cell, or an outcome's one-outcome event. Views imply by `view_implies`;
+    `view(item)` reads a plain item's view unchecked: a state's cells over
+    the experiments in scope, an experiment's over the states in scope (all
+    of them, sorted, for a global kind: a column or a row of the holder index),
+    a couple's one cell, or an outcome's one-outcome event. Views imply by `view_implies`;
     `orthogonal(u, v)` holds when some member of u is disjoint from the
     matching member of v, and for events when both lie inside one cell in scope.
     """
     _validate_kind(entity, kind)
     table = entity._table
-    if kind.on == "state":
-        scope = (kind.experiment,) if kind.experiment is not None else tuple(sorted(entity.experiments))
-        return (lambda p: tuple([table[(e, p)] for e in scope])), _some_member_disjoint
-    if kind.on == "experiment":
-        scope = (kind.state,) if kind.state is not None else tuple(sorted(entity.states))
-        return (lambda e: tuple([table[(e, p)] for p in scope])), _some_member_disjoint
+    if kind.on in ("state", "experiment"):  # a state's cells are a column, an experiment's a row
+        index = _holder_index(entity)
+        if kind.on == "state":
+            whole, run, scope, at = index.column, index.row, kind.experiment, index.states.position
+        else:
+            whole, run, scope, at = index.row, index.column, kind.state, index.experiments.position
+        if scope is None:
+            return whole, _some_member_disjoint
+        cells = run(scope)
+        return (lambda a: (cells[at[a]],)), _some_member_disjoint
     if kind.on == "central":
         return (lambda couple: (table[couple],)), _some_member_disjoint
     cells = [table[(kind.experiment, kind.state)]] if kind.experiment is not None else set(table.values())
@@ -486,14 +511,14 @@ def _section(kind: RelationKind, order: _Order, below, apart) -> ReportSection:
     )
 
 
-def _scoped_sections(order: _Order, rows: dict, cell, kind, scoped_kind=None) -> list:
+def _scoped_sections(order: _Order, rows: dict, run, kind, scoped_kind=None) -> list:
     """The section of one item kind, then, if `scoped_kind` names them, one
-    per scope of `rows`: b lies below a when b's cell holds a's in every scope
-    (AND of has[x] over a's cell), and apart when it misses a's in some."""
+    per scope of `rows` (cells run(scope)): b lies below a when b's cell holds
+    a's in every scope (AND of has[x] over a's cell), and apart when it misses a's in some."""
     full, n = order.full, len(order.items)
     below, apart, sections = [full] * n, [0] * n, []
     for scope, has in rows.items():
-        masks = [[has[x] for x in cell(scope, a)] for a in order.items]
+        masks = [[has[x] for x in cell] for cell in run(scope)]
         scope_below, scope_apart = [reduce(and_, m) for m in masks], [full & ~reduce(or_, m) for m in masks]
         if scoped_kind:
             sections.append(_section(scoped_kind(scope), order, scope_below, scope_apart))
@@ -511,25 +536,19 @@ def relation_report(entity: Entity) -> RelationReport:
     Wille, Formal Concept Analysis, 1999) and is apart from the items whose cell
     misses its own in some scope. Outcomes sharing a cell in scope are apart.
     """
-    table = entity._table
     index = _holder_index(entity)
-    (central,) = _scoped_sections(index.couples, index.rows("central"), lambda _, c: table[c], RelationKind.central())
-    state, *state_for = _scoped_sections(index.states, index.rows("states"), lambda e, p: table[e, p],
+    (central,) = _scoped_sections(index.couples, index.rows("central"), lambda _: index.cells, RelationKind.central())
+    state, *state_for = _scoped_sections(index.states, index.rows("states"), index.row,
                                          RelationKind.state_global(), RelationKind.state_for)
-    experiment, *experiment_for = _scoped_sections(index.experiments, index.rows("experiments"),
-                                                   lambda p, e: table[e, p],
+    experiment, *experiment_for = _scoped_sections(index.experiments, index.rows("experiments"), index.column,
                                                    RelationKind.experiment_global(), RelationKind.experiment_for)
     outcomes = _Order(sorted(entity.outcomes), entity.outcomes)
-    shared = dict.fromkeys(outcomes.items, 0)  # x -> the outcomes sharing a cell with x
-    for cell in set(table.values()):
-        mask = outcomes.mask(cell)
-        for x in cell:
-            shared[x] |= mask
+    shared = _shared_masks(outcomes, set(index.cells))
     bits = [1 << i for i in range(len(outcomes.items))]
     outcome = _section(RelationKind.outcome_global(), outcomes, bits, list(map(xor, shared.values(), bits)))
     outcome_for = []
-    for e, p in index.couples.items:  # in one cell, every two distinct outcomes are orthogonal
-        cell = sorted(table[e, p])
+    for (e, p), cell in entity.cells():  # in one cell, every two distinct outcomes are orthogonal
+        cell = sorted(cell)
         outcome_for.append(ReportSection(RelationKind.outcome_for(e, p).describe(), tuple([(x, x) for x in cell]),
                                          tuple([(x, y) for x in cell for y in cell if x != y])))
     return RelationReport((central, state, experiment, outcome, *state_for, *experiment_for, *outcome_for))

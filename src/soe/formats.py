@@ -119,7 +119,7 @@ def parse_entity(text: str) -> EntityDocument:
     current_measure = None
 
     for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()  # as _content_lines, inline for the cell lines
+        line = (line.split("#", 1)[0] if "#" in line else line).strip()  # as _content_lines, inline for the cell lines
         if not line:
             continue
         if line[0] == "[":
@@ -152,18 +152,19 @@ def parse_entity(text: str) -> EntityDocument:
                 raise ParseError(f"undeclared experiment {e!r}", line=line_no)
             if p not in known_states:
                 raise ParseError(f"undeclared state {p!r}", line=line_no)
-            if (e, p) in cells:
+            key = (e, p)
+            if key in cells:
                 raise ParseError(f"duplicate cell ({e}, {p})", line=line_no)
             outs = [x for x in map(str.strip, rhs.split(",")) if x]
             if not outs:
                 raise ParseError("empty identifier list", line=line_no)
-            fresh = [x for x in outs if x not in known_outcomes]
-            if fresh:
+            if not known_outcomes.issuperset(outs):
+                fresh = [x for x in outs if x not in known_outcomes]
                 if "outcomes" in declared:
                     raise ParseError(f"outcomes {fresh} are not in the declared outcome set", line=line_no)
                 _check_identifiers("outcome", fresh, line_no)
                 seen_outcomes.update(fresh)
-            cells[(e, p)] = outs
+            cells[key] = outs
             continue
         lhs, rhs = _key_value(line, line_no)
         if section == "entity":
@@ -244,12 +245,8 @@ def emit_entity(entity: Entity, measures: dict | None = None) -> str:
     lines.append("experiments = " + ", ".join(sorted(entity.experiments)))
     lines.append("outcomes = " + ", ".join(sorted(entity.outcomes)))
     lines.append("[outcomes]")
-    joined = {}  # cell -> its text, each distinct cell joined once
-    for (e, p), cell in entity.cells():
-        text = joined.get(cell)
-        if text is None:
-            text = joined[cell] = ", ".join(sorted(cell))
-        lines.append(f"{e} {p} = {text}")
+    joined = {cell: ", ".join(sorted(cell)) for cell in set(entity._table.values())}  # each distinct cell once
+    lines += [f"{e} {p} = {joined[cell]}" for (e, p), cell in entity.cells()]
     for name in sorted(measures or {}):
         lines.append(f"[probability {name}]")
         for (e, p, x) in sorted(measures[name].entries):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .entity import Entity, RelationKind, natural_order, relation_views, view_implies
+from .entity import Entity, RelationKind, _holder_index, natural_order, relation_views, view_implies
 from .errors import CapacityError, ContractError, EntityValidationError
 
 FULL_MIXED_BUDGET = 2**16  # cap on 2^|states| * 2^|experiments|
@@ -234,11 +234,12 @@ def full_mixed_entity(entity: Entity, budget: int = FULL_MIXED_BUDGET) -> Entity
     work.
     """
     _guard_budget(entity, budget)
-    experiments, states = sorted(entity.experiments), sorted(entity.states)
+    index = _holder_index(entity)
+    experiments, states = index.experiments.items, index.states.items
     state_ids, experiment_ids = (
         [mixture_id(P) for P in _doubled([(i,) for i in items], tuple.__add__)] for items in (states, experiments)
     )
-    rows = _doubled([_doubled([entity._table[(e, p)] for p in states], frozenset.union) for e in experiments], _unite)
+    rows = _doubled([_doubled(index.row(e), frozenset.union) for e in experiments], _unite)
     table = {}
     for eid, row in zip(experiment_ids, rows):
         for pid, cell in zip(state_ids, row):

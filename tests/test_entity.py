@@ -57,6 +57,24 @@ class TestConstruction:
         with pytest.raises(EntityValidationError, match="empty"):
             Entity({"s"}, {"h"}, {("h", "s"): set()})
 
+    @pytest.mark.parametrize("cell, shown", [(5, "5"), ([[1]], "[[1]]")])
+    def test_a_cell_that_is_no_set_of_outcomes_is_a_typed_refusal(self, cell, shown):
+        # not iterable, or holding an unhashable outcome
+        with pytest.raises(EntityValidationError) as refused:
+            Entity({"s"}, {"e"}, {("e", "s"): cell})
+        assert str(refused.value) == f"outcome set for cell (e, s) is not a set of outcomes: {shown}"
+
+    def test_malformed_cells_are_refused_in_couple_order_after_each_cells_own_refusals(self):
+        # (e, s) is checked first, and its own refusal wins over the malformed (e, t)
+        cells = {("e", "t"): 5, ("f", "s"): [[1]]}
+        for first, message in (({}, "missing outcome set for cell (e, s)"),
+                               ({("e", "s"): "x"}, "outcome set for cell (e, s) is the string 'x', not a set"),
+                               ({("e", "s"): []}, "outcome set for cell (e, s) is empty"),
+                               ({("e", "s"): {"x"}}, "outcome set for cell (e, t) is not a set of outcomes: 5")):
+            with pytest.raises(EntityValidationError) as refused:
+                Entity({"s", "t"}, {"e", "f"}, {**cells, **first})
+            assert str(refused.value) == message
+
     @pytest.mark.parametrize(
         "args, message",
         [

@@ -1114,6 +1114,59 @@ def test_relation_report_lists_each_sections_pairs_by_the_queries(entity):
 
 
 @st.composite
+def thin_entities(draw):
+    """1×n and n×1 entities, their table given in reverse couple order."""
+    names = [f"i{k}" for k in range(draw(st.integers(1, 6)))]
+    states, experiments = (names, ["e"]) if draw(st.booleans()) else (["p"], names)
+    cell = st.frozensets(st.sampled_from(["x0", "x1", "x2"]), min_size=1)
+    couples = [(e, p) for e in experiments for p in states]
+    return Entity(states, experiments, {couple: draw(cell) for couple in reversed(couples)})
+
+
+ORDERED_ENTITIES = st.one_of(entities(), plus_entities(), bang_entities(), named_entities(), thin_entities())
+
+
+@SETTINGS
+@given(ORDERED_ENTITIES)
+def test_couples_and_cells_follow_the_sorted_definition(entity):
+    couples = [(e, p) for e in sorted(entity.experiments) for p in sorted(entity.states)]
+    assert entity.couples() == couples
+    assert list(entity.cells()) == [(couple, entity.outcome_set(*couple)) for couple in couples]
+
+
+@SETTINGS
+@given(ORDERED_ENTITIES)
+def test_every_view_of_relation_views_is_its_per_key_definition(entity):
+    experiments, states = sorted(entity.experiments), sorted(entity.states)
+    cell = entity.outcome_set
+    definitions = [(RelationKind.central(), entity.couples(), lambda c: (cell(*c),)),
+                   (RelationKind.state_global(), states, lambda p: tuple(cell(e, p) for e in experiments)),
+                   (RelationKind.experiment_global(), experiments, lambda e: tuple(cell(e, p) for p in states)),
+                   (RelationKind.outcome_global(), sorted(entity.outcomes), lambda x: (frozenset({x}),))]
+    for e in experiments:
+        definitions.append((RelationKind.state_for(e), states, lambda p, e=e: (cell(e, p),)))
+    for p in states:
+        definitions.append((RelationKind.experiment_for(p), experiments, lambda e, p=p: (cell(e, p),)))
+    for e, p in entity.couples():
+        definitions.append((RelationKind.outcome_for(e, p), sorted(entity.outcomes), lambda x: (frozenset({x}),)))
+    for kind, items, definition in definitions:
+        view, _ = relation_views(entity, kind)
+        for a in items:
+            assert type(view(a)) is tuple and view(a) == definition(a), (kind.describe(), a)
+
+
+@SETTINGS
+@given(ORDERED_ENTITIES)
+def test_determination_and_atomicity_witnesses_keep_the_least_pairs(entity):
+    expected = _brute_witnesses(entity)
+    for name, predicate in (("outcome_determined", is_outcome_determined), ("state_determined", is_state_determined),
+                            ("experiment_determined", is_experiment_determined),
+                            ("central_atomic", is_central_atomic), ("state_atomic", is_state_atomic),
+                            ("experiment_atomic", is_experiment_atomic)):
+        assert predicate(entity) == (expected[name] is None, expected[name]), name
+
+
+@st.composite
 def couple_systems(draw):
     """A system over the couple grid of an entity with '!' in its
     identifiers, from each constructor: the holder index's central eigen and
