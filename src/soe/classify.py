@@ -5,10 +5,9 @@ run as internal cross-checks.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .closure import ClosureSystem, _closure_mask, eigen_closure_system, entity_ortho_space, ortho_closure_system
+from .closure import ClosureSystem, eigen_closure_system, entity_ortho_space, ortho_closure_system
 from .entity import Entity, RelationKind, _holder_index, _holder_masks, first_equivalent_pair, natural_order, relation_views
 from .errors import ConsistencyError
 from .statprop import indistinguishable_pair
@@ -69,22 +68,12 @@ def satisfies_T0(system: ClosureSystem):
 def satisfies_T1(system: ClosureSystem):
     """Every singleton is closed. Returns (flag, least point whose singleton
     is not closed, by `str`, then type name and `repr`, whatever the hash
-    seed). No point of a T0 class with two points is closed; the one-point
-    classes go in `str` order until one is unclosed or they pass the least."""
-    missed, full, gens = system._missed_by(), system._order.full, system._gens
-    shared = Counter(missed.values())
-    unclosed = [w for w, key in missed.items() if shared[key] > 1]
-    least = min(map(str, unclosed), default=None)
-    for text, i, w in sorted((str(w), i, w) for i, (w, key) in enumerate(missed.items()) if shared[key] == 1):
-        if least is not None and text > least:
-            break
-        if _closure_mask(full, gens, 1 << i) != 1 << i:
-            unclosed.append(w)
-            least = text
-    if not unclosed:
-        return (True, None)
-    tied = (w for w in unclosed if str(w) == least)
-    return (False, min(tied, key=lambda w: (type(w).__name__, repr(w))))
+    seed): the points are scanned in that order until one is unclosed."""
+    items = system._order.items
+    for i in sorted(range(len(items)), key=lambda j: (str(items[j]), type(items[j]).__name__, repr(items[j]))):
+        if system._close(1 << i) != 1 << i:
+            return (False, items[i])
+    return (True, None)
 
 
 def is_central_atomic(entity: Entity):

@@ -18,23 +18,10 @@ from operator import and_, or_
 from types import MappingProxyType
 
 from .diagnostics import Diagnostics
-from .entity import Entity, RelationKind, _holder_index, _holder_masks, _Order, _shared_masks, natural_order, relation_views
+from .entity import Entity, RelationKind, _holder_index, _Order, _shared_masks, natural_order, relation_views
 from .errors import CapacityError, ContractError
 
 GROUND_CAP = 24  # full-family materialization refuses larger ground sets
-
-
-def _closure_mask(full, generators, k) -> int:
-    """The full mask cut by every generator mask holding k."""
-    for g in generators:
-        if k & g == k:
-            full &= g
-    return full
-
-
-def _all_closed(full, generators, masks) -> bool:
-    """Whether every mask of `masks` is closed under the generators' closure."""
-    return all(_closure_mask(full, generators, k) == k for k in masks)
 
 
 class ClosureSystem:
@@ -44,7 +31,7 @@ class ClosureSystem:
     the ground cut by every generator containing K. A listed family must pass
     `validate_closure_axioms`."""
 
-    __slots__ = ("ground", "_order", "_gens", "_members", "_missed")
+    __slots__ = ("ground", "_order", "_gens", "_members")
 
     def __init__(self, ground, members):
         ground, members = _family(ground, members)
@@ -76,7 +63,6 @@ class ClosureSystem:
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_gens", gens)
         object.__setattr__(self, "_members", members)
-        object.__setattr__(self, "_missed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClosureSystem is immutable")
@@ -108,11 +94,11 @@ class ClosureSystem:
         """Whether every member of `other` is a member of this system: the
         ground of `other` and each of its generators is closed here, as this
         family is closed under intersection. Over a shared item order, where
-        the grounds are one, the generator masks are tested as they are;
-        otherwise the ground and generators of `other` are tested with
-        `is_closed`."""
+        the grounds are one, the closure operator is asked of each generator
+        mask as it is; otherwise the ground and generators of `other` are
+        tested with `is_closed`."""
         if self._order.same(other._order):
-            return _all_closed(self._order.full, self._gens, other._gens)
+            return all(self._close(k) == k for k in other._gens)
         return self.is_closed(other.ground) and all(map(self.is_closed, other.generators))
 
     def __hash__(self):
@@ -128,22 +114,25 @@ class ClosureSystem:
         return sorted(self.members, key=lambda m: (len(m), tuple(sorted(m))))
 
     def _missed_by(self) -> dict:
-        """{point: the indices of the generators missing it}, built on first use from
-        one read of each generator's complement's bits; no generator is decoded."""
-        if self._missed is None:
-            order = self._order
-            points = range(len(order.items))
-            missed = [[] for _ in points]
-            for j, g in enumerate(self._gens):
-                for i in order.entries(order.full & ~g, points):
-                    missed[i].append(j)
-            object.__setattr__(self, "_missed", dict(zip(order.items, map(tuple, missed))))
-        return self._missed
+        """{point: the indices of the generators missing it}, from one read of
+        each generator's complement's bits; no generator is decoded."""
+        order = self._order
+        points = range(len(order.items))
+        missed = [[] for _ in points]
+        for j, g in enumerate(self._gens):
+            for i in order.entries(order.full & ~g, points):
+                missed[i].append(j)
+        return dict(zip(order.items, map(tuple, missed)))
 
     def _close(self, k) -> int:
         """The closure operator on masks over the system's order: the mask of
-        the smallest member containing k's items."""
-        return _closure_mask(self._order.full, self._gens, k)
+        the smallest member containing k's items: the full mask cut by every
+        generator mask holding k."""
+        full = self._order.full
+        for g in self._gens:
+            if k & g == k:
+                full &= g
+        return full
 
     def closure_of(self, K) -> frozenset:
         """The smallest member containing K."""

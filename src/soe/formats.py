@@ -112,7 +112,6 @@ def parse_entity(text: str) -> EntityDocument:
     cells: dict = {}
     seen_outcomes: set = set()  # outcomes of the cells so far, each checked once
     measures: dict = {}
-    measure_order: list = []
     measure_map: dict = {}
     witness_parts: dict = {"m": {}, "n": {}, "l": {}, "k": measure_map}
     section = None
@@ -130,11 +129,10 @@ def parse_entity(text: str) -> EntityDocument:
                 known_states, known_experiments = declared.get("states", ()), declared.get("experiments", ())
                 known_outcomes = declared.get("outcomes", seen_outcomes)
             elif section == "probability":
-                current_measure = header[1] if len(header) > 1 else f"mu{len(measure_order) + 1}"
+                current_measure = header[1] if len(header) > 1 else f"mu{len(measures) + 1}"
                 if current_measure in measures:
                     raise ParseError(f"duplicate probability table {current_measure!r}", line=line_no)
                 measures[current_measure] = {}
-                measure_order.append(current_measure)
             elif section not in ("entity", "witness"):
                 raise ParseError(f"unknown section [{section}]", line=line_no)
             continue
@@ -213,8 +211,8 @@ def parse_entity(text: str) -> EntityDocument:
         raise ParseError(str(err), line=header_line["entity"]) from err
 
     document = EntityDocument(entity=entity, measure_map=measure_map)
-    for name in measure_order:
-        document.measures[name] = ProbabilityTable(measures[name])
+    for name, table in measures.items():
+        document.measures[name] = ProbabilityTable(table)
     if any(witness_parts[which] for which in "mnl"):
         document.witness = SubEntityWitness(
             m=witness_parts["m"], n=witness_parts["n"], l=witness_parts["l"]

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .closure import _holder_masks, eig_states, eigen_closure_system
+from .closure import eig_states, eigen_closure_system
 from .diagnostics import Diagnostics
-from .entity import Entity, RelationKind, natural_order, relation_views, view_implies
+from .entity import Entity, RelationKind, _holder_masks, natural_order, relation_views, view_implies
 from .errors import ConsistencyError, ContractError
 from .probability import ProbabilisticEntity
 from .statprop import StatePropertySystem, _prop_key

@@ -8,9 +8,9 @@ testable property is kept as a label so reports can cite a test.
 
 from __future__ import annotations
 
-from .closure import ClosureSystem, _holder_index, _member_sets, _Order
+from .closure import ClosureSystem, _member_sets
 from .diagnostics import Diagnostics
-from .entity import Entity, first_equivalent_pair, natural_order
+from .entity import Entity, _holder_index, _Order, first_equivalent_pair, natural_order
 from .errors import CapacityError, ContractError, UnknownIdentifierError
 from .mixture import full_mixed_entity, mixture_id
 
