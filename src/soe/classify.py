@@ -13,21 +13,22 @@ from .errors import ConsistencyError
 from .statprop import indistinguishable_pair
 
 
-def _atomic(items, members, run):
+def _atomic(items, members, run, holders=None):
     """No item implies a distinct one, an item's view being its cells run(m)
     (in item order) over the members m. Returns (flag, least implying pair).
 
     The items that a implies are the AND, over the members, of the holder
-    masks of a's outcomes there, less a. Bit i is items[i], so the first a
-    with a nonzero mask, and its lowest bit, are the least pair. A member is
-    read when the scan first reaches it; the scan leaves a once its mask is 0."""
+    masks of a's outcomes there (holders(m), or else built from run(m)), less
+    a. Bit i is items[i], so the first a with a nonzero mask, and its lowest
+    bit, are the least pair. A member is read when the scan first reaches it;
+    the scan leaves a once its mask is 0."""
     columns = []  # (cells of the items, their holder masks) per member reached
     for i in range(len(items)):
         above = ~(1 << i)  # every item but a; the first AND makes it a mask
         for j, member in enumerate(members):
             if j == len(columns):
                 cells = run(member)
-                columns.append((cells, _holder_masks(cells)))
+                columns.append((cells, _holder_masks(cells) if holders is None else holders(member)))
             cells, has = columns[j]
             for x in cells[i]:
                 above &= has[x]
@@ -78,7 +79,8 @@ def satisfies_T1(system: ClosureSystem):
 
 def is_central_atomic(entity: Entity):
     """No couple strictly implies another."""
-    return _atomic(entity.couples(), [None], lambda _: _holder_index(entity).cells)
+    index = _holder_index(entity)
+    return _atomic(entity.couples(), [None], lambda _: index.cells, index.rows("central").__getitem__)
 
 
 def is_state_atomic(entity: Entity):

@@ -434,13 +434,16 @@ def relation_views(entity: Entity, kind: RelationKind):
 
 def first_equivalent_pair(items, view):
     """The first pair (a, b) of `items`, a before b, with equal views, or
-    None; over sorted items, the least such pair. O(n)."""
+    None; over sorted items, the least such pair. O(n), and the scan stops
+    at a pair starting at the first item, which no later pair precedes."""
     first = {}
     best = None
     for j, u in enumerate(map(view, items)):
         i = first.setdefault(u, j)
         if i != j and (best is None or i < best[0]):
             best = (i, j)
+            if i == 0:
+                break
     return None if best is None else (items[best[0]], items[best[1]])
 
 

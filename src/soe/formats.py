@@ -110,7 +110,7 @@ def parse_entity(text: str) -> EntityDocument:
     declared_line: dict = {}  # the same keys -> line of the declaration
     header_line: dict = {}  # section name -> line of its first header
     cells: dict = {}
-    seen_outcomes: set = set()  # outcomes of the cells so far, each checked once
+    seen_outcomes: dict = {}  # outcomes of the cells so far, each checked once, name -> stored object
     measures: dict = {}
     measure_map: dict = {}
     witness_parts: dict = {"m": {}, "n": {}, "l": {}, "k": measure_map}
@@ -126,8 +126,10 @@ def parse_entity(text: str) -> EntityDocument:
             section = header[0]
             header_line.setdefault(section, line_no)
             if section == "outcomes":  # only [entity] lines declare, so read the declarations once here
-                known_states, known_experiments = declared.get("states", ()), declared.get("experiments", ())
-                known_outcomes = declared.get("outcomes", seen_outcomes)
+                # name -> the one object stored for it, so equal names in cells are identical
+                known_states = {p: p for p in declared.get("states", ())}
+                known_experiments = {e: e for e in declared.get("experiments", ())}
+                known_outcomes = {x: x for x in declared["outcomes"]} if "outcomes" in declared else seen_outcomes
             elif section == "probability":
                 current_measure = header[1] if len(header) > 1 else f"mu{len(measures) + 1}"
                 if current_measure in measures:
@@ -146,22 +148,24 @@ def parse_entity(text: str) -> EntityDocument:
             if len(parts) != 2:
                 raise ParseError("cell lines read '<experiment> <state> = outcomes'", line=line_no)
             e, p = parts
-            if e not in known_experiments:
-                raise ParseError(f"undeclared experiment {e!r}", line=line_no)
-            if p not in known_states:
-                raise ParseError(f"undeclared state {p!r}", line=line_no)
-            key = (e, p)
+            try:
+                key = (known_experiments[e], known_states[p])
+            except KeyError:
+                raise ParseError(f"undeclared experiment {e!r}" if e not in known_experiments
+                                 else f"undeclared state {p!r}", line=line_no) from None
             if key in cells:
                 raise ParseError(f"duplicate cell ({e}, {p})", line=line_no)
-            outs = [x for x in map(str.strip, rhs.split(",")) if x]
-            if not outs:
-                raise ParseError("empty identifier list", line=line_no)
-            if not known_outcomes.issuperset(outs):
+            try:  # a KeyError needs a nonempty name, so an empty list is refused below either way
+                outs = [known_outcomes[x] for x in map(str.strip, rhs.split(",")) if x]
+            except KeyError:
+                outs = [x for x in map(str.strip, rhs.split(",")) if x]
                 fresh = [x for x in outs if x not in known_outcomes]
                 if "outcomes" in declared:
-                    raise ParseError(f"outcomes {fresh} are not in the declared outcome set", line=line_no)
+                    raise ParseError(f"outcomes {fresh} are not in the declared outcome set", line=line_no) from None
                 _check_identifiers("outcome", fresh, line_no)
-                seen_outcomes.update(fresh)
+                outs = [seen_outcomes.setdefault(x, x) for x in outs]  # a name new here is stored as first written
+            if not outs:
+                raise ParseError("empty identifier list", line=line_no)
             cells[key] = outs
             continue
         lhs, rhs = _key_value(line, line_no)
@@ -202,9 +206,10 @@ def parse_entity(text: str) -> EntityDocument:
             + (f" and {len(missing) - 1} more" if len(missing) > 1 else ""),
             line=header_line.get("outcomes", header_line["entity"]),
         )
-    never = sorted(declared.get("outcomes", set()).difference(*cells.values()))
-    if never:
-        raise ParseError(f"outcomes {never} are declared but never possible", line=declared_line["outcomes"])
+    if "outcomes" in declared:  # else the outcomes are those of the cells
+        never = sorted(declared["outcomes"].difference(*cells.values()))
+        if never:
+            raise ParseError(f"outcomes {never} are declared but never possible", line=declared_line["outcomes"])
     try:
         entity = Entity(states, experiments, cells, outcomes=declared.get("outcomes"))
     except EntityValidationError as err:

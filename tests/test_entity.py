@@ -11,6 +11,7 @@ from soe.entity import (
     check_identifier,
     eigen_outcome,
     equivalent,
+    first_equivalent_pair,
     implies,
     orthogonal,
     outcome_set,
@@ -243,6 +244,12 @@ class TestEquivalence:
         table = {("h", "s"): {"o1"}, ("h", "t"): {"o1"}, ("k", "s"): {"o2"}, ("k", "t"): {"o2"}}
         twin = Entity({"s", "t"}, {"h", "k"}, table)
         assert equivalent(twin, STATE, "s", "t")
+
+    @pytest.mark.parametrize("views, pair", [("abba", (0, 3)), ("aabb", (0, 1)), ("abcb", (1, 3)), ("abc", None)])
+    def test_first_equivalent_pair_is_the_least(self, views, pair):
+        # a pair starting at the first item ends the scan, since no later pair precedes it
+        items = list(range(len(views)))
+        assert first_equivalent_pair(items, views.__getitem__) == pair
 
 
 class TestEigenOutcome:

@@ -139,6 +139,25 @@ class TestParsing:
         with pytest.raises(ParseError, match=rf"'{repeated}' is listed twice \(line {line_no}\)"):
             parse_entity(WORKED_DOC.replace(original, line))
 
+    @pytest.mark.parametrize(
+        "declaration, first_cell",
+        [
+            ("outcomes = x1, x2, x3\n", "x1, x2"),
+            ("", "x1, x2"),
+            ("", "x2, x1, x2"),  # a new outcome listed twice on its first line
+        ],
+    )
+    def test_each_name_is_one_object(self, declaration, first_cell):
+        # names of two or more characters, which are not shared singletons
+        text = ("[entity]\nstates = s1, s2\nexperiments = e1, e2\n" + declaration
+                + f"[outcomes]\ne1 s1 = {first_cell}\ne1 s2 = x2, x3\ne2 s1 = x1, x3\ne2 s2 = x3, x1\n")
+        entity = parse_entity(text).entity
+        cells = list(entity._table.values())
+        assert len({id(x) for cell in cells for x in cell}) == len(entity.outcomes) == 3
+        assert {id(x) for cell in cells for x in cell} == set(map(id, entity.outcomes))
+        assert {id(e) for e, _ in entity._table} <= set(map(id, entity.experiments))
+        assert {id(p) for _, p in entity._table} <= set(map(id, entity.states))
+
     @pytest.mark.parametrize("key", ["states", "experiments", "outcomes"])
     def test_second_declaration_rejected_with_line(self, key):
         original = next(row for row in WORKED_DOC.splitlines() if row.startswith(key + " ="))
