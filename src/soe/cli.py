@@ -32,7 +32,12 @@ from .diagnostics import Diagnostics
 from .entity import Entity, RelationKind, eigen_outcome, relation_report, relation_views, view_implies
 from .errors import ConsistencyError, SoeError
 from .formats import parse_entity, parse_witness
-from .morphism import ProbabilityCorrespondence, preimage_continuity, verify_probabilistic_sub_entity, verify_sub_entity
+from .morphism import (
+    ProbabilityCorrespondence,
+    _preimage_continuity,
+    verify_probabilistic_sub_entity,
+    verify_sub_entity,
+)
 from .probability import ProbabilisticEntity, validate_measure
 from .quantum import (
     BallState,
@@ -78,6 +83,13 @@ class Report:
         else:
             self.lines.append(human if human is not None else f"  {path.split('.')[-1]} = {value}")
 
+    def rows(self, path: str, texts) -> None:
+        """One row per text, at path.0, path.1, ...; the human form indents each text."""
+        if self.structured:
+            self.lines += [f"{path}.{i} = {text}" for i, text in enumerate(texts)]
+        else:
+            self.lines += ["  " + text for text in texts]
+
     def emit(self) -> None:
         sys.stdout.write("\n".join(self.lines) + ("\n" if self.lines else ""))
 
@@ -113,9 +125,7 @@ def cmd_analyze(args) -> int:
         report.heading(f"[{section.kind}]")
         rows = (("implication", "<", section.implications), ("orthogonal", "|", section.orthogonalities))
         for relation, sign, pairs in rows:
-            for i, (a, b) in enumerate(pairs):
-                text = f"{names[a]} {sign} {names[b]}"
-                report.row(f"analyze.{section.kind}.{relation}.{i}", text, "  " + text)
+            report.rows(f"analyze.{section.kind}.{relation}", (f"{names[a]} {sign} {names[b]}" for a, b in pairs))
     report.emit()
     return 0
 
@@ -150,8 +160,7 @@ def cmd_closures(args) -> int:
     if scope:
         report.row("closures.scope", scope)
     report.row("closures.size", len(system.members), f"  members: {len(system.members)}")
-    for i, member in enumerate(system.sorted_members()):
-        report.row(f"closures.member.{i}", _fmt_member(member), f"  {_fmt_member(member)}")
+    report.rows("closures.member", map(_fmt_member, system.sorted_members()))
     report.emit()
     return 0
 
@@ -191,7 +200,7 @@ def cmd_subentity(args) -> int:
     _emit_diagnostics(report, "subentity.witness", diag)
     ok = diag.passed
     if ok:
-        cont = preimage_continuity(small_doc.entity, big_doc.entity, witness)
+        cont = _preimage_continuity(small_doc.entity, big_doc.entity, witness)  # the core check just passed
         report.heading("eigen-closure continuity")
         _emit_diagnostics(report, "subentity.continuity", cont)
         ok = ok and cont.passed

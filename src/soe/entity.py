@@ -70,8 +70,9 @@ class Entity:
         ordered_states = sorted(states)
         for e in sorted(experiments):
             for p in ordered_states:
+                key = (e, p)  # one tuple per cell, for the lookup and the store
                 try:
-                    cell = table[(e, p)]
+                    cell = table[key]
                 except KeyError:
                     raise EntityValidationError(f"missing outcome set for cell ({e}, {p})") from None
                 if isinstance(cell, str):
@@ -82,7 +83,7 @@ class Entity:
                     raise EntityValidationError(f"outcome set for cell ({e}, {p}) is not a set of outcomes: {cell!r}") from None
                 if not cell:
                     raise EntityValidationError(f"outcome set for cell ({e}, {p}) is empty")
-                cells[(e, p)] = cell
+                cells[key] = cell
         if len(table) != len(cells):  # every cell was found, so the table holds more
             raise EntityValidationError(f"table has cells outside E x Sigma: {natural_order(set(table) - set(cells))}")
 

@@ -130,6 +130,7 @@ def parse_entity(text: str) -> EntityDocument:
                 known_states = {p: p for p in declared.get("states", ())}
                 known_experiments = {e: e for e in declared.get("experiments", ())}
                 known_outcomes = {x: x for x in declared["outcomes"]} if "outcomes" in declared else seen_outcomes
+                read_texts = {}  # outcome text -> the list its first read in this section made
             elif section == "probability":
                 current_measure = header[1] if len(header) > 1 else f"mu{len(measures) + 1}"
                 if current_measure in measures:
@@ -155,6 +156,10 @@ def parse_entity(text: str) -> EntityDocument:
                                  else f"undeclared state {p!r}", line=line_no) from None
             if key in cells:
                 raise ParseError(f"duplicate cell ({e}, {p})", line=line_no)
+            outs = read_texts.get(rhs)
+            if outs is not None:  # read and checked before, against this section's declarations
+                cells[key] = outs.copy()  # each cell keeps a list of its own, as a first read makes
+                continue
             try:  # a KeyError needs a nonempty name, so an empty list is refused below either way
                 outs = [known_outcomes[x] for x in map(str.strip, rhs.split(",")) if x]
             except KeyError:
@@ -166,7 +171,7 @@ def parse_entity(text: str) -> EntityDocument:
                 outs = [seen_outcomes.setdefault(x, x) for x in outs]  # a name new here is stored as first written
             if not outs:
                 raise ParseError("empty identifier list", line=line_no)
-            cells[key] = outs
+            cells[key] = read_texts[rhs] = outs
             continue
         lhs, rhs = _key_value(line, line_no)
         if section == "entity":

@@ -256,9 +256,13 @@ def morphism_from_continuous_map(system_small, system_big, m: dict) -> SpsMorphi
 def preimage_continuity(small: Entity, big: Entity, w: SubEntityWitness) -> Diagnostics:
     """Continuity of m and n for the eigen closure systems, plus the preimage
     identity on the generating eigen sets. Requires a passing witness."""
-    core = verify_sub_entity(small, big, w)
-    if not core.passed:
+    if not verify_sub_entity(small, big, w).passed:
         raise ContractError("preimage continuity is only defined for verified sub-entity witnesses")
+    return _preimage_continuity(small, big, w)
+
+
+def _preimage_continuity(small: Entity, big: Entity, w: SubEntityWitness) -> Diagnostics:
+    """`preimage_continuity` for a witness that `verify_sub_entity` has passed."""
     diag = Diagnostics()
 
     # preimages preserve intersections and send the ground to the ground, so

@@ -7,11 +7,14 @@ from pathlib import Path
 import pytest
 
 import soe
+import soe.cli
+import soe.morphism
 from soe.cli import main
 from soe.closure import ClosureSystem, _holder_index, _Order, eigen_closure_system
 from soe.entity import Entity, RelationKind, orthogonal
 from soe.examples import deterministic_pair, three_by_three
 from soe.formats import emit_entity
+from soe.morphism import verify_sub_entity
 from soe.probability import ProbabilityTable
 from soe.statprop import StatePropertySystem, testable_sps
 
@@ -385,6 +388,21 @@ class TestSubentityCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "verdict: pass" in out
+
+    def test_the_core_check_runs_once(self, pair_files, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return verify_sub_entity(*args)
+
+        monkeypatch.setattr(soe.cli, "verify_sub_entity", counted)
+        monkeypatch.setattr(soe.morphism, "verify_sub_entity", counted)
+        small, big, witness = pair_files
+        assert main(["subentity", small, big, "--witness", witness, "--structured"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(calls) == 1
+        assert "subentity.continuity.continuity.generator_identity = pass" in rows
 
     def test_fail_exit_code(self, pair_files, tmp_path, capsys):
         small, big, witness = pair_files

@@ -1,10 +1,14 @@
 import random
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soe.formats
 from soe.cli import main
+from soe.entity import Entity
 from soe.errors import EntityValidationError, ParseError, SoeError
 from soe.examples import three_by_three
 from soe.formats import emit_entity, parse_entity, parse_witness
@@ -158,6 +162,28 @@ class TestParsing:
         assert {id(e) for e, _ in entity._table} <= set(map(id, entity.experiments))
         assert {id(p) for _, p in entity._table} <= set(map(id, entity.states))
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("e zz = x1, x2", r"^undeclared state 'zz' \(line 17\)$"),
+            ("h p = x1, x2", r"^undeclared experiment 'h' \(line 17\)$"),
+            ("h zz = x1, x2", r"^undeclared experiment 'h' \(line 17\)$"),
+            ("g r = x1, x2", r"^duplicate cell \(g, r\) \(line 17\)$"),
+        ],
+    )
+    def test_refusals_on_a_line_whose_outcome_text_was_read(self, line, message):
+        # ' x1, x2' is the outcome text of the first cell line, line 8
+        assert WORKED_DOC.splitlines()[7] == "e p = x1, x2"
+        with pytest.raises(ParseError, match=message):
+            parse_entity(WORKED_DOC + line + "\n")
+
+    def test_each_outcomes_section_reads_its_texts_again(self):
+        # the second section is read against the outcomes declared in between
+        text = ("[entity]\nstates = p, q\nexperiments = e\n[outcomes]\ne p = x, y\n"
+                "[entity]\noutcomes = x\n[outcomes]\ne q = x, y\n")
+        with pytest.raises(ParseError, match=r"^outcomes \['y'\] are not in the declared outcome set \(line 9\)$"):
+            parse_entity(text)
+
     @pytest.mark.parametrize("key", ["states", "experiments", "outcomes"])
     def test_second_declaration_rejected_with_line(self, key):
         original = next(row for row in WORKED_DOC.splitlines() if row.startswith(key + " ="))
@@ -165,6 +191,69 @@ class TestParsing:
         line_no = text.splitlines().index(original) + 2
         with pytest.raises(ParseError, match=rf"{key} declared a second time \(line {line_no}\)"):
             parse_entity(text)
+
+
+PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def outcome_texts(draw):
+    """The right side of a cell line: a nonempty outcome list with random
+    spacing, order and repeats, empty entries, and maybe a trailing comment."""
+    names = draw(st.lists(st.sampled_from(["x", "y", "x1", "yy2"]), min_size=1, max_size=5))
+    entries = draw(st.permutations(names + [""] * draw(st.integers(0, 2))))
+    comment = draw(st.sampled_from(["", " # note", "#x, y = [ ]", "\t#"]))
+    return ",".join(draw(PAD) + x + draw(PAD) for x in entries) + comment
+
+
+@st.composite
+def cell_documents(draw):
+    """An entity document whose cell lines share some outcome texts, spread
+    over one or two [outcomes] sections, with the outcomes declared before
+    the first, between the two, or not at all. Returns the text and each
+    couple's outcome text."""
+    states = [f"s{j}" for j in range(draw(st.integers(1, 4)))]
+    experiments = [f"e{i}" for i in range(draw(st.integers(1, 3)))]
+    couples = draw(st.permutations([(e, p) for e in experiments for p in states]))
+    pool = draw(st.lists(outcome_texts(), min_size=1, max_size=len(couples)))
+    texts = {couple: draw(st.sampled_from(pool)) for couple in couples}
+    union = {x.strip() for text in texts.values() for x in text.split("#")[0].split(",")} - {""}
+    declaration = "outcomes = " + ", ".join(sorted(union))
+    lines = ["[entity]", "states = " + ", ".join(states), "experiments = " + ", ".join(experiments)]
+    declared_at = draw(st.sampled_from(["first", "between", None]))
+    if declared_at == "first":
+        lines.append(declaration)
+    lines.append("[outcomes]")
+    cell_lines = [draw(PAD) + f"{e} {draw(PAD)}{p}" + draw(PAD) + "=" + texts[e, p] for e, p in couples]
+    split = draw(st.integers(0, len(couples)))
+    lines += cell_lines[:split]
+    if declared_at == "between":
+        lines += ["[entity]", declaration]
+    if declared_at == "between" or draw(st.booleans()):
+        lines.append("[outcomes]")
+    lines += cell_lines[split:]
+    return "\n".join(lines) + "\n", texts
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_documents())
+def test_cells_are_the_names_of_their_lines(drawn):
+    """Each cell is the stripped nonempty names of its own line as written,
+    whether its outcome text was read before or not, and each cell reaches
+    Entity as a list of its own."""
+    text, texts = drawn
+    tables = []
+
+    def spy(states, experiments, table, outcomes=None):
+        tables.append(table)
+        return Entity(states, experiments, table, outcomes=outcomes)
+
+    with patch.object(soe.formats, "Entity", spy):
+        entity = parse_entity(text).entity
+    written = {couple: [x.strip() for x in text.split("#")[0].split(",") if x.strip()] for couple, text in texts.items()}
+    assert tables[0] == written
+    assert len({id(cell) for cell in tables[0].values()}) == len(written)
+    assert dict(entity.cells()) == {couple: frozenset(names) for couple, names in written.items()}
 
 
 class TestProbabilitySections:
